@@ -9,8 +9,6 @@ counts predicted by the subproblem and root condition numbers.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,12 +150,8 @@ def _one_trial_digits(spec: SweepSpec, idx: int, x, trial: int) -> float:
     return digits_of_accuracy(err)
 
 
-def _point_record(spec: SweepSpec, idx: int, x, pool=None) -> SweepRecord:
-    trials = range(spec.n_trials)
-    if pool is not None:
-        digits = list(pool.map(lambda t: _one_trial_digits(spec, idx, x, t), trials))
-    else:
-        digits = [_one_trial_digits(spec, idx, x, t) for t in trials]
+def _point_record(spec: SweepSpec, idx: int, x) -> SweepRecord:
+    digits = [_one_trial_digits(spec, idx, x, t) for t in range(spec.n_trials)]
     params = _resolve_params(spec, x)
     return SweepRecord(
         x=float(x),
@@ -178,13 +172,8 @@ def _theory_or_nan(method: str, family: str, params: dict) -> float:
 
 def run_sweep(spec: SweepSpec) -> list:
     """All records for one sweep. Trials are independently seeded and
-    aggregated by trial index, so results do not depend on execution order;
-    POLYLAB_THREADS > 1 runs the trials of each axis point in a thread pool.
+    aggregated by trial index, so results do not depend on execution order.
     """
-    workers = int(os.environ.get("POLYLAB_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [_point_record(spec, idx, x, pool=pool) for idx, x in enumerate(spec.values)]
     return [_point_record(spec, idx, x) for idx, x in enumerate(spec.values)]
 
 

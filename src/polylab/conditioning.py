@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .macaulay import macaulay_hat
-from .numkernel import GenEigProblem, EigTriple, null_space, sigma_min, svd
+from .numkernel import GenEigProblem, EigTriple, sigma_min, svd
 from .polycore import (
     MonomialOrder,
     MultiPoly,
@@ -306,11 +306,6 @@ def normal_form(
     return np.linalg.solve(NB.T, N.T @ fvec)
 
 
-def poly_from_basis(basis: list, coeffs, d: int) -> MultiPoly:
-    terms = {tuple(m): complex(c) for m, c in zip(basis, coeffs)}
-    return MultiPoly(d, terms)
-
-
 def monomial_eval(m, x) -> complex:
     x = np.asarray(x, dtype=complex)
     v = 1.0 + 0j
@@ -330,7 +325,7 @@ def _det_q_in_basis(
     detq = poly_det(q_factorization(s, xstar).Q)
     if N is None:
         mhat = macaulay_hat(s, rho(s), order)
-        N = null_space(mhat.mat, bezout_count(s))
+        N = mhat.factor.null_space(bezout_count(s))
         rows = mhat.col_labels
     else:
         rows = None

@@ -11,12 +11,13 @@ eigenvalues correspond to the system's roots.
 from __future__ import annotations
 
 import csv as _csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .numkernel import GenEigProblem, check_pencil_regular, null_space, sigma_min
+from .numkernel import GenEigProblem, SvdFactor, check_pencil_regular
 from .polycore import (
     MonomialOrder,
     MultiPoly,
@@ -45,20 +46,34 @@ class MacaulayMatrix:
     col_labels: list
     degree: int
 
+    @functools.cached_property
+    def factor(self) -> SvdFactor:
+        """The matrix's one SVD: nullity, null spaces and sigma_min all read it."""
+        return SvdFactor.of(self.mat)
+
 
 @dataclass(frozen=True)
 class MacaulayPencil:
     """Pencil A - lambda B with A = [A1; A2], B = [0; B2].
 
-    A1 is the full degree-rho Macaulay matrix; the A2/B2 rows carry the
-    kept multiples of h_alpha and h_beta. ``n_poly_rows`` gives the split.
+    A1 is the full degree-rho Macaulay matrix ``mhat``; the A2/B2 rows carry
+    the multiples of h_alpha and h_beta kept for the basis monomials of
+    ``basis``, whose null space is that of A1.
     """
 
     gep: GenEigProblem
-    kept_h_monomials: list
+    mhat: MacaulayMatrix
+    basis: BasisSelection
     alpha: np.ndarray
     beta: np.ndarray
-    n_poly_rows: int
+
+    @property
+    def kept_h_monomials(self) -> list:
+        return self.basis.monomials
+
+    @property
+    def n_poly_rows(self) -> int:
+        return self.mhat.mat.shape[0]
 
     @property
     def A1(self) -> np.ndarray:
@@ -112,13 +127,15 @@ def macaulay_hat(s: PolySystem, degree: int, order: MonomialOrder | None = None)
 def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
     """Select r quotient-basis monomials of degree <= degree - 1.
 
-    The null space N of the Macaulay matrix is computed with prescribed
-    nullity r; candidate rows of N (monomials below the top degree) are
-    ranked by column-pivoted QR, greedy on residual norms, and the first r
-    pivots form the basis. The condition number of the selected r x r
-    submatrix is reported alongside.
+    The null space N is read from the matrix's shared factor with
+    prescribed nullity r, so it costs no SVD beyond ``mhat.factor``.
+    Candidate rows of N (monomials below the top degree) are ranked by
+    column-pivoted QR, greedy on residual norms, and the first r pivots form
+    the basis. The condition number of the selected r x r submatrix is
+    reported alongside, and N travels with the selection for the caller to
+    reuse.
     """
-    N = null_space(mhat.mat, r)
+    N = mhat.factor.null_space(r)
     cand = [k for k, m in enumerate(mhat.col_labels) if sum(m) <= mhat.degree - 1]
     C = N[cand, :]
     Q, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
@@ -173,8 +190,7 @@ def macaulay_pencil(
     mhat = macaulay_hat(s, rho(s), order)
     sel = choose_basis(mhat, r)
     col_index = {m: k for k, m in enumerate(mhat.col_labels)}
-    n_rows = mhat.mat.shape[0]
-    square = n_rows + r == len(mhat.col_labels)
+    square = mhat.mat.shape[0] + r == len(mhat.col_labels)
     last_err = None
     for _ in range(4):
         alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
@@ -192,21 +208,19 @@ def macaulay_pencil(
             row_labels=list(mhat.row_labels) + [("h", m) for m in sel.monomials],
             col_labels=list(mhat.col_labels),
         )
-        return MacaulayPencil(
-            gep=gep,
-            kept_h_monomials=list(sel.monomials),
-            alpha=alpha,
-            beta=beta,
-            n_poly_rows=n_rows,
-        )
+        return MacaulayPencil(gep=gep, mhat=mhat, basis=sel, alpha=alpha, beta=beta)
     from .numkernel import SingularPencil
 
     raise SingularPencil(f"no regular pencil after redraws: {last_err}")
 
 
 def smallest_singular_hat(s: PolySystem, order: MonomialOrder | None = None) -> float:
-    """sigma_min of the degree-rho Macaulay matrix."""
-    return sigma_min(macaulay_hat(s, rho(s), order).mat)
+    """sigma_min of the degree-rho Macaulay matrix, read from its shared factor.
+
+    A caller that already holds the MacaulayMatrix reads
+    ``mhat.factor.sigma_min`` instead and pays for no second SVD.
+    """
+    return macaulay_hat(s, rho(s), order).factor.sigma_min
 
 
 def dump_labeled_csv(mhat: MacaulayMatrix, path) -> None:

@@ -151,34 +151,72 @@ def generalized_eig(gep: GenEigProblem) -> list:
     return out
 
 
-def null_space(M, nullity: int) -> np.ndarray:
-    """Orthonormal basis (columns) for the nullity smallest right singular directions.
+@dataclass(frozen=True)
+class SvdFactor:
+    """One SVD of an m x n matrix, shared by its nullity, sigma_min and null spaces.
 
-    The nullity is prescribed by the caller, not inferred from a threshold.
-    A warning fires when the singular value gap separating the kept
-    directions is below 1e2.
+    U is never kept: the SVD is economy-sized for a tall matrix and full for
+    a wide one, the least that still yields all n right singular vectors.
+    ``singular_values`` is padded with zeros to length n.
     """
-    M = np.asarray(M, dtype=complex)
-    m, n = M.shape
-    if nullity < 1:
-        raise ValueError("nullity must be >= 1")
-    if nullity > n:
-        raise ValueError("nullity exceeds column count")
-    res = svd(M)
-    s = np.zeros(n)
-    s[: res.singular_values.size] = res.singular_values
-    rank = n - nullity
-    if rank > 0:
-        kept = s[rank]
-        retained = s[rank - 1]
-        if retained <= 0 or (kept > 0 and retained / kept < 1e2):
-            warnings.warn(
-                f"weak null space separation: sigma_{rank}={retained:.3e}, "
-                f"sigma_{rank + 1}={kept:.3e}",
-                NullSpaceGapWarning,
-                stacklevel=2,
-            )
-    return res.V[:, rank:]
+
+    shape: tuple
+    singular_values: np.ndarray
+    V: np.ndarray
+
+    @staticmethod
+    def of(M) -> "SvdFactor":
+        M = np.asarray(M, dtype=complex)
+        m, n = M.shape
+        _, s, Vh = np.linalg.svd(M, full_matrices=m < n)
+        padded = np.zeros(n)
+        padded[: s.size] = s
+        return SvdFactor(shape=(m, n), singular_values=padded, V=Vh.conj().T)
+
+    @property
+    def nullity(self) -> int:
+        """Column count minus the numerical rank, at tolerance max(m, n) eps sigma_max."""
+        s = self.singular_values
+        if s.size == 0 or s[0] == 0:
+            return self.shape[1]
+        tol = max(self.shape) * np.finfo(float).eps * s[0]
+        return int(self.shape[1] - np.count_nonzero(s > tol))
+
+    @property
+    def sigma_min(self) -> float:
+        """Smallest singular value, counting only the min(m, n) spectrum."""
+        return float(self.singular_values[min(self.shape) - 1])
+
+    def null_space(self, nullity: int) -> np.ndarray:
+        """Orthonormal basis (columns) for the nullity smallest right singular directions.
+
+        The nullity is prescribed by the caller, not inferred from a
+        threshold. A NullSpaceGapWarning fires when the singular value gap
+        separating the kept directions is below 1e2.
+        """
+        n = self.shape[1]
+        if nullity < 1:
+            raise ValueError("nullity must be >= 1")
+        if nullity > n:
+            raise ValueError("nullity exceeds column count")
+        s = self.singular_values
+        rank = n - nullity
+        if rank > 0:
+            kept = s[rank]
+            retained = s[rank - 1]
+            if retained <= 0 or (kept > 0 and retained / kept < 1e2):
+                warnings.warn(
+                    f"weak null space separation: sigma_{rank}={retained:.3e}, "
+                    f"sigma_{rank + 1}={kept:.3e}",
+                    NullSpaceGapWarning,
+                    stacklevel=3,
+                )
+        return self.V[:, rank:]
+
+
+def null_space(M, nullity: int) -> np.ndarray:
+    """Null space of M with prescribed nullity; see SvdFactor.null_space."""
+    return SvdFactor.of(M).null_space(nullity)
 
 
 def kron(A, B) -> np.ndarray:
@@ -262,14 +300,6 @@ def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
-
-
-def random_permutation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Permutation matrix P with P[i, perm[i]] = 1 for a uniform random perm."""
-    perm = rng.permutation(d)
-    P = np.zeros((d, d))
-    P[np.arange(d), perm] = 1.0
-    return P
 
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:

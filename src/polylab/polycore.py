@@ -322,10 +322,6 @@ class UniPoly:
     __rmul__ = __mul__
 
 
-def uni_derivative(p: UniPoly) -> UniPoly:
-    return p.derivative()
-
-
 @dataclass
 class PolySystem:
     """Square system of d polynomials in d variables.

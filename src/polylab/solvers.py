@@ -17,15 +17,13 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import BasisSingular, kappa_eig, kappa_uni
-from .macaulay import MacaulayPencil, choose_basis, macaulay_hat, macaulay_pencil
+from .macaulay import MacaulayMatrix, MacaulayPencil, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
     block_operator_determinant,
     companion_roots,
     generalized_eig,
-    null_space,
     random_unit_vector,
-    sigma_min,
 )
 from .polycore import (
     MonomialOrder,
@@ -141,14 +139,6 @@ def _kappa_root_or_inf(s: PolySystem, x) -> float:
         return math.inf
 
 
-def _numerical_nullity(M: np.ndarray) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return M.shape[1]
-    tol = max(M.shape) * np.finfo(float).eps * s[0]
-    return int(M.shape[1] - np.count_nonzero(s > tol))
-
-
 # ---------------------------------------------------------------------------
 # normal form solver
 
@@ -157,15 +147,19 @@ def build_ms_matrices(s: PolySystem, order: MonomialOrder | None = None):
     """Multiplication matrices M_{x_i} on the quotient, plus basis and null space.
 
     The eigenvalues of M_{x_i} are the i-th coordinates of the roots, and
-    the matrices commute up to rounding. Raises NullityMismatch when the
-    numerical nullity of the Macaulay matrix is not the expected root count
-    (roots at infinity or multiple roots), and BasisSingular when no usable
-    basis submatrix exists.
+    the matrices commute up to rounding. The nullity check, the basis choice
+    and the null space all read one SVD of the degree-rho Macaulay matrix.
+    Raises NullityMismatch when the numerical nullity of the Macaulay matrix
+    is not the expected root count (roots at infinity or multiple roots),
+    and BasisSingular when no usable basis submatrix exists.
     """
     order = order or MonomialOrder()
+    return _ms_matrices(s, macaulay_hat(s, rho(s), order))
+
+
+def _ms_matrices(s: PolySystem, mhat: MacaulayMatrix):
     r = bezout_count(s)
-    mhat = macaulay_hat(s, rho(s), order)
-    nullity = _numerical_nullity(mhat.mat)
+    nullity = mhat.factor.nullity
     if nullity != r:
         raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
     sel = choose_basis(mhat, r)
@@ -198,7 +192,8 @@ def solve_normal_form(
     """
     rng = rng if rng is not None else np.random.default_rng(1)
     order = order or MonomialOrder()
-    mats, basis, N = build_ms_matrices(s, order)
+    mhat = macaulay_hat(s, rho(s), order)
+    mats, basis, _ = _ms_matrices(s, mhat)
     r = len(basis)
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
@@ -215,7 +210,6 @@ def solve_normal_form(
             sub_kappa.append(kappa_eig(gep, t))
         except ValueError:
             sub_kappa.append(math.inf)
-    mhat = macaulay_hat(s, rho(s), order)
     return RootReport(
         roots=roots,
         residuals=[s.residual(x) for x in roots],
@@ -225,7 +219,7 @@ def solve_normal_form(
         diagnostics={
             "basis": [list(m) for m in basis],
             "driver": u.tolist(),
-            "sigma_min_hat": sigma_min(mhat.mat),
+            "sigma_min_hat": mhat.factor.sigma_min,
             "polished": polish,
         },
     )
@@ -239,18 +233,15 @@ def reduce_macaulay_pencil(pencil: MacaulayPencil, return_basis: bool = False):
     """Project out the lambda-independent rows: (A2 Z, B2 Z) with A1 Z = 0.
 
     The reduced pencil has the same finite eigenvalues as the full one, and
-    Z maps its eigenvectors back to the leading coordinates.
+    Z maps its eigenvectors back to the leading coordinates. Z is the null
+    space the pencil's basis was chosen from, and the nullity check reads
+    the same factor of A1, so the reduction runs no SVD of its own.
     """
     r = len(pencil.kept_h_monomials)
-    A1 = pencil.A1
-    n = A1.shape[1]
-    if not A1.any():
-        Z = np.eye(n, dtype=complex)[:, :r] if r < n else np.eye(n, dtype=complex)
-    else:
-        nullity = _numerical_nullity(A1)
-        if nullity != r:
-            raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
-        Z = null_space(A1, r)
+    nullity = pencil.mhat.factor.nullity
+    if nullity != r:
+        raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
+    Z = pencil.basis.nullspace
     gep = GenEigProblem(A=pencil.A2 @ Z, B=pencil.B2 @ Z)
     return (gep, Z) if return_basis else gep
 
@@ -356,7 +347,7 @@ def solve_macaulay_resultant(
             "kept_h_monomials": [list(m) for m in pencil.kept_h_monomials],
             "alpha": pencil.alpha,
             "beta": pencil.beta,
-            "sigma_min_hat": sigma_min(pencil.A1),
+            "sigma_min_hat": pencil.mhat.factor.sigma_min,
             "eigenvalues": lambdas,
             "square": bool(n_rows == n_cols),
             "polished": polish,

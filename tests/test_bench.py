@@ -105,18 +105,12 @@ def test_run_sweep_rejects_unknown_methods():
         run_sweep(spec)
 
 
-def test_run_sweep_is_deterministic_and_threading_invariant(monkeypatch):
+def test_run_sweep_is_deterministic():
     spec = SweepSpec(
         name="t", method="nf", family="orthogonal", axis="sigma",
         values=(1e-2, 1e-1), d=2, shift=(1 / 3, 1 / 3), n_trials=4,
     )
-    monkeypatch.delenv("POLYLAB_THREADS", raising=False)
-    serial = run_sweep(spec)
-    again = run_sweep(spec)
-    assert serial == again
-    monkeypatch.setenv("POLYLAB_THREADS", "4")
-    threaded = run_sweep(spec)
-    assert threaded == serial
+    assert run_sweep(spec) == run_sweep(spec)
 
 
 def test_csv_round_trip_preserves_records():

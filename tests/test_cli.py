@@ -6,8 +6,20 @@ import json
 import numpy as np
 import pytest
 
-from polylab import PolySystem, read_csv
-from polylab.cli import main
+from polylab import (
+    FamilySpec,
+    PolySystem,
+    build_ms_matrices,
+    generate,
+    kappa_eig_macaulay_bound,
+    kappa_eig_mep_formula,
+    kappa_eig_ms_formula,
+    linear_poly,
+    macaulay_pencil,
+    mep_from_system,
+    read_csv,
+)
+from polylab.cli import _audit_one, main
 
 
 def run_cli(args):
@@ -211,3 +223,25 @@ def test_verify_exit_code_tracks_failures(capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["lemmaA1"]["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "family,d",
+    [("orthogonal", 2), ("orthogonal", 3), ("orthogonal", 4), ("permutation", 2),
+     ("permutation", 3), ("permutation", 4), ("notdev2d", 2), ("notdev3d", 3)],
+)
+def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
+    shift = (0.3, -0.7, 0.5, -0.1)[:d]
+    s = generate(FamilySpec(family=family, d=d, sigma=1e-2, shift=shift))
+    x = np.array(s.true_roots[0])
+    _, basis, N = build_ms_matrices(s)
+    want = {"nf": max(kappa_eig_ms_formula(s, x, basis, i, N) for i in range(d))}
+    if not family.startswith("notdev"):
+        mep = mep_from_system(s)
+        want["mep"] = max(kappa_eig_mep_formula(mep, s, x, i) for i in range(d))
+    for method, kappa in want.items():
+        assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
+    pencil = macaulay_pencil(s, np.random.default_rng(5))
+    h = linear_poly(d, pencil.beta)
+    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.gep.col_labels)
+    assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)

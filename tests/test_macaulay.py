@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polylab import (
     FamilySpec,
@@ -19,6 +20,7 @@ from polylab import (
     macaulay_pencil,
     monomials_up_to,
     normal_form,
+    null_space,
     rho,
     sigma_min,
     smallest_singular_hat,
@@ -148,6 +150,21 @@ def test_smallest_singular_hat_matches_direct_svd():
     s = two_quadratics(rng)
     direct = np.linalg.svd(macaulay_hat(s, rho(s)).mat, compute_uv=False)[-1]
     assert smallest_singular_hat(s) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 4])  # wide, then tall Macaulay matrix
+def test_shared_factor_matches_fresh_factorizations(d):
+    s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2), rng=np.random.default_rng(53))
+    mhat = macaulay_hat(s, rho(s))
+    M = mhat.mat
+    r = bezout_count(s)
+    assert (M.shape[0] < M.shape[1]) == (d == 2)
+    values = np.linalg.svd(M, compute_uv=False)
+    tol = max(M.shape) * np.finfo(float).eps * values[0]
+    assert mhat.factor.nullity == M.shape[1] - np.count_nonzero(values > tol) == r
+    assert mhat.factor.sigma_min == pytest.approx(values[-1], rel=1e-12)
+    angles = scipy.linalg.subspace_angles(mhat.factor.null_space(r), null_space(M, r))
+    assert np.max(angles) < 1e-10
 
 
 def test_normal_form_annihilates_ideal_members():

@@ -319,3 +319,34 @@ def test_root_report_serializes_to_json():
     assert back["method_tag"] == "macaulay"
     assert len(back["roots"]) == 4
     assert all(len(r) == 2 and len(r[0]) == 2 for r in back["roots"])
+
+
+@pytest.mark.parametrize("solve", [solve_normal_form, solve_macaulay_resultant])
+def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
+    import polylab.conditioning
+    import polylab.macaulay
+    import polylab.solvers
+
+    s = generate(FamilySpec(family="orthogonal", d=3, sigma=1e-2, shift=(0.3, -0.2, 0.1)))
+    built = []
+    original_hat = polylab.macaulay.macaulay_hat
+
+    def counting_hat(*args, **kwargs):
+        mhat = original_hat(*args, **kwargs)
+        built.append(mhat.mat.shape)
+        return mhat
+
+    for module in (polylab.macaulay, polylab.solvers, polylab.conditioning):
+        monkeypatch.setattr(module, "macaulay_hat", counting_hat)
+    factored = []
+    original_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return original_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = solve(s, rng=np.random.default_rng(3))
+    assert len(report.roots) == bezout_count(s)
+    assert len(built) == 1
+    assert factored.count(built[0]) == 1
