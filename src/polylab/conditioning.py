@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .macaulay import macaulay_hat
-from .numkernel import GenEigProblem, EigTriple, sigma_min, svd
+from .numkernel import GenEigProblem, EigTriple, svd
 from .polycore import (
-    MonomialOrder,
     MultiPoly,
     PolySystem,
     bezout_count,
@@ -46,12 +45,26 @@ class BasisSingular(Exception):
 
 
 def kappa_root(s: PolySystem, xstar) -> float:
-    """Absolute condition number of a simple root: ||J(x*)^{-1}||_2."""
-    J = jacobian(s, xstar)
-    smin = sigma_min(J)
-    if not np.isfinite(smin) or smin == 0.0:
+    """Absolute condition number of a simple root: ||J(x*)^{-1}||_2.
+
+    J comes from the system's compiled form (see ``jacobian``); solvers
+    score all their roots at once with ``kappa_roots``.
+    """
+    k = float(kappa_roots(jacobian(s, xstar)[None])[0])
+    if math.isinf(k):
         raise SingularJacobian(f"Jacobian singular at {xstar}")
-    return 1.0 / smin
+    return k
+
+
+def kappa_roots(jacobians: np.ndarray) -> np.ndarray:
+    """||J^{-1}||_2 for a stack of Jacobians (n, d, d), from one stacked SVD.
+
+    A Jacobian whose smallest singular value is zero or not finite scores inf.
+    """
+    smin = np.linalg.svd(jacobians, compute_uv=False)[:, -1]
+    out = np.full(smin.shape, math.inf)
+    np.divide(1.0, smin, out=out, where=np.isfinite(smin) & (smin > 0))
+    return out
 
 
 def kappa_uni(p, xstar) -> float:
@@ -264,13 +277,13 @@ def lagrange_interpolant(qf: QFactorization, r: list | None = None) -> MultiPoly
 # normal forms over a quotient basis
 
 
-def _infer_row_monomials(n_rows: int, d: int, order: MonomialOrder) -> list:
+def _infer_row_monomials(n_rows: int, d: int) -> list:
     deg = 0
     while math.comb(deg + d, d) < n_rows:
         deg += 1
     if math.comb(deg + d, d) != n_rows:
         raise ValueError(f"{n_rows} rows is not a full monomial block in {d} variables")
-    return monomials_up_to(deg, d, order)
+    return monomials_up_to(deg, d)
 
 
 def normal_form(
@@ -278,7 +291,6 @@ def normal_form(
     basis: list,
     N: np.ndarray,
     row_monomials: list | None = None,
-    order: MonomialOrder | None = None,
 ) -> np.ndarray:
     """Coefficients of f's residue class over the quotient basis.
 
@@ -287,9 +299,8 @@ def normal_form(
     The vector c solves N_B^T c = N^T f, matching the values every null
     space functional takes on f and on its basis representation.
     """
-    order = order or MonomialOrder()
     if row_monomials is None:
-        row_monomials = _infer_row_monomials(N.shape[0], f.nvars, order)
+        row_monomials = _infer_row_monomials(N.shape[0], f.nvars)
     index = {m: k for k, m in enumerate(row_monomials)}
     fvec = np.zeros(len(row_monomials), dtype=complex)
     for m, c in f.terms.items():
@@ -319,17 +330,15 @@ def basis_values(basis: list, x) -> np.ndarray:
     return np.array([monomial_eval(m, x) for m in basis])
 
 
-def _det_q_in_basis(
-    s: PolySystem, xstar, basis: list, N: np.ndarray | None, order: MonomialOrder
-) -> np.ndarray:
+def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray | None) -> np.ndarray:
     detq = poly_det(q_factorization(s, xstar).Q)
     if N is None:
-        mhat = macaulay_hat(s, rho(s), order)
+        mhat = macaulay_hat(s, rho(s))
         N = mhat.factor.null_space(bezout_count(s))
         rows = mhat.col_labels
     else:
         rows = None
-    return normal_form(detq, basis, N, row_monomials=rows, order=order)
+    return normal_form(detq, basis, N, row_monomials=rows)
 
 
 def kappa_eig_ms_formula(
@@ -338,7 +347,6 @@ def kappa_eig_ms_formula(
     basis: list,
     i: int,
     N: np.ndarray | None = None,
-    order: MonomialOrder | None = None,
 ) -> float:
     """Eigenvalue condition number of the multiplication-matrix eigenproblem.
 
@@ -346,9 +354,8 @@ def kappa_eig_ms_formula(
     [det Q]_B is the normal form of det Q over the basis and B(x*) the basis
     monomials evaluated at the root.
     """
-    order = order or MonomialOrder()
     xstar = np.asarray(xstar, dtype=complex)
-    c = _det_q_in_basis(s, xstar, basis, N, order)
+    c = _det_q_in_basis(s, xstar, basis, N)
     detJ = abs(np.linalg.det(jacobian(s, xstar)))
     if detJ == 0.0:
         raise SingularJacobian(f"Jacobian singular at {xstar}")
@@ -367,7 +374,6 @@ def kappa_eig_macaulay_bound(
     h: MultiPoly,
     col_labels: list,
     N: np.ndarray | None = None,
-    order: MonomialOrder | None = None,
 ) -> float:
     """Lower bound on the Macaulay pencil eigenvalue condition number.
 
@@ -375,9 +381,8 @@ def kappa_eig_macaulay_bound(
     column-label monomial vector and h the linear polynomial whose multiples
     populate the lambda side of the pencil.
     """
-    order = order or MonomialOrder()
     xstar = np.asarray(xstar, dtype=complex)
-    c = _det_q_in_basis(s, xstar, basis, N, order)
+    c = _det_q_in_basis(s, xstar, basis, N)
     detJ = abs(np.linalg.det(jacobian(s, xstar)))
     hval = abs(h.eval(xstar))
     if detJ == 0.0 or hval == 0.0:

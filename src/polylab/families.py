@@ -171,9 +171,7 @@ def _notdev2d(spec: FamilySpec, rng) -> PolySystem:
         + _lin(2, 0, s * A[1, 0])
         + _lin(2, 1, s * A[1, 1])
     )
-    sys = PolySystem(2, [p1, p2], true_roots=[np.zeros(2, dtype=complex)], family_tag="notdev2d")
-    sys.mixing = A  # stashed for closed-form comparisons
-    return sys
+    return PolySystem(2, [p1, p2], true_roots=[np.zeros(2, dtype=complex)], family_tag="notdev2d")
 
 
 def _notdev3d(spec: FamilySpec, rng) -> PolySystem:
@@ -211,10 +209,7 @@ def generate(spec: FamilySpec, rng: np.random.Generator | None = None) -> PolySy
         roots = None
         if sys.true_roots is not None:
             roots = [r + shift for r in sys.true_roots]
-        shifted = PolySystem(sys.d, polys, true_roots=roots, family_tag=sys.family_tag)
-        if hasattr(sys, "mixing"):
-            shifted.mixing = sys.mixing
-        sys = shifted
+        sys = PolySystem(sys.d, polys, true_roots=roots, family_tag=sys.family_tag)
     sys.validate()
     return sys
 

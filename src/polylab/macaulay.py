@@ -18,15 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .numkernel import GenEigProblem, SvdFactor, check_pencil_regular
-from .polycore import (
-    MonomialOrder,
-    MultiPoly,
-    PolySystem,
-    bezout_count,
-    monomial_mul,
-    monomials_up_to,
-    rho,
-)
+from .polycore import MultiPoly, PolySystem, bezout_count, monomials_up_to, rho
 
 
 class RankDeficientBasis(Exception):
@@ -98,30 +90,30 @@ class BasisSelection:
     indices: np.ndarray  # positions of the basis monomials among the columns
 
 
-def _coeff_row(p: MultiPoly, multiplier, col_index: dict) -> np.ndarray:
-    row = np.zeros(len(col_index), dtype=complex)
-    for m, c in p.terms.items():
-        row[col_index[monomial_mul(m, multiplier)]] = c
-    return row
+def macaulay_hat(s: PolySystem, degree: int) -> MacaulayMatrix:
+    """Rows m * p_i for all multipliers with deg(m) <= degree - deg(p_i).
 
-
-def macaulay_hat(s: PolySystem, degree: int, order: MonomialOrder | None = None) -> MacaulayMatrix:
-    """Rows m * p_i for all multipliers with deg(m) <= degree - deg(p_i)."""
-    order = order or MonomialOrder()
+    Assembled by index arithmetic from the system's compiled exponents and
+    coefficients: the column of m * t is found by searching the sorted
+    mixed-radix codes of the column monomials.
+    """
     degs = [p.total_degree() for p in s.polys]
     if degree < max(degs):
         raise ValueError("degree must be at least the largest polynomial degree")
-    cols = monomials_up_to(degree, s.d, order)
-    col_index = {m: k for k, m in enumerate(cols)}
-    rows = []
-    labels = []
-    for i, p in enumerate(s.polys):
-        for mult in monomials_up_to(degree - degs[i], s.d, order):
-            rows.append(_coeff_row(p, mult, col_index))
-            labels.append((i, mult))
-    return MacaulayMatrix(
-        mat=np.array(rows), row_labels=labels, col_labels=cols, degree=degree
-    )
+    cols = monomials_up_to(degree, s.d)
+    multipliers = {k: monomials_up_to(degree - k, s.d) for k in set(degs)}
+    labels = [(i, m) for i in range(s.d) for m in multipliers[degs[i]]]
+    poly = np.array([i for i, _ in labels])
+    radix = (degree + 1) ** np.arange(s.d - 1, -1, -1)
+    codes = np.array(cols) @ radix
+    by_code = np.argsort(codes)
+    comp = s.compiled
+    products = np.array([m for _, m in labels])[:, None, :] + comp.exps[poly]
+    where = by_code[np.searchsorted(codes[by_code], products @ radix)]
+    live = comp.mask[poly]
+    mat = np.zeros((len(labels), len(cols)), dtype=complex)
+    mat[np.nonzero(live)[0], where[live]] = comp.coeffs[poly][live]
+    return MacaulayMatrix(mat=mat, row_labels=labels, col_labels=cols, degree=degree)
 
 
 def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
@@ -175,19 +167,17 @@ def linear_poly(d: int, coeffs: np.ndarray) -> MultiPoly:
     return MultiPoly(d, terms)
 
 
-def macaulay_pencil(
-    s: PolySystem, rng: np.random.Generator, order: MonomialOrder | None = None
-) -> MacaulayPencil:
+def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     """Build the eigenvalue pencil from the Macaulay matrix and a random h.
 
     h rows are kept exactly for the basis monomials chosen from the null
     space, so the finite spectrum has size bezout_count(s). alpha and beta
     are unit-scale complex Gaussians, redrawn up to three times if the
-    square pencil comes out singular.
+    square pencil comes out singular. This probe is the only singularity
+    check a square pencil gets: generalized_eig runs none.
     """
-    order = order or MonomialOrder()
     r = bezout_count(s)
-    mhat = macaulay_hat(s, rho(s), order)
+    mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat, r)
     col_index = {m: k for k, m in enumerate(mhat.col_labels)}
     square = mhat.mat.shape[0] + r == len(mhat.col_labels)
@@ -214,13 +204,13 @@ def macaulay_pencil(
     raise SingularPencil(f"no regular pencil after redraws: {last_err}")
 
 
-def smallest_singular_hat(s: PolySystem, order: MonomialOrder | None = None) -> float:
+def smallest_singular_hat(s: PolySystem) -> float:
     """sigma_min of the degree-rho Macaulay matrix, read from its shared factor.
 
     A caller that already holds the MacaulayMatrix reads
     ``mhat.factor.sigma_min`` instead and pays for no second SVD.
     """
-    return macaulay_hat(s, rho(s), order).factor.sigma_min
+    return macaulay_hat(s, rho(s)).factor.sigma_min
 
 
 def dump_labeled_csv(mhat: MacaulayMatrix, path) -> None:

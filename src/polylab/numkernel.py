@@ -119,14 +119,16 @@ def check_pencil_regular(A: np.ndarray, B: np.ndarray, probes: int = 3) -> bool:
 
 
 def generalized_eig(gep: GenEigProblem) -> list:
-    """All eigenvalue triples of a square regular pencil.
+    """All eigenvalue triples of a square pencil.
 
     Infinite eigenvalues (|beta| tiny) are flagged with lam=None. Left
-    eigenvectors are returned in the transpose convention.
+    eigenvectors are returned in the transpose convention. The pencil must
+    be regular, and this function does not check it: a caller whose pencil
+    can be singular probes it first with check_pencil_regular and raises
+    SingularPencil itself. On a singular pencil QZ returns meaningless
+    eigenvalues.
     """
     n = gep.dim
-    if not check_pencil_regular(gep.A, gep.B):
-        raise SingularPencil("det(A - lambda B) vanishes at all probe points")
     ab, vl, vr = scipy.linalg.eig(
         gep.A, gep.B, left=True, right=True, homogeneous_eigvals=True
     )

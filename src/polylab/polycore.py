@@ -7,6 +7,7 @@ reproducible run to run. Variable indices are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -32,31 +33,28 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Graded lexicographic order with a configurable variable permutation.
+    """Graded lexicographic order, the one term order used everywhere.
 
     Monomials compare by total degree first, then lexicographically on the
-    permuted exponent vector, earlier variables ranking higher. With the
-    identity permutation in two variables the ascending sequence starts
-    1, x, y, x^2, xy, y^2, x^3, ...
+    exponent vector, earlier variables ranking higher. In two variables the
+    ascending sequence starts 1, x, y, x^2, xy, y^2, x^3, ...
     """
 
     kind: str = "grlex"
-    perm: tuple | None = None
 
     def __post_init__(self):
         if self.kind != "grlex":
             raise ValueError(f"unsupported monomial order kind: {self.kind!r}")
-        if self.perm is not None:
-            object.__setattr__(self, "perm", tuple(self.perm))
-            if sorted(self.perm) != list(range(len(self.perm))):
-                raise ValueError("perm must be a permutation of 0..d-1")
 
-    def key(self, m: Monomial):
-        perm = self.perm if self.perm is not None else range(len(m))
-        return (monomial_degree(m), tuple(-m[p] for p in perm))
+    @staticmethod
+    def key(m: Monomial):
+        return (monomial_degree(m), tuple(-e for e in m))
 
     def sort(self, monomials) -> list:
         return sorted(monomials, key=self.key)
+
+
+GRLEX = MonomialOrder()
 
 
 def _exponents_up_to(deg: int, d: int) -> Iterator[Monomial]:
@@ -68,14 +66,13 @@ def _exponents_up_to(deg: int, d: int) -> Iterator[Monomial]:
             yield (e0,) + rest
 
 
-def monomials_up_to(deg: int, d: int, order: MonomialOrder | None = None) -> list:
+def monomials_up_to(deg: int, d: int) -> list:
     """All monomials of total degree <= deg in d variables, sorted ascending."""
     if deg < 0:
         raise ValueError("deg must be >= 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    order = order or MonomialOrder()
-    return order.sort(_exponents_up_to(deg, d))
+    return GRLEX.sort(_exponents_up_to(deg, d))
 
 
 def _kahan_sum(values) -> complex:
@@ -202,15 +199,19 @@ class MultiPoly:
 
     # ---------------- calculus and evaluation ----------------
 
-    def eval(self, x, order: MonomialOrder | None = None) -> complex:
-        """Evaluate at a point, compensated summation in a fixed term order."""
+    def eval(self, x) -> complex:
+        """Evaluate at a point, compensated summation in grlex term order.
+
+        Each term is its coefficient times x_i**e_i for the variables with
+        e_i > 0, in ascending i. CompiledPolys.eval repeats this sequence on
+        arrays and is what the solvers use; this scalar form is the reference.
+        """
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.nvars,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.nvars},)")
         if not self.terms:
             return 0j
-        order = order or MonomialOrder()
-        keys = order.sort(self.terms.keys())
+        keys = GRLEX.sort(self.terms.keys())
 
         def term_values():
             for m in keys:
@@ -258,13 +259,12 @@ class MultiPoly:
 
     # ---------------- serialization ----------------
 
-    def to_json_dict(self, order: MonomialOrder | None = None) -> dict:
-        order = order or MonomialOrder()
+    def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
             "terms": [
                 {"exps": list(m), "re": float(self.terms[m].real), "im": float(self.terms[m].imag)}
-                for m in order.sort(self.terms.keys())
+                for m in GRLEX.sort(self.terms.keys())
             ],
         }
 
@@ -322,45 +322,201 @@ class UniPoly:
     __rmul__ = __mul__
 
 
-@dataclass
+# Complex arrays below are handled as float64 pairs: axis 0 of length 2
+# holds the real and the imaginary parts. numpy's vectorized complex
+# multiply may fuse a*b - c*d into one FMA, while its scalar multiply, which
+# MultiPoly.eval uses, rounds every product; real ufuncs on the pairs round
+# the same way as the scalar.
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product of pair arrays, rounded exactly like numpy's scalar multiply."""
+    p = a * b
+    q = a * b[::-1]
+    out = np.empty(p.shape)
+    np.subtract(p[0], p[1], out=out[0])
+    np.add(q[0], q[1], out=out[1])
+    return out
+
+
+def _power_table(X: np.ndarray, top: int) -> np.ndarray:
+    """Pairs of X**e for e = 1..top, shape (2, n, d, top), for complex X (n, d).
+
+    Follows numpy's complex power for integer exponents (x, x*x, x*(x*x),
+    then binary powering), so every entry equals the scalar ``x**e``.
+    """
+    x = np.stack([X.real, X.imag])
+    powers = [x]
+    for e in range(2, top + 1):
+        if e <= 3:
+            powers.append(_cmul(x, powers[-1]))
+            continue
+        acc = np.zeros(x.shape)
+        acc[0] = 1.0
+        p, bit = x, 1
+        while True:
+            if e & bit:
+                acc = _cmul(acc, p)
+            bit <<= 1
+            if e < bit:
+                break
+            p = _cmul(p, p)
+        powers.append(acc)
+    return np.stack(powers, axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledPolys:
+    """k polynomials in d variables and their partials as arrays, evaluated at many points at once.
+
+    Row r < k holds polynomial r, and row k + r*d + j its partial
+    derivative with respect to x_j. Each row lists its terms in grlex order,
+    padded at the front to a common term count T: ``exps`` (k + k*d, T, d),
+    ``coeffs`` (k + k*d, T) and ``mask`` (k + k*d, T), False on padding. A
+    padding term is zero, and zeros ahead of the first term leave a
+    compensated sum exactly at zero, so ``eval`` needs no mask. It repeats
+    MultiPoly.eval's term order, product sequence and compensated sum, and
+    the partial rows hold the terms MultiPoly.differentiate gives, so the
+    values are bit-equal to the scalar path's.
+    """
+
+    exps: np.ndarray
+    coeffs: np.ndarray
+    mask: np.ndarray
+
+    @staticmethod
+    def of(polys: Sequence[MultiPoly]) -> "CompiledPolys":
+        d = polys[0].nvars
+        rows = []
+        for p in polys:
+            monos = GRLEX.sort(p.terms)
+            rows.append((monos, [p.terms[m] for m in monos]))
+        # Lowering one exponent keeps the grlex order of the terms that survive.
+        for monos, coeffs in rows[: len(polys)]:
+            for j in range(d):
+                kept = [(m, c) for m, c in zip(monos, coeffs) if m[j]]
+                rows.append(
+                    (
+                        [m[:j] + (m[j] - 1,) + m[j + 1 :] for m, _ in kept],
+                        [c * m[j] for m, c in kept],
+                    )
+                )
+        T = max(1, max(len(monos) for monos, _ in rows))
+        at = ([], [])
+        all_monos, all_coeffs = [], []
+        for r, (monos, coeffs) in enumerate(rows):
+            at[0].extend([r] * len(monos))
+            at[1].extend(range(T - len(monos), T))
+            all_monos.extend(monos)
+            all_coeffs.extend(coeffs)
+        exps = np.zeros((len(rows), T, d), dtype=np.int64)
+        coeffs = np.zeros((len(rows), T), dtype=complex)
+        mask = np.zeros((len(rows), T), dtype=bool)
+        if all_monos:
+            exps[at] = all_monos
+            coeffs[at] = all_coeffs
+            mask[at] = True
+        return CompiledPolys(exps=exps, coeffs=coeffs, mask=mask)
+
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        # The highest exponent, the coefficients as pairs over the flattened
+        # (row, term) axis, and per factor slot f: a term's f-th variable with
+        # a nonzero exponent (ascending), as a flat index into the power
+        # table, and whether the term has an f-th such variable.
+        rows, T, d = self.exps.shape
+        exps = self.exps.reshape(rows * T, d)
+        top = max(1, int(exps.max()))
+        nonzero = exps > 0
+        F = max(1, int(nonzero.sum(axis=-1).max()))
+        var = np.argsort(~nonzero, axis=-1, kind="stable")[:, :F]
+        exp = np.take_along_axis(exps, var, -1)
+        pairs = np.stack([self.coeffs.real, self.coeffs.imag]).reshape(2, 1, rows * T)
+        return top, pairs, (var * top + np.maximum(exp - 1, 0)).T, (exp > 0).T
+
+    def eval(self, points) -> tuple:
+        """Values (n, k) and Jacobians (n, k, d) at points of shape (n, d)."""
+        X = np.asarray(points, dtype=complex)
+        n = X.shape[0]
+        rows, T, d = self.exps.shape
+        top, v, index, used = self._plan
+        table = _power_table(X, top).reshape(2, n, d * top)
+        for f in range(len(index)):
+            v = np.where(used[f], _cmul(v, table[:, :, index[f]]), v)
+        terms = np.empty((n, rows * T), dtype=complex)
+        terms.real = v[0]
+        terms.imag = v[1]
+        terms = terms.reshape(n, rows, T)
+        s = np.zeros((n, rows), dtype=complex)
+        c = np.zeros((n, rows), dtype=complex)
+        for t in range(T):
+            y = terms[:, :, t] - c
+            total = s + y
+            c = (total - s) - y
+            s = total
+        k = rows // (d + 1)
+        return s[:, :k], s[:, k:].reshape(n, k, d)
+
+
+@dataclass(frozen=True)
 class PolySystem:
     """Square system of d polynomials in d variables.
 
     ``true_roots`` optionally lists points known to satisfy the system;
     ``validate`` enforces a residual bound at each. ``family_tag`` records
-    which generator produced the system, if any.
+    which generator produced the system, if any. The system is frozen and
+    ``polys`` is stored as a tuple, so ``compiled``, built on first use,
+    always describes it; residuals and Jacobians are read from it.
     """
 
     d: int
-    polys: list
+    polys: Sequence
     true_roots: list | None = None
     family_tag: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "polys", tuple(self.polys))
         if len(self.polys) != self.d:
             raise ValueError("need exactly d polynomials")
         for p in self.polys:
             if p.nvars != self.d:
                 raise ValueError("polynomial nvars mismatch")
         if self.true_roots is not None:
-            self.true_roots = [np.asarray(r, dtype=complex) for r in self.true_roots]
-            for r in self.true_roots:
+            roots = [np.asarray(r, dtype=complex) for r in self.true_roots]
+            for r in roots:
                 if r.shape != (self.d,):
                     raise ValueError("root has wrong length")
+            object.__setattr__(self, "true_roots", roots)
+
+    @functools.cached_property
+    def compiled(self) -> CompiledPolys:
+        return CompiledPolys.of(self.polys)
+
+    def evaluate(self, points) -> tuple:
+        """Values (n, d) and Jacobians (n, d, d) at n points, in one batched call.
+
+        Every value equals ``p_i.eval(x)`` and every Jacobian entry
+        ``p_i.differentiate(j).eval(x)``, bit for bit.
+        """
+        X = np.asarray(points, dtype=complex)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"points have shape {X.shape}, expected (n, {self.d})")
+        return self.compiled.eval(X)
 
     def coefficient_scale(self) -> float:
         return max((p.coefficient_scale() for p in self.polys), default=0.0)
 
     def residual(self, x) -> float:
-        x = np.asarray(x, dtype=complex)
-        return float(np.linalg.norm([p.eval(x) for p in self.polys]))
+        """2-norm of the system's values at x."""
+        values, _ = self.evaluate([x])
+        return float(np.linalg.norm(values[0]))
 
     def validate(self, tol: float = 1e-10) -> None:
-        if self.true_roots is None:
+        if not self.true_roots:
             return
         bound = tol * (1.0 + self.coefficient_scale())
-        for r in self.true_roots:
-            res = self.residual(r)
+        values, _ = self.evaluate(self.true_roots)
+        for r, res in zip(self.true_roots, np.linalg.norm(values, axis=1)):
             if res > bound:
                 raise ValueError(f"listed root {r} has residual {res:.3e} > {bound:.3e}")
 
@@ -390,13 +546,12 @@ class PolySystem:
 
 
 def jacobian(s: PolySystem, x) -> np.ndarray:
-    """Jacobian matrix at x: entry (i, j) = d p_i / d x_j."""
-    x = np.asarray(x, dtype=complex)
-    J = np.empty((s.d, s.d), dtype=complex)
-    for i, p in enumerate(s.polys):
-        for j in range(s.d):
-            J[i, j] = p.differentiate(j).eval(x)
-    return J
+    """Jacobian matrix at x: entry (i, j) = d p_i / d x_j.
+
+    Read from the system's compiled form; ``s.evaluate`` gives the
+    Jacobians of many points in one call.
+    """
+    return s.evaluate([x])[1][0]
 
 
 def rho(s: PolySystem) -> int:

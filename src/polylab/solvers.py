@@ -20,18 +20,19 @@ from .conditioning import BasisSingular, kappa_eig, kappa_uni
 from .macaulay import MacaulayMatrix, MacaulayPencil, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
+    SingularPencil,
     block_operator_determinant,
+    check_pencil_regular,
     companion_roots,
     generalized_eig,
     random_unit_vector,
 )
 from .polycore import (
-    MonomialOrder,
+    CompiledPolys,
     MultiPoly,
     PolySystem,
     UniPoly,
     bezout_count,
-    jacobian,
     monomial_mul,
     rho,
 )
@@ -122,28 +123,31 @@ def _jsonable(obj):
 
 
 def newton_polish(s: PolySystem, x, steps: int = 2) -> np.ndarray:
+    """Newton steps on the system from x; values and Jacobian come from one evaluation per step."""
     x = np.asarray(x, dtype=complex)
     for _ in range(steps):
-        J = jacobian(s, x)
+        values, J = s.evaluate([x])
         try:
-            x = x - np.linalg.solve(J, np.array([p.eval(x) for p in s.polys]))
+            x = x - np.linalg.solve(J[0], values[0])
         except np.linalg.LinAlgError:
             break
     return x
 
 
-def _kappa_root_or_inf(s: PolySystem, x) -> float:
-    try:
-        return conditioning.kappa_root(s, x)
-    except conditioning.SingularJacobian:
-        return math.inf
+def _root_diagnostics(s: PolySystem, roots: list) -> tuple:
+    """Residuals and kappa_root of every root: one batched evaluation, one stacked SVD."""
+    if not roots:
+        return [], []
+    values, J = s.evaluate(roots)
+    residuals = np.linalg.norm(values, axis=1)
+    return residuals.tolist(), conditioning.kappa_roots(J).tolist()
 
 
 # ---------------------------------------------------------------------------
 # normal form solver
 
 
-def build_ms_matrices(s: PolySystem, order: MonomialOrder | None = None):
+def build_ms_matrices(s: PolySystem):
     """Multiplication matrices M_{x_i} on the quotient, plus basis and null space.
 
     The eigenvalues of M_{x_i} are the i-th coordinates of the roots, and
@@ -153,8 +157,7 @@ def build_ms_matrices(s: PolySystem, order: MonomialOrder | None = None):
     is not the expected root count (roots at infinity or multiple roots),
     and BasisSingular when no usable basis submatrix exists.
     """
-    order = order or MonomialOrder()
-    return _ms_matrices(s, macaulay_hat(s, rho(s), order))
+    return _ms_matrices(s, macaulay_hat(s, rho(s)))
 
 
 def _ms_matrices(s: PolySystem, mhat: MacaulayMatrix):
@@ -181,7 +184,6 @@ def solve_normal_form(
     s: PolySystem,
     rng: np.random.Generator | None = None,
     polish: bool = False,
-    order: MonomialOrder | None = None,
 ) -> RootReport:
     """Roots via eigenvectors of a random combination of multiplication matrices.
 
@@ -191,8 +193,7 @@ def solve_normal_form(
     leave it off to expose the raw eigenproblem accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
-    order = order or MonomialOrder()
-    mhat = macaulay_hat(s, rho(s), order)
+    mhat = macaulay_hat(s, rho(s))
     mats, basis, _ = _ms_matrices(s, mhat)
     r = len(basis)
     u = random_unit_vector(s.d, rng)
@@ -210,10 +211,11 @@ def solve_normal_form(
             sub_kappa.append(kappa_eig(gep, t))
         except ValueError:
             sub_kappa.append(math.inf)
+    residuals, kappa_root = _root_diagnostics(s, roots)
     return RootReport(
         roots=roots,
-        residuals=[s.residual(x) for x in roots],
-        kappa_root=[_kappa_root_or_inf(s, x) for x in roots],
+        residuals=residuals,
+        kappa_root=kappa_root,
         subproblem_kappa=sub_kappa,
         method_tag="nf",
         diagnostics={
@@ -287,18 +289,18 @@ def solve_macaulay_resultant(
     s: PolySystem,
     rng: np.random.Generator | None = None,
     polish: bool = False,
-    order: MonomialOrder | None = None,
 ) -> RootReport:
     """Roots from the eigenvectors of the h-augmented Macaulay pencil.
 
     A square pencil is solved directly and its infinite eigenvalues are
-    discarded; a rectangular one (extra syzygy rows) is first compressed to
-    the null space of the polynomial block.
+    discarded; macaulay_pencil has already probed it for singularity. A
+    rectangular one (extra syzygy rows) is first compressed to the null
+    space of the polynomial block, and the compressed pencil is probed
+    here: SingularPencil when it is singular.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
-    order = order or MonomialOrder()
     r = bezout_count(s)
-    pencil = macaulay_pencil(s, rng, order)
+    pencil = macaulay_pencil(s, rng)
     n_rows, n_cols = pencil.gep.A.shape
     col_labels = pencil.gep.col_labels
     finite = []
@@ -317,6 +319,8 @@ def solve_macaulay_resultant(
         gep_used = pencil.gep
     else:
         gep_used, Z = reduce_macaulay_pencil(pencil, return_basis=True)
+        if not check_pencil_regular(gep_used.A, gep_used.B):
+            raise SingularPencil("det(A - lambda B) vanishes at all probe points")
         for t in generalized_eig(gep_used):
             if t.is_infinite:
                 continue
@@ -337,10 +341,11 @@ def solve_macaulay_resultant(
             sub_kappa.append(kappa_eig(gep_used, t))
         except ValueError:
             sub_kappa.append(math.inf)
+    residuals, kappa_root = _root_diagnostics(s, roots)
     return RootReport(
         roots=roots,
-        residuals=[s.residual(x) for x in roots],
-        kappa_root=[_kappa_root_or_inf(s, x) for x in roots],
+        residuals=residuals,
+        kappa_root=kappa_root,
         subproblem_kappa=sub_kappa,
         method_tag="macaulay",
         diagnostics={
@@ -365,8 +370,14 @@ def determinantal_representation_quadratic(p: MultiPoly):
     Requires p = a * x_i^2 + (affine part): exactly one degree-2 term and it
     must be a single squared variable. Returns (V_0, V_1, ..., V_d) in the
     W(x) = V_0 - sum_j x_j V_j convention, with
-    W(x) = [[a x_i, affine(x)], [-1, x_i]].
+    W(x) = [[a x_i, affine(x)], [-1, x_i]], checked against p at 20 probes.
     """
+    rep = _quadratic_representation(p)
+    _check_determinantal(CompiledPolys.of([p]), [rep])
+    return rep
+
+
+def _quadratic_representation(p: MultiPoly) -> tuple:
     d = p.nvars
     square_var = None
     a = None
@@ -399,21 +410,40 @@ def determinantal_representation_quadratic(p: MultiPoly):
             Vj[0, 0] = -a
             Vj[1, 1] = -1.0
         Vs.append(Vj)
-    rep = tuple(Vs)
-    rng = np.random.default_rng(0xD57)
-    scale = max(p.coefficient_scale(), 1.0)
-    for _ in range(20):
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        det = np.linalg.det(conditioning.mep_operator(rep, x))
-        val = p.eval(x)
-        if abs(det - val) > 1e-10 * max(scale, abs(val)) * max(1.0, np.max(np.abs(x)) ** 2):
-            raise AssertionError("determinant check failed for the representation")
-    return rep
+    return tuple(Vs)
+
+
+def _check_determinantal(compiled: CompiledPolys, reps: list) -> None:
+    """Compare det W_i(x) with p_i(x) at 20 seeded random points, every i in one batch.
+
+    ``reps[i]`` represents the polynomial in row i of ``compiled``. Raises
+    AssertionError when any probe differs by more than 1e-10 of
+    max(coefficient scale of p_i, 1, |p_i(x)|), times max(1, |x|_inf^2).
+    """
+    V = np.array(reps)  # (k, d + 1, 2, 2)
+    k, d = V.shape[0], V.shape[1] - 1
+    probes = np.random.default_rng(0xD57).standard_normal((20, 2, d))
+    X = probes[:, 0] + 1j * probes[:, 1]
+    W = np.broadcast_to(V[:, 0], (len(X), k, 2, 2))
+    for j in range(d):
+        W = W - X[:, j, None, None, None] * V[:, 1 + j]
+    dets = np.linalg.det(W)
+    vals = compiled.eval(X)[0]
+    scale = np.maximum(np.abs(compiled.coeffs[:k]).max(axis=1), 1.0)
+    reach = np.maximum(1.0, np.max(np.abs(X), axis=1) ** 2)[:, None]
+    if np.any(np.abs(dets - vals) > 1e-10 * np.maximum(scale, np.abs(vals)) * reach):
+        raise AssertionError("determinant check failed for the representation")
 
 
 def mep_from_system(s: PolySystem) -> MultiParamEig:
-    """Representation of each polynomial, for systems of pivotable quadratics."""
-    return MultiParamEig(d=s.d, W=[determinantal_representation_quadratic(p) for p in s.polys])
+    """Representation of each polynomial, for systems of pivotable quadratics.
+
+    All d representations are checked in one batch, against the system's
+    compiled form.
+    """
+    reps = [_quadratic_representation(p) for p in s.polys]
+    _check_determinantal(s.compiled, reps)
+    return MultiParamEig(d=s.d, W=reps)
 
 
 def operator_determinants(mep: MultiParamEig) -> list:
@@ -477,8 +507,7 @@ def solve_mep_operator_determinants(
         kappa_vectors.append(per_coord)
         sub_kappa.append(max(per_coord))
     if system is not None:
-        residuals = [system.residual(x) for x in roots]
-        kr = [_kappa_root_or_inf(system, x) for x in roots]
+        residuals, kr = _root_diagnostics(system, roots)
     else:
         residuals = [
             float(

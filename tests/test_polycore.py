@@ -4,18 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylab import (
+    FAMILIES,
+    FamilySpec,
     MonomialOrder,
     MultiPoly,
     PolySystem,
     UniPoly,
     bezout_count,
+    generate,
     jacobian,
     linear_poly,
+    mep_from_system,
     monomials_up_to,
     rho,
+    solve_macaulay_resultant,
+    solve_mep_operator_determinants,
+    solve_normal_form,
 )
+from polylab.bench import SOLVER_FAILURES
+from polylab.polycore import CompiledPolys
+
+EPS = np.finfo(float).eps
 
 
 def rand_poly(nvars, deg, rng):
@@ -132,14 +145,12 @@ def test_monomial_order_sorts_by_total_degree_first():
     assert ms[0] == (0, 0)
 
 
-def test_variable_permutation_reorders_ties():
+def test_grlex_breaks_degree_ties_by_the_leading_variable():
     base = monomials_up_to(3, 2)
     plain = MonomialOrder(kind="grlex").sort(base)
-    swapped = MonomialOrder(kind="grlex", perm=(1, 0)).sort(base)
-    assert sorted(plain) == sorted(swapped) == sorted(base)
-    # within degree 1 the leading variable flips when the permutation does
+    assert sorted(plain) == sorted(base)
+    # within degree 1 the earlier variable ranks first
     assert plain.index((1, 0)) < plain.index((0, 1))
-    assert swapped.index((0, 1)) < swapped.index((1, 0))
 
 
 def test_unipoly_eval_and_derivative():
@@ -218,3 +229,94 @@ def test_rho_is_degree_sum_minus_d_plus_one():
         family_tag="",
     )
     assert rho(s) == 3
+
+
+# ---------------------------------------------------------------------------
+# compiled form against the scalar MultiPoly path
+
+
+def term_scale(p, x) -> float:
+    """sum_t |c_t x^m_t|: the rounding scale of evaluating p at x."""
+    x = np.abs(np.asarray(x, dtype=complex))
+    return float(sum(abs(c) * np.prod(x ** np.array(m)) for m, c in p.terms.items()))
+
+
+def family_systems(shifted: bool):
+    for family in FAMILIES:
+        for d in {"notdev2d": [2], "notdev3d": [3]}.get(family, [2, 3, 4, 5]):
+            kw = {"c": 10.0} if family == "hypercube" else {"sigma": 1e-2}
+            shift = tuple(0.3 - 0.1j * k for k in range(d)) if shifted else None
+            yield generate(FamilySpec(family=family, d=d, seed=d, shift=shift, **kw))
+
+
+def scalar_jacobian(s, x):
+    return np.array([[p.differentiate(j).eval(x) for j in range(s.d)] for p in s.polys])
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_compiled_values_and_jacobians_are_bit_equal_to_the_scalar_path(shifted):
+    rng = np.random.default_rng(23)
+    for s in family_systems(shifted):
+        X = rng.standard_normal((4, s.d)) + 1j * rng.standard_normal((4, s.d))
+        values, J = s.evaluate(X)
+        for x, v, jac in zip(X, values, J):
+            assert np.array_equal(v, [p.eval(x) for p in s.polys])
+            assert np.array_equal(jac, scalar_jacobian(s, x))
+            assert np.array_equal(jacobian(s, x), jac)
+
+
+def _solve_nf(s):
+    return solve_normal_form(s, rng=np.random.default_rng(2))
+
+
+def _solve_macaulay(s):
+    return solve_macaulay_resultant(s, rng=np.random.default_rng(2))
+
+
+def _solve_mep(s):
+    return solve_mep_operator_determinants(mep_from_system(s), system=s)
+
+
+@pytest.mark.parametrize("solve", [_solve_nf, _solve_macaulay, _solve_mep])
+def test_solver_diagnostics_match_the_scalar_path_at_computed_roots(solve):
+    checked = 0
+    for s in family_systems(shifted=True):
+        try:
+            report = solve(s)
+        except SOLVER_FAILURES:
+            continue
+        for x, res, kappa in zip(report.roots, report.residuals, report.kappa_root):
+            J = scalar_jacobian(s, x)
+            assert np.array_equal(s.evaluate([x])[1][0], J)
+            ref = float(np.linalg.norm([p.eval(x) for p in s.polys]))
+            assert abs(res - ref) <= 4 * EPS * sum(term_scale(p, x) for p in s.polys)
+            smin = np.linalg.svd(J, compute_uv=False)[-1]
+            assert kappa == (pytest.approx(1.0 / smin, rel=1e-12) if smin > 0 else math.inf)
+            checked += 1
+    assert checked > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compiled_eval_matches_multipoly_eval_on_random_sparse_polys(data):
+    d = data.draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * d)
+    coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    p = MultiPoly(d, data.draw(st.dictionaries(exps, coeff, max_size=8)))
+    coord = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=complex)
+    got = CompiledPolys.of([p]).eval(x[None])[0][0, 0]
+    assert abs(got - p.eval(x)) <= 4 * EPS * term_scale(p, x)
+
+
+def test_solves_never_call_the_scalar_evaluator(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("MultiPoly.eval called")
+
+    monkeypatch.setattr(MultiPoly, "eval", refuse)
+    for d in (2, 3):
+        s = generate(FamilySpec(family="orthogonal", d=d, sigma=0.1, shift=(0.2,) * d))
+        for solve in (_solve_nf, _solve_macaulay, _solve_mep):
+            report = solve(s)
+            assert len(report.roots) == bezout_count(s)
+        solve_normal_form(s, polish=True)

@@ -15,6 +15,7 @@ from polylab import (
     PolySystem,
     RankDeficientBasis,
     SingularDelta0,
+    SingularPencil,
     UnsupportedShape,
     bezout_count,
     build_ms_matrices,
@@ -32,6 +33,8 @@ from polylab import (
     true_root_error,
 )
 from polylab.conditioning import mep_operator
+from polylab.polycore import CompiledPolys
+from polylab.solvers import _check_determinantal
 
 
 def cyclic_truth(d, sigma, shift=0.0):
@@ -165,6 +168,34 @@ def test_determinantal_representation_matches_the_polynomial():
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         det = np.linalg.det(mep_operator(rep, x))
         assert abs(det - p.eval(x)) <= 1e-10 * (1 + abs(p.eval(x)))
+
+
+def test_determinantal_self_check_covers_every_template():
+    for d in (1, 2, 3):
+        for i in range(d):
+            for linear in (False, True):
+                for constant in (False, True):
+                    terms = {tuple(2 * (k == i) for k in range(d)): 1.5 - 0.5j}
+                    if linear:
+                        for j in range(d):
+                            terms[tuple(int(k == j) for k in range(d))] = 0.3 * (j + 1) - 0.2j
+                    if constant:
+                        terms[(0,) * d] = -0.7
+                    p = MultiPoly(d, terms)
+                    rep = determinantal_representation_quadratic(p)
+                    _check_determinantal(CompiledPolys.of([p]), [rep])
+                    for k in range(d + 1):
+                        bad = list(rep)
+                        bad[k] = rep[k] + np.array([[0.0, 0.25], [0.0, 0.0]])
+                        with pytest.raises(AssertionError):
+                            _check_determinantal(CompiledPolys.of([p]), [tuple(bad)])
+    # the batched check mep_from_system runs over all polynomials at once
+    s = generate(FamilySpec(family="orthogonal", d=3, sigma=0.1, shift=(0.2, -0.1, 0.3)))
+    reps = list(mep_from_system(s).W)
+    _check_determinantal(s.compiled, reps)
+    reps[1] = (reps[1][0] + np.array([[0.0, 0.25], [0.0, 0.0]]),) + reps[1][1:]
+    with pytest.raises(AssertionError):
+        _check_determinantal(s.compiled, reps)
 
 
 def test_determinantal_representation_rejects_unsupported_shapes():
@@ -350,3 +381,37 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
     assert len(report.roots) == bezout_count(s)
     assert len(built) == 1
     assert factored.count(built[0]) == 1
+
+
+def test_only_the_rectangular_macaulay_pencil_is_probed_for_singularity(monkeypatch):
+    import polylab.macaulay
+    import polylab.numkernel
+    import polylab.solvers
+
+    probes = []
+    original = polylab.numkernel.check_pencil_regular
+
+    def counting(A, B, *args, **kwargs):
+        probes.append(A.shape)
+        return original(A, B, *args, **kwargs)
+
+    for module in (polylab.numkernel, polylab.macaulay, polylab.solvers):
+        monkeypatch.setattr(module, "check_pencil_regular", counting)
+
+    def probe_count(solve):
+        probes.clear()
+        report = solve()
+        assert len(report.roots) == bezout_count(s)
+        return len(probes), report
+
+    for d in (2, 3):
+        s = generate(FamilySpec(family="orthogonal", d=d, sigma=0.1, seed=4))
+        assert probe_count(lambda: solve_normal_form(s))[0] == 0
+        mep = mep_from_system(s)
+        assert probe_count(lambda: solve_mep_operator_determinants(mep, system=s))[0] == 0
+        count, report = probe_count(lambda: solve_macaulay_resultant(s, np.random.default_rng(6)))
+        assert count == 1
+        assert report.diagnostics["square"] == (d == 2)
+    monkeypatch.setattr(polylab.solvers, "check_pencil_regular", lambda A, B: False)
+    with pytest.raises(SingularPencil):
+        solve_macaulay_resultant(s, rng=np.random.default_rng(6))
