@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .polycore import (
     PolySystem,
     bezout_count,
     jacobian,
-    monomials_up_to,
+    monomial_positions,
     rho,
 )
 
@@ -277,13 +278,13 @@ def lagrange_interpolant(qf: QFactorization, r: list | None = None) -> MultiPoly
 # normal forms over a quotient basis
 
 
-def _infer_row_monomials(n_rows: int, d: int) -> list:
+def _full_block_positions(n_rows: int, d: int) -> Mapping:
     deg = 0
     while math.comb(deg + d, d) < n_rows:
         deg += 1
     if math.comb(deg + d, d) != n_rows:
         raise ValueError(f"{n_rows} rows is not a full monomial block in {d} variables")
-    return monomials_up_to(deg, d)
+    return monomial_positions(deg, d)
 
 
 def normal_form(
@@ -295,14 +296,16 @@ def normal_form(
     """Coefficients of f's residue class over the quotient basis.
 
     N is a null-space matrix of the Macaulay matrix whose rows follow
-    ``row_monomials`` (inferred as the full monomial block when omitted).
+    ``row_monomials`` (inferred as the full monomial block when omitted,
+    which reads the shared grlex index instead of building one).
     The vector c solves N_B^T c = N^T f, matching the values every null
     space functional takes on f and on its basis representation.
     """
     if row_monomials is None:
-        row_monomials = _infer_row_monomials(N.shape[0], f.nvars)
-    index = {m: k for k, m in enumerate(row_monomials)}
-    fvec = np.zeros(len(row_monomials), dtype=complex)
+        index = _full_block_positions(N.shape[0], f.nvars)
+    else:
+        index = {m: k for k, m in enumerate(row_monomials)}
+    fvec = np.zeros(len(index), dtype=complex)
     for m, c in f.terms.items():
         if m not in index:
             raise ValueError(f"monomial {m} exceeds the matrix degree")
@@ -331,14 +334,12 @@ def basis_values(basis: list, x) -> np.ndarray:
 
 
 def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray | None) -> np.ndarray:
+    # The Macaulay columns are the full monomial block, so normal_form
+    # infers N's row monomials in either case.
     detq = poly_det(q_factorization(s, xstar).Q)
     if N is None:
-        mhat = macaulay_hat(s, rho(s))
-        N = mhat.factor.null_space(bezout_count(s))
-        rows = mhat.col_labels
-    else:
-        rows = None
-    return normal_form(detq, basis, N, row_monomials=rows)
+        N = macaulay_hat(s, rho(s)).factor.null_space(bezout_count(s))
+    return normal_form(detq, basis, N)
 
 
 def kappa_eig_ms_formula(

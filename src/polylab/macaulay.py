@@ -18,11 +18,78 @@ import numpy as np
 import scipy.linalg
 
 from .numkernel import GenEigProblem, SvdFactor, check_pencil_regular
-from .polycore import MultiPoly, PolySystem, bezout_count, monomials_up_to, rho
+from .polycore import (
+    CompiledLayout,
+    MultiPoly,
+    PolySystem,
+    bezout_count,
+    monomial_positions,
+    rho,
+)
+
+# Index maps kept, one per (support, degree): a sweep point builds every
+# trial's Macaulay matrix from one of them.
+MACAULAY_CACHE_SIZE = 64
 
 
 class RankDeficientBasis(Exception):
     """The candidate rows cannot supply an invertible basis submatrix."""
+
+
+@dataclass(frozen=True, eq=False)
+class MacaulayIndex:
+    """What a degree-rho Macaulay matrix takes from its support alone.
+
+    Built once per (support, degree) and shared, so the arrays are
+    read-only and the labels tuples. The matrix's nonzeros sit at the flat
+    ``positions`` and take the compiled coefficients at the flat (row, term)
+    slots ``gather``. ``up[i, k]`` is the column of x_i times column k's
+    monomial (-1 past the degree), and ``candidates`` are the columns below
+    the top degree, from which choose_basis picks. Column 0 is the constant
+    monomial and columns 1..d are x_0..x_{d-1}.
+    """
+
+    row_labels: tuple
+    col_labels: tuple
+    shape: tuple
+    positions: np.ndarray
+    gather: np.ndarray
+    up: np.ndarray
+    candidates: np.ndarray
+
+
+@functools.lru_cache(maxsize=MACAULAY_CACHE_SIZE)
+def _macaulay_index(layout: CompiledLayout, degree: int) -> MacaulayIndex:
+    # The column of m * t comes from searching the sorted mixed-radix codes
+    # of the column monomials.
+    degs = layout.degrees
+    if degree < max(degs):
+        raise ValueError("degree must be at least the largest polynomial degree")
+    d = layout.exps.shape[2]
+    col_index = monomial_positions(degree, d)
+    cols = tuple(col_index)
+    labels = tuple((i, m) for i, k in enumerate(degs) for m in monomial_positions(degree - k, d))
+    poly = np.array([i for i, _ in labels])
+    radix = (degree + 1) ** np.arange(d - 1, -1, -1)
+    codes = np.array(cols) @ radix
+    by_code = np.argsort(codes)
+    products = np.array([m for _, m in labels])[:, None, :] + layout.exps[poly]
+    where = by_code[np.searchsorted(codes[by_code], products @ radix)]
+    live = layout.mask[poly]
+    rows, terms = np.nonzero(live)
+    up = [[col_index.get(m[:i] + (m[i] + 1,) + m[i + 1 :], -1) for m in cols] for i in range(d)]
+    index = MacaulayIndex(
+        row_labels=labels,
+        col_labels=cols,
+        shape=(len(labels), len(cols)),
+        positions=rows * len(cols) + where[live],
+        gather=poly[rows] * layout.exps.shape[1] + terms,
+        up=np.array(up, dtype=np.intp),
+        candidates=np.array([k for k, m in enumerate(cols) if sum(m) <= degree - 1], dtype=np.intp),
+    )
+    for a in (index.positions, index.gather, index.up, index.candidates):
+        a.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)
@@ -30,13 +97,15 @@ class MacaulayMatrix:
     """Coefficient matrix of monomial multiples of the system polynomials.
 
     ``row_labels[k] = (i, m)`` means row k holds the coefficients of
-    m * p_i over ``col_labels``.
+    m * p_i over ``col_labels``. The label lists are the matrix's own
+    copies; ``index`` is the shared map they came from.
     """
 
     mat: np.ndarray
     row_labels: list
     col_labels: list
     degree: int
+    index: MacaulayIndex
 
     @functools.cached_property
     def factor(self) -> SvdFactor:
@@ -93,27 +162,21 @@ class BasisSelection:
 def macaulay_hat(s: PolySystem, degree: int) -> MacaulayMatrix:
     """Rows m * p_i for all multipliers with deg(m) <= degree - deg(p_i).
 
-    Assembled by index arithmetic from the system's compiled exponents and
-    coefficients: the column of m * t is found by searching the sorted
-    mixed-radix codes of the column monomials.
+    The index maps depend only on the system's support and the degree, so
+    they are built once per pair and shared (see ``MacaulayIndex``); a
+    matrix is one scatter of the compiled coefficients.
     """
-    degs = [p.total_degree() for p in s.polys]
-    if degree < max(degs):
-        raise ValueError("degree must be at least the largest polynomial degree")
-    cols = monomials_up_to(degree, s.d)
-    multipliers = {k: monomials_up_to(degree - k, s.d) for k in set(degs)}
-    labels = [(i, m) for i in range(s.d) for m in multipliers[degs[i]]]
-    poly = np.array([i for i, _ in labels])
-    radix = (degree + 1) ** np.arange(s.d - 1, -1, -1)
-    codes = np.array(cols) @ radix
-    by_code = np.argsort(codes)
     comp = s.compiled
-    products = np.array([m for _, m in labels])[:, None, :] + comp.exps[poly]
-    where = by_code[np.searchsorted(codes[by_code], products @ radix)]
-    live = comp.mask[poly]
-    mat = np.zeros((len(labels), len(cols)), dtype=complex)
-    mat[np.nonzero(live)[0], where[live]] = comp.coeffs[poly][live]
-    return MacaulayMatrix(mat=mat, row_labels=labels, col_labels=cols, degree=degree)
+    index = _macaulay_index(comp.layout, degree)
+    mat = np.zeros(index.shape, dtype=complex)
+    mat.reshape(-1)[index.positions] = comp.coeffs.reshape(-1)[index.gather]
+    return MacaulayMatrix(
+        mat=mat,
+        row_labels=list(index.row_labels),
+        col_labels=list(index.col_labels),
+        degree=degree,
+        index=index,
+    )
 
 
 def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
@@ -128,7 +191,7 @@ def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
     reuse.
     """
     N = mhat.factor.null_space(r)
-    cand = [k for k, m in enumerate(mhat.col_labels) if sum(m) <= mhat.degree - 1]
+    cand = mhat.index.candidates
     C = N[cand, :]
     Q, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
@@ -138,22 +201,24 @@ def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
     indices = np.array(chosen)
     NB = N[indices, :]
     return BasisSelection(
-        monomials=[mhat.col_labels[k] for k in chosen],
+        monomials=[mhat.index.col_labels[k] for k in chosen],
         cond=float(np.linalg.cond(NB)),
         nullspace=N,
         indices=indices,
     )
 
 
-def _h_rows(monomials, coeffs: np.ndarray, d: int, col_index: dict) -> np.ndarray:
-    """Rows of m * h for h = coeffs[0] + sum_i coeffs[i+1] x_i."""
-    rows = np.zeros((len(monomials), len(col_index)), dtype=complex)
-    for k, m in enumerate(monomials):
-        rows[k, col_index[m]] += coeffs[0]
-        for i in range(d):
-            e = list(m)
-            e[i] += 1
-            rows[k, col_index[tuple(e)]] += coeffs[i + 1]
+def _h_rows(columns: np.ndarray, coeffs: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Rows of m * h for h = coeffs[0] + sum_i coeffs[i+1] x_i, m the monomials of ``columns``.
+
+    ``up`` is the MacaulayIndex shift map; m, x_0 m, ..., x_{d-1} m are
+    distinct columns, so every entry is added to once.
+    """
+    rows = np.zeros((len(columns), up.shape[1]), dtype=complex)
+    k = np.arange(len(columns))
+    rows[k, columns] += coeffs[0]
+    for i in range(up.shape[0]):
+        rows[k, up[i, columns]] += coeffs[i + 1]
     return rows
 
 
@@ -179,14 +244,13 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     r = bezout_count(s)
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat, r)
-    col_index = {m: k for k, m in enumerate(mhat.col_labels)}
     square = mhat.mat.shape[0] + r == len(mhat.col_labels)
     last_err = None
     for _ in range(4):
         alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
         beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
-        A2 = _h_rows(sel.monomials, alpha, s.d, col_index)
-        B2 = _h_rows(sel.monomials, beta, s.d, col_index)
+        A2 = _h_rows(sel.indices, alpha, mhat.index.up)
+        B2 = _h_rows(sel.indices, beta, mhat.index.up)
         A = np.vstack([mhat.mat, A2])
         B = np.vstack([np.zeros_like(mhat.mat), B2])
         if square and not check_pencil_regular(A, B):

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernels shared by the solvers.
 
 Thin contracts over LAPACK-backed routines: SVD, generalized eigenproblems
-with left and right eigenvectors, fixed-nullity null spaces, Kronecker
-products, block operator determinants, companion-matrix rootfinding, and
+with left and right eigenvectors, fixed-nullity null spaces, block operator
+determinants over Kronecker products, companion-matrix rootfinding, and
 seeded random matrix generators. Matrices are plain complex ndarrays.
 """
 
@@ -221,10 +221,6 @@ def null_space(M, nullity: int) -> np.ndarray:
     return SvdFactor.of(M).null_space(nullity)
 
 
-def kron(A, B) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def block_operator_determinant(blocks) -> np.ndarray:
     """Determinant of a d x d block grid with Kronecker products as multiplication.
 
@@ -259,7 +255,7 @@ def block_operator_determinant(blocks) -> np.ndarray:
         for j in range(d):
             if used_mask & (1 << j):
                 continue
-            term = kron(grid[row][j], expand(row + 1, used_mask | (1 << j)))
+            term = np.kron(grid[row][j], expand(row + 1, used_mask | (1 << j)))
             if pos % 2 == 1:
                 term = -term
             acc = term if acc is None else acc + term

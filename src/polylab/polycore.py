@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -21,6 +22,14 @@ Monomial = tuple
 # Coefficients below this magnitude are dropped on normalization to keep
 # denormal noise out of matrix rows.
 COEFF_FLOOR = 1e-300
+
+# Entries kept by the structure caches: monomial blocks per (degree, d), and
+# compiled layouts per support (the exact term set of each polynomial of a
+# system, in its dict order). Every trial of a sweep point shares one
+# support, so these hold the working set of a sweep; the bounds keep a
+# process that meets many supports from growing without limit.
+MONOMIAL_CACHE_SIZE = 64
+SUPPORT_CACHE_SIZE = 256
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -39,12 +48,6 @@ class MonomialOrder:
     exponent vector, earlier variables ranking higher. In two variables the
     ascending sequence starts 1, x, y, x^2, xy, y^2, x^3, ...
     """
-
-    kind: str = "grlex"
-
-    def __post_init__(self):
-        if self.kind != "grlex":
-            raise ValueError(f"unsupported monomial order kind: {self.kind!r}")
 
     @staticmethod
     def key(m: Monomial):
@@ -66,13 +69,24 @@ def _exponents_up_to(deg: int, d: int) -> Iterator[Monomial]:
             yield (e0,) + rest
 
 
-def monomials_up_to(deg: int, d: int) -> list:
-    """All monomials of total degree <= deg in d variables, sorted ascending."""
+@functools.lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
+def monomial_positions(deg: int, d: int) -> Mapping:
+    """Position of each monomial of total degree <= deg in d variables, in grlex order.
+
+    Built once per (deg, d) and shared by every caller, so it is read-only;
+    its keys iterate in ascending order.
+    """
     if deg < 0:
         raise ValueError("deg must be >= 0")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return GRLEX.sort(_exponents_up_to(deg, d))
+    monos = GRLEX.sort(_exponents_up_to(deg, d))
+    return types.MappingProxyType({m: k for k, m in enumerate(monos)})
+
+
+def monomials_up_to(deg: int, d: int) -> list:
+    """All monomials of total degree <= deg in d variables, sorted ascending."""
+    return list(monomial_positions(deg, d))
 
 
 def _kahan_sum(values) -> complex:
@@ -114,6 +128,21 @@ class MultiPoly:
                 clean[m] = clean.get(m, 0j) + c
         clean = {m: c for m, c in clean.items() if abs(c) > COEFF_FLOOR}
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of_terms(cls, nvars: int, terms: Mapping) -> "MultiPoly":
+        """The polynomial an arithmetic step on normalized operands produced.
+
+        Its keys are already exponent tuples of length nvars, one per
+        monomial, so of ``__post_init__`` only the COEFF_FLOOR filter and the
+        0j + c accumulation are left to do.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(
+            p, "terms", {m: 0j + complex(c) for m, c in terms.items() if abs(c) > COEFF_FLOOR}
+        )
+        return p
 
     # ---------------- constructors ----------------
 
@@ -163,12 +192,12 @@ class MultiPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0j) + c
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._of_terms(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._of_terms(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -185,16 +214,18 @@ class MultiPoly:
             for mb, cb in other.terms.items():
                 m = monomial_mul(ma, mb)
                 terms[m] = terms.get(m, 0j) + ca * cb
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._of_terms(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
         c = complex(c)
-        return MultiPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        return MultiPoly._of_terms(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def shift_exponents(self, m: Monomial) -> "MultiPoly":
         """Multiply by the monomial with exponent vector m."""
+        if len(m) != self.nvars:
+            raise ValueError(f"monomial {m} has wrong length for nvars={self.nvars}")
         return MultiPoly(self.nvars, {monomial_mul(k, m): c for k, c in self.terms.items()})
 
     # ---------------- calculus and evaluation ----------------
@@ -234,7 +265,7 @@ class MultiPoly:
             e = list(m)
             e[i] -= 1
             terms[tuple(e)] = terms.get(tuple(e), 0j) + c * m[i]
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._of_terms(self.nvars, terms)
 
     def translate(self, t) -> "MultiPoly":
         """Return q with q(x) = p(x + t), by exact binomial expansion."""
@@ -255,7 +286,7 @@ class MultiPoly:
                 partial = nxt
             for key, cc in partial.items():
                 out[key] = out.get(key, 0j) + cc
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of_terms(self.nvars, out)
 
     # ---------------- serialization ----------------
 
@@ -366,6 +397,77 @@ def _power_table(X: np.ndarray, top: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class CompiledLayout:
+    """The part of a compiled system that depends only on its support.
+
+    Built once per support by ``_compiled_layout`` and shared by every system
+    with that support, so its arrays are read-only. ``exps`` and ``mask`` are
+    CompiledPolys' arrays. A system's coefficients fill the slots ``place``
+    (flat (row, term) positions) from its terms listed polynomial by
+    polynomial in dict order: slot k of a polynomial row takes term
+    ``src[k]``, and slot k of a partial row term ``deriv[k][0]`` times the
+    exponent ``deriv[k][1]``. ``top``, ``index`` and ``used`` drive
+    CompiledPolys.eval: the highest exponent, and per factor slot f a term's
+    f-th variable with a nonzero exponent (ascending), as a flat index into
+    the power table, and whether the term has an f-th such variable.
+    ``degrees`` holds each polynomial's total degree.
+    """
+
+    exps: np.ndarray
+    mask: np.ndarray
+    place: np.ndarray
+    src: tuple
+    deriv: tuple
+    top: int
+    index: np.ndarray
+    used: np.ndarray
+    degrees: tuple
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _compiled_layout(d: int, supports: tuple) -> CompiledLayout:
+    """Layout for polynomials in d variables whose monomials, in dict order, are ``supports``."""
+    rows = []  # per row: (monomial, source term, exponent factor) in grlex order
+    start = 0
+    for sup in supports:
+        at = {m: start + k for k, m in enumerate(sup)}
+        rows.append([(m, at[m], 1) for m in GRLEX.sort(sup)])
+        start += len(sup)
+    # Lowering one exponent keeps the grlex order of the terms that survive.
+    for terms in rows[: len(supports)]:
+        for j in range(d):
+            rows.append([(m[:j] + (m[j] - 1,) + m[j + 1 :], k, m[j]) for m, k, _ in terms if m[j]])
+    T = max(1, max(len(terms) for terms in rows))
+    place = [r * T + t for r, terms in enumerate(rows) for t in range(T - len(terms), T)]
+    slots = [slot for terms in rows for slot in terms]
+    n_poly = sum(len(terms) for terms in rows[: len(supports)])
+    exps = np.zeros((len(rows) * T, d), dtype=np.int64)
+    mask = np.zeros(len(rows) * T, dtype=bool)
+    if slots:
+        exps[place] = [m for m, _, _ in slots]
+        mask[place] = True
+    top = max(1, int(exps.max()))
+    nonzero = exps > 0
+    F = max(1, int(nonzero.sum(axis=-1).max()))
+    var = np.argsort(~nonzero, axis=-1, kind="stable")[:, :F]
+    exp = np.take_along_axis(exps, var, -1)
+    layout = CompiledLayout(
+        exps=exps.reshape(len(rows), T, d),
+        mask=mask.reshape(len(rows), T),
+        place=np.array(place, dtype=np.intp),
+        src=tuple(k for _, k, _ in slots[:n_poly]),
+        deriv=tuple((k, e) for _, k, e in slots[n_poly:]),
+        top=top,
+        index=(var * top + np.maximum(exp - 1, 0)).T,
+        used=(exp > 0).T,
+        degrees=tuple(sum(terms[-1][0]) if terms else 0 for terms in rows[: len(supports)]),
+    )
+    for a in (layout.exps, layout.mask, layout.place, layout.index, layout.used):
+        a.setflags(write=False)
+    return layout
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledPolys:
     """k polynomials in d variables and their partials as arrays, evaluated at many points at once.
 
@@ -377,72 +479,48 @@ class CompiledPolys:
     compensated sum exactly at zero, so ``eval`` needs no mask. It repeats
     MultiPoly.eval's term order, product sequence and compensated sum, and
     the partial rows hold the terms MultiPoly.differentiate gives, so the
-    values are bit-equal to the scalar path's.
+    values are bit-equal to the scalar path's. Everything but the
+    coefficients comes from the support's shared ``layout``; all arrays are
+    read-only.
     """
 
-    exps: np.ndarray
+    layout: CompiledLayout
     coeffs: np.ndarray
-    mask: np.ndarray
+
+    @property
+    def exps(self) -> np.ndarray:
+        return self.layout.exps
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.layout.mask
 
     @staticmethod
     def of(polys: Sequence[MultiPoly]) -> "CompiledPolys":
-        d = polys[0].nvars
-        rows = []
-        for p in polys:
-            monos = GRLEX.sort(p.terms)
-            rows.append((monos, [p.terms[m] for m in monos]))
-        # Lowering one exponent keeps the grlex order of the terms that survive.
-        for monos, coeffs in rows[: len(polys)]:
-            for j in range(d):
-                kept = [(m, c) for m, c in zip(monos, coeffs) if m[j]]
-                rows.append(
-                    (
-                        [m[:j] + (m[j] - 1,) + m[j + 1 :] for m, _ in kept],
-                        [c * m[j] for m, c in kept],
-                    )
-                )
-        T = max(1, max(len(monos) for monos, _ in rows))
-        at = ([], [])
-        all_monos, all_coeffs = [], []
-        for r, (monos, coeffs) in enumerate(rows):
-            at[0].extend([r] * len(monos))
-            at[1].extend(range(T - len(monos), T))
-            all_monos.extend(monos)
-            all_coeffs.extend(coeffs)
-        exps = np.zeros((len(rows), T, d), dtype=np.int64)
-        coeffs = np.zeros((len(rows), T), dtype=complex)
-        mask = np.zeros((len(rows), T), dtype=bool)
-        if all_monos:
-            exps[at] = all_monos
-            coeffs[at] = all_coeffs
-            mask[at] = True
-        return CompiledPolys(exps=exps, coeffs=coeffs, mask=mask)
+        layout = _compiled_layout(polys[0].nvars, tuple(tuple(p.terms) for p in polys))
+        flat = [c for p in polys for c in p.terms.values()]
+        coeffs = np.zeros(layout.mask.shape, dtype=complex)
+        coeffs.reshape(-1)[layout.place] = [flat[k] for k in layout.src] + [
+            flat[k] * e for k, e in layout.deriv
+        ]
+        coeffs.setflags(write=False)
+        return CompiledPolys(layout=layout, coeffs=coeffs)
 
     @functools.cached_property
-    def _plan(self) -> tuple:
-        # The highest exponent, the coefficients as pairs over the flattened
-        # (row, term) axis, and per factor slot f: a term's f-th variable with
-        # a nonzero exponent (ascending), as a flat index into the power
-        # table, and whether the term has an f-th such variable.
-        rows, T, d = self.exps.shape
-        exps = self.exps.reshape(rows * T, d)
-        top = max(1, int(exps.max()))
-        nonzero = exps > 0
-        F = max(1, int(nonzero.sum(axis=-1).max()))
-        var = np.argsort(~nonzero, axis=-1, kind="stable")[:, :F]
-        exp = np.take_along_axis(exps, var, -1)
-        pairs = np.stack([self.coeffs.real, self.coeffs.imag]).reshape(2, 1, rows * T)
-        return top, pairs, (var * top + np.maximum(exp - 1, 0)).T, (exp > 0).T
+    def _pairs(self) -> np.ndarray:
+        # The coefficients as pairs over the flattened (row, term) axis.
+        return np.stack([self.coeffs.real, self.coeffs.imag]).reshape(2, 1, self.coeffs.size)
 
     def eval(self, points) -> tuple:
         """Values (n, k) and Jacobians (n, k, d) at points of shape (n, d)."""
         X = np.asarray(points, dtype=complex)
         n = X.shape[0]
         rows, T, d = self.exps.shape
-        top, v, index, used = self._plan
-        table = _power_table(X, top).reshape(2, n, d * top)
-        for f in range(len(index)):
-            v = np.where(used[f], _cmul(v, table[:, :, index[f]]), v)
+        L = self.layout
+        v = self._pairs
+        table = _power_table(X, L.top).reshape(2, n, d * L.top)
+        for f in range(len(L.index)):
+            v = np.where(L.used[f], _cmul(v, table[:, :, L.index[f]]), v)
         terms = np.empty((n, rows * T), dtype=complex)
         terms.real = v[0]
         terms.imag = v[1]

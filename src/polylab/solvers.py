@@ -33,7 +33,6 @@ from .polycore import (
     PolySystem,
     UniPoly,
     bezout_count,
-    monomial_mul,
     rho,
 )
 from numpy.polynomial import polynomial as npoly
@@ -169,14 +168,9 @@ def _ms_matrices(s: PolySystem, mhat: MacaulayMatrix):
     if sel.cond > 1e12:
         raise BasisSingular(f"basis rows condition {sel.cond:.3e}")
     N = sel.nullspace
-    col_index = {m: k for k, m in enumerate(mhat.col_labels)}
     NB = N[sel.indices, :]
-    mats = []
-    for i in range(s.d):
-        e = [0] * s.d
-        e[i] = 1
-        shifted_idx = [col_index[monomial_mul(m, tuple(e))] for m in sel.monomials]
-        mats.append(np.linalg.solve(NB.T, N[shifted_idx, :].T))
+    up = mhat.index.up
+    mats = [np.linalg.solve(NB.T, N[up[i, sel.indices], :].T) for i in range(s.d)]
     return mats, sel.monomials, N
 
 
@@ -248,34 +242,28 @@ def reduce_macaulay_pencil(pencil: MacaulayPencil, return_basis: bool = False):
     return (gep, Z) if return_basis else gep
 
 
-def _root_from_vector(v: np.ndarray, col_labels: list, d: int) -> np.ndarray:
-    """Read coordinates off an eigenvector indexed by monomials.
+def _root_from_vector(v: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Read coordinates off an eigenvector indexed by the Macaulay columns.
 
-    Normalizes by the constant entry; falls back to least squares over all
-    ratios v[x_i * m] / v[m] with deg(m) <= 1 when that entry is negligible.
+    Normalizes by the constant entry (column 0); falls back to least squares
+    over all ratios v[x_i * m] / v[m] with deg(m) <= 1 (columns 0..d) when
+    that entry is negligible. ``up`` is the MacaulayIndex shift map.
     """
-    index = {m: k for k, m in enumerate(col_labels)}
-    one = index[(0,) * d]
+    d = up.shape[0]
     scale = float(np.linalg.norm(v))
     if scale == 0.0:
         raise EigenvectorDegenerate("zero eigenvector")
     x = np.empty(d, dtype=complex)
-    if abs(v[one]) >= 1e-8 * scale:
+    if abs(v[0]) >= 1e-8 * scale:
         for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            x[i] = v[index[tuple(e)]] / v[one]
+            x[i] = v[up[i, 0]] / v[0]
         return x
-    low = [m for m in col_labels if sum(m) <= 1]
     for i in range(d):
-        e = [0] * d
-        e[i] = 1
         num = 0j
         den = 0.0
-        for m in low:
-            k_from = index[m]
-            k_to = index.get(monomial_mul(m, tuple(e)))
-            if k_to is None:
+        for k_from in range(d + 1):
+            k_to = up[i, k_from]
+            if k_to < 0:
                 continue
             num += np.conj(v[k_from]) * v[k_to]
             den += abs(v[k_from]) ** 2
@@ -302,7 +290,6 @@ def solve_macaulay_resultant(
     r = bezout_count(s)
     pencil = macaulay_pencil(s, rng)
     n_rows, n_cols = pencil.gep.A.shape
-    col_labels = pencil.gep.col_labels
     finite = []
     vectors = []
     if n_rows == n_cols:
@@ -332,7 +319,7 @@ def solve_macaulay_resultant(
     sub_kappa = []
     lambdas = []
     for t, v in zip(finite, vectors):
-        x = _root_from_vector(v, col_labels, s.d)
+        x = _root_from_vector(v, pencil.mhat.index.up)
         if polish:
             x = newton_polish(s, x)
         roots.append(x)
@@ -625,13 +612,15 @@ def solve_rur_example(
         rr = solve_normal_form(system)
         tvals = np.array([complex(u @ np.asarray(x)) for x in rr.roots])
     tstar = a * float(np.sum(u)) + offset
-    sep = np.min(
-        np.abs(tvals[:, None] - tvals[None, :]) + np.diag(np.full(tvals.size, np.inf))
+    # Two values collide when they are closer than a few roundings of the
+    # largest one. The t-values scale like 1/c, so an absolute cutoff flags
+    # forms that separate them well once c is large.
+    nearest = np.min(
+        np.abs(tvals[:, None] - tvals[None, :]) + np.diag(np.full(tvals.size, np.inf)), axis=1
     )
-    collisions = 0
-    if sep < 1e-10:
-        dist = np.abs(tvals[:, None] - tvals[None, :]) + np.diag(np.full(tvals.size, np.inf))
-        collisions = int(np.count_nonzero(np.min(dist, axis=1) < 1e-10))
+    tol = 4 * tvals.size * np.finfo(float).eps * float(np.max(np.abs(tvals)))
+    collisions = int(np.count_nonzero(nearest <= tol))
+    if collisions:
         warnings.warn(
             f"separating form has {collisions} colliding values", RuntimeWarning, stacklevel=2
         )

@@ -32,6 +32,8 @@ from polylab import (
     solve_rur_example,
     true_root_error,
 )
+from polylab import bench
+from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.polycore import CompiledPolys
 from polylab.solvers import _check_determinantal
@@ -305,6 +307,23 @@ def test_rur_warns_when_the_form_fails_to_separate():
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.warns(RuntimeWarning):
         f, rep = solve_rur_example(2, 4.0, u)
+    assert rep.diagnostics["collisions"] >= 2
+
+
+def test_rur_collision_check_is_relative_to_the_t_values():
+    # Fig 1d at c = 1e8: the t-values sit within ~1e-8 of an offset near
+    # 0.5 but are separated far above its rounding, so no trial of the
+    # seed-1 sweep may warn.
+    spec = FIGURES["1d"]
+    idx = spec.values.index(1e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(spec.n_trials):
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, idx, trial]))
+            bench._trial_error(spec, 1e8, rng)
+    u = np.array([1.0, 1.0]) / np.sqrt(2)
+    with pytest.warns(RuntimeWarning):
+        _, rep = solve_rur_example(2, 1e8, u, shift=(1 / 3, 1 / 3))
     assert rep.diagnostics["collisions"] >= 2
 
 
