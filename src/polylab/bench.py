@@ -96,11 +96,16 @@ def _resolve_params(spec: SweepSpec, x) -> dict:
 
 
 def _broadcast_shift(shift, d: int):
-    """Presets give one shift value; d-axis sweeps need it repeated per coordinate."""
+    """Presets give one shift value; d-axis sweeps need it repeated per coordinate.
+
+    Only a 1-tuple is repeated: any other length must be d.
+    """
     if shift is None:
         return None
-    if len(shift) != d:
+    if len(shift) == 1:
         return (shift[0],) * d
+    if len(shift) != d:
+        raise ValueError(f"shift has {len(shift)} coordinates, expected 1 or d = {d}")
     return tuple(shift)
 
 

@@ -81,7 +81,12 @@ def _cmd_solve(args) -> int:
     elif args.method == "macaulay":
         report = solve_macaulay_resultant(s, rng=rng, polish=args.polish)
     else:
-        report = solve_mep_operator_determinants(mep_from_system(s), system=s, polish=args.polish)
+        try:
+            mep = mep_from_system(s)
+        except UnsupportedShape as exc:
+            print(f"method mep does not apply: {exc}", file=sys.stderr)
+            return 1
+        report = solve_mep_operator_determinants(mep, system=s, polish=args.polish)
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -101,7 +106,7 @@ def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
         pencil = macaulay_pencil(s, np.random.default_rng(seed))
         h = linear_poly(s.d, pencil.beta)
         ks = kappa_eig_macaulay_bound(
-            s, x, pencil.kept_h_monomials, h, pencil.gep.col_labels, pencil.basis.nullspace
+            s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels, pencil.basis.nullspace
         )
     return ConditionReport.make(kr, ks, method)
 
@@ -110,9 +115,16 @@ def _cmd_audit(args) -> int:
     s = _load_system(args.system)
     if args.root is not None:
         x = _parse_root(args.root)
+        if x.shape != (s.d,):
+            print(f"--root has {x.size} coordinates, the system has d = {s.d}", file=sys.stderr)
+            return 1
     else:
         if not s.true_roots:
             print("system has no stored roots; pass --root", file=sys.stderr)
+            return 1
+        n = len(s.true_roots)
+        if not -n <= args.root_index < n:
+            print(f"--root-index {args.root_index} is out of range: {n} stored roots", file=sys.stderr)
             return 1
         x = np.array(s.true_roots[args.root_index])
     methods = METHODS if args.method == "all" else (args.method,)

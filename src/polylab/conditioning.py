@@ -18,8 +18,9 @@ from typing import Mapping
 import numpy as np
 
 from .macaulay import macaulay_hat
-from .numkernel import GenEigProblem, EigTriple, svd
+from .numkernel import GenEigProblem, EigTriple, laplace_expansion
 from .polycore import (
+    ROOT_RESIDUAL_TOL,
     MultiPoly,
     PolySystem,
     bezout_count,
@@ -39,6 +40,11 @@ class MultipleRoot(Exception):
 
 class BasisSingular(Exception):
     """The basis rows of the null space are numerically singular."""
+
+
+# Largest sigma_min / sigma_max of W_i(x*) that mep_root_vectors accepts as
+# singular, i.e. x* as a joint eigenvalue.
+MEP_ROOT_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +113,7 @@ def mep_operator(W_i, x) -> np.ndarray:
     return M
 
 
-def mep_root_vectors(mep, xstar, tol: float = 1e-6) -> list:
+def mep_root_vectors(mep, xstar) -> list:
     """Left/right singular vectors for the smallest singular value of each W_i(x*).
 
     The left vector is returned conjugated, so that u @ M @ v is the
@@ -116,21 +122,20 @@ def mep_root_vectors(mep, xstar, tol: float = 1e-6) -> list:
     adj(W) = det(U) det(V^H) (prod of nonzero sigmas) v u^H, which makes the
     row scaling of b0_matrix reproduce the Jacobian without any residual
     phase freedom. Raises if x* is not close enough to a joint eigenvalue
-    for the smallest singular value to be negligible.
+    for the smallest singular value to be negligible (MEP_ROOT_TOL).
     """
     out = []
     for i in range(mep.d):
-        M = mep_operator(mep.W[i], xstar)
-        res = svd(M)
-        s = res.singular_values
+        U, s, Vh = np.linalg.svd(mep_operator(mep.W[i], xstar))
+        V = Vh.conj().T
         scale = s[0] if s[0] > 0 else 1.0
-        if s[-1] > tol * scale:
+        if s[-1] > MEP_ROOT_TOL * scale:
             raise ValueError(
                 f"W_{i}(x*) is far from singular (sigma_min/sigma_max = {s[-1] / scale:.2e})"
             )
-        phase = -np.linalg.det(res.U) * np.conj(np.linalg.det(res.V))
-        u = phase * res.U[:, -1].conj()
-        v = res.V[:, -1]
+        phase = -np.linalg.det(U) * np.conj(np.linalg.det(V))
+        u = phase * U[:, -1].conj()
+        v = V[:, -1]
         out.append((u, v))
     return out
 
@@ -155,7 +160,7 @@ def mep_row_scaling(mep, xstar) -> np.ndarray:
     """diag of products of the nonzero singular values of each W_i(x*)."""
     out = np.empty(mep.d)
     for i in range(mep.d):
-        s = svd(mep_operator(mep.W[i], xstar)).singular_values
+        _, s, _ = np.linalg.svd(mep_operator(mep.W[i], xstar))
         out[i] = float(np.prod(s[:-1])) if s.size > 1 else 1.0
     return np.diag(out)
 
@@ -172,7 +177,7 @@ def kappa_eig_mep_formula(mep, s: PolySystem, xstar, i: int) -> float:
         raise SingularJacobian(f"Jacobian singular at {xstar}")
     prod = 1.0
     for k in range(mep.d):
-        sv = svd(mep_operator(mep.W[k], xstar)).singular_values
+        _, sv, _ = np.linalg.svd(mep_operator(mep.W[k], xstar))
         if sv.size > 1:
             prod *= float(np.prod(sv[:-1]))
     return prod / detJ * (1.0 + abs(xstar[i]))
@@ -198,17 +203,18 @@ class QFactorization:
         return acc
 
 
-def q_factorization(s: PolySystem, xstar, tol: float = 1e-10) -> QFactorization:
+def q_factorization(s: PolySystem, xstar) -> QFactorization:
     """Canonical factorization p_i = sum_j Q_ij (x_j - x_j*) about a root.
 
     Built by Taylor shifting each polynomial to the root and assigning every
     shifted monomial to the column of its lowest-index variable with positive
-    exponent. Evaluated at the root, Q recovers the Jacobian exactly.
+    exponent. Evaluated at the root, Q recovers the Jacobian exactly. x*
+    must pass the residual test of PolySystem.validate.
     """
     xstar = np.asarray(xstar, dtype=complex)
     scale = s.coefficient_scale()
     res = s.residual(xstar)
-    if res > tol * (1.0 + scale):
+    if res > ROOT_RESIDUAL_TOL * (1.0 + scale):
         raise ValueError(f"x* is not a root: residual {res:.3e}")
     d = s.d
     grid = []
@@ -230,22 +236,9 @@ def q_factorization(s: PolySystem, xstar, tol: float = 1e-10) -> QFactorization:
 
 
 def poly_det(grid) -> MultiPoly:
-    """Determinant of a square grid of polynomials, Leibniz expansion."""
-    d = len(grid)
-    nvars = grid[0][0].nvars
-
-    def expand(rows, cols):
-        if not rows:
-            return MultiPoly.constant(nvars, 1.0)
-        i = rows[0]
-        acc = MultiPoly.zero(nvars)
-        for pos, j in enumerate(cols):
-            sub = expand(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = grid[i][j] * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
-
-    return expand(list(range(d)), list(range(d)))
+    """Determinant of a square grid of polynomials; see laplace_expansion."""
+    one = MultiPoly.constant(grid[0][0].nvars, 1.0)
+    return laplace_expansion(grid, MultiPoly.__mul__, one, {})
 
 
 def lagrange_interpolant(qf: QFactorization, r: list | None = None) -> MultiPoly:

@@ -256,12 +256,7 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
         if square and not check_pencil_regular(A, B):
             last_err = "pencil singular at probe points"
             continue
-        gep = GenEigProblem(
-            A=A,
-            B=B,
-            row_labels=list(mhat.row_labels) + [("h", m) for m in sel.monomials],
-            col_labels=list(mhat.col_labels),
-        )
+        gep = GenEigProblem(A=A, B=B)
         return MacaulayPencil(gep=gep, mhat=mhat, basis=sel, alpha=alpha, beta=beta)
     from .numkernel import SingularPencil
 

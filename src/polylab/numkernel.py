@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernels shared by the solvers.
 
 Thin contracts over LAPACK-backed routines: SVD, generalized eigenproblems
-with left and right eigenvectors, fixed-nullity null spaces, block operator
-determinants over Kronecker products, companion-matrix rootfinding, and
-seeded random matrix generators. Matrices are plain complex ndarrays.
+with left and right eigenvectors, fixed-nullity null spaces, the memoized
+cofactor expansion behind every grid determinant (block operator
+determinants over Kronecker products, polynomial determinants),
+companion-matrix rootfinding, and seeded random matrix generators. Matrices
+are plain complex ndarrays.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .polycore import UniPoly
 # infinite, in the (alpha, beta) parameterization.
 INFINITE_EIG_TOL = 1e-12
 
+# Random shifts at which check_pencil_regular evaluates a pencil.
+PENCIL_PROBES = 3
+
 
 class SingularPencil(Exception):
     """The pencil det(A - lambda B) is numerically identically zero."""
@@ -31,12 +36,10 @@ class NullSpaceGapWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GenEigProblem:
-    """Generalized eigenproblem A x = lambda B x, with optional labels."""
+    """Generalized eigenproblem A x = lambda B x."""
 
     A: np.ndarray
     B: np.ndarray
-    row_labels: list | None = None
-    col_labels: list | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
@@ -45,9 +48,6 @@ class GenEigProblem:
             raise ValueError("A and B must have identical shapes")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        for labels, n in ((self.row_labels, A.shape[0]), (self.col_labels, A.shape[1])):
-            if labels is not None and len(labels) != n:
-                raise ValueError("label length does not match dimension")
 
     @property
     def dim(self) -> int:
@@ -76,22 +76,6 @@ class EigTriple:
         return self.lam is None
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD M = U diag(s) V^H with descending singular values."""
-
-    U: np.ndarray
-    V: np.ndarray
-    singular_values: np.ndarray
-
-
-def svd(M) -> SvdResult:
-    """Full SVD; convergence failures raise LinAlgError, never pass silently."""
-    M = np.asarray(M, dtype=complex)
-    U, s, Vh = np.linalg.svd(M, full_matrices=True)
-    return SvdResult(U=U, V=Vh.conj().T, singular_values=s)
-
-
 def sigma_min(M) -> float:
     """Smallest singular value, counting only the min(m, n) spectrum."""
     M = np.asarray(M, dtype=complex)
@@ -105,13 +89,13 @@ def _is_numerically_singular(M: np.ndarray, scale: float) -> bool:
     return bool(s[-1] <= n * np.finfo(float).eps * max(scale, s[0]))
 
 
-def check_pencil_regular(A: np.ndarray, B: np.ndarray, probes: int = 3) -> bool:
-    """Probe det(A - lambda B) at random lambda; False if all probes are singular."""
+def check_pencil_regular(A: np.ndarray, B: np.ndarray) -> bool:
+    """Probe det(A - lambda B) at PENCIL_PROBES random lambda; False if all are singular."""
     rng = np.random.default_rng(0x5EED)
     normA = np.linalg.norm(A, 2) if A.size else 0.0
     normB = np.linalg.norm(B, 2) if B.size else 0.0
     base = normA / normB if normB > 0 else 1.0
-    for _ in range(probes):
+    for _ in range(PENCIL_PROBES):
         lam = base * (rng.standard_normal() + 1j * rng.standard_normal())
         if not _is_numerically_singular(A - lam * B, normA + abs(lam) * normB):
             return True
@@ -221,13 +205,45 @@ def null_space(M, nullity: int) -> np.ndarray:
     return SvdFactor.of(M).null_space(nullity)
 
 
+def laplace_expansion(grid, mul, one, memo: dict):
+    """Determinant of a square grid over a ring, by memoized cofactor expansion.
+
+    Expands along the rows with the Leibniz signs. ``mul(entry, minor)``
+    multiplies, ``one`` is the determinant of the empty grid, and entries
+    support ``+`` and unary ``-``. ``memo[mask]`` holds the minor on rows
+    popcount(mask)..d-1 and the columns outside ``mask``, which keeps the
+    product count near d * 2^(d-1) instead of d! * d. Such a minor never
+    reads the columns in ``mask``, so its entry also serves any grid that
+    differs only in those columns.
+    """
+    d = len(grid)
+
+    def expand(row: int, used_mask: int):
+        if row == d:
+            return one
+        if used_mask in memo:
+            return memo[used_mask]
+        acc = None
+        pos = 0  # position of column j among columns still available
+        for j in range(d):
+            if used_mask & (1 << j):
+                continue
+            term = mul(grid[row][j], expand(row + 1, used_mask | (1 << j)))
+            if pos % 2 == 1:
+                term = -term
+            acc = term if acc is None else acc + term
+            pos += 1
+        memo[used_mask] = acc
+        return acc
+
+    return expand(0, 0)
+
+
 def block_operator_determinant(blocks) -> np.ndarray:
     """Determinant of a d x d block grid with Kronecker products as multiplication.
 
-    Expansion follows the Leibniz rule with permutation signs; block (i, j)
-    must be square of size n_i, so the result has size prod(n_i). Cofactor
-    expansion over rows with memoization on the remaining column mask keeps
-    the Kronecker count near d * 2^(d-1) instead of d! * d.
+    Block (i, j) must be square of size n_i, so the result has size
+    prod(n_i); see laplace_expansion.
     """
     d = len(blocks)
     sizes = []
@@ -241,29 +257,7 @@ def block_operator_determinant(blocks) -> np.ndarray:
                 raise ValueError(f"block ({i}) sizes inconsistent: {M.shape} vs {n_i}")
         sizes.append(n_i)
     grid = [[np.asarray(M, dtype=complex) for M in row] for row in blocks]
-    full = (1 << d) - 1
-    memo: dict = {}
-
-    def expand(row: int, used_mask: int) -> np.ndarray:
-        if row == d:
-            return np.ones((1, 1), dtype=complex)
-        key = used_mask
-        if key in memo:
-            return memo[key]
-        acc = None
-        pos = 0  # position of column j among columns still available
-        for j in range(d):
-            if used_mask & (1 << j):
-                continue
-            term = np.kron(grid[row][j], expand(row + 1, used_mask | (1 << j)))
-            if pos % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-            pos += 1
-        memo[key] = acc
-        return acc
-
-    out = expand(0, 0)
+    out = laplace_expansion(grid, np.kron, np.ones((1, 1), dtype=complex), {})
     expected = int(np.prod(sizes))
     assert out.shape == (expected, expected)
     return out

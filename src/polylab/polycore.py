@@ -31,6 +31,10 @@ COEFF_FLOOR = 1e-300
 MONOMIAL_CACHE_SIZE = 64
 SUPPORT_CACHE_SIZE = 256
 
+# A point is accepted as a root of a system when its residual is at most
+# ROOT_RESIDUAL_TOL * (1 + the system's coefficient scale).
+ROOT_RESIDUAL_TOL = 1e-10
+
 
 def monomial_degree(m: Monomial) -> int:
     return int(sum(m))
@@ -589,10 +593,11 @@ class PolySystem:
         values, _ = self.evaluate([x])
         return float(np.linalg.norm(values[0]))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """Raise ValueError when a listed root fails the ROOT_RESIDUAL_TOL test."""
         if not self.true_roots:
             return
-        bound = tol * (1.0 + self.coefficient_scale())
+        bound = ROOT_RESIDUAL_TOL * (1.0 + self.coefficient_scale())
         values, _ = self.evaluate(self.true_roots)
         for r, res in zip(self.true_roots, np.linalg.norm(values, axis=1)):
             if res > bound:

@@ -21,10 +21,10 @@ from .macaulay import MacaulayMatrix, MacaulayPencil, choose_basis, macaulay_hat
 from .numkernel import (
     GenEigProblem,
     SingularPencil,
-    block_operator_determinant,
     check_pencil_regular,
     companion_roots,
     generalized_eig,
+    laplace_expansion,
     random_unit_vector,
 )
 from .polycore import (
@@ -36,6 +36,12 @@ from .polycore import (
     rho,
 )
 from numpy.polynomial import polynomial as npoly
+
+# Newton steps per root when a solver is asked to polish.
+NEWTON_STEPS = 2
+
+# Largest dimension solve_rur_example accepts: its polynomial has 2^d roots.
+RUR_MAX_D = 10
 
 
 class NullityMismatch(Exception):
@@ -121,10 +127,10 @@ def _jsonable(obj):
     return obj
 
 
-def newton_polish(s: PolySystem, x, steps: int = 2) -> np.ndarray:
-    """Newton steps on the system from x; values and Jacobian come from one evaluation per step."""
+def newton_polish(s: PolySystem, x) -> np.ndarray:
+    """NEWTON_STEPS Newton steps on the system from x; one evaluation per step."""
     x = np.asarray(x, dtype=complex)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         values, J = s.evaluate([x])
         try:
             x = x - np.linalg.solve(J[0], values[0])
@@ -225,8 +231,8 @@ def solve_normal_form(
 # Macaulay resultant solver
 
 
-def reduce_macaulay_pencil(pencil: MacaulayPencil, return_basis: bool = False):
-    """Project out the lambda-independent rows: (A2 Z, B2 Z) with A1 Z = 0.
+def reduce_macaulay_pencil(pencil: MacaulayPencil) -> tuple:
+    """Project out the lambda-independent rows: (gep, Z), gep = (A2 Z, B2 Z) with A1 Z = 0.
 
     The reduced pencil has the same finite eigenvalues as the full one, and
     Z maps its eigenvectors back to the leading coordinates. Z is the null
@@ -239,7 +245,7 @@ def reduce_macaulay_pencil(pencil: MacaulayPencil, return_basis: bool = False):
         raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
     Z = pencil.basis.nullspace
     gep = GenEigProblem(A=pencil.A2 @ Z, B=pencil.B2 @ Z)
-    return (gep, Z) if return_basis else gep
+    return gep, Z
 
 
 def _root_from_vector(v: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -305,7 +311,7 @@ def solve_macaulay_resultant(
             vectors.append(t.right)
         gep_used = pencil.gep
     else:
-        gep_used, Z = reduce_macaulay_pencil(pencil, return_basis=True)
+        gep_used, Z = reduce_macaulay_pencil(pencil)
         if not check_pencil_regular(gep_used.A, gep_used.B):
             raise SingularPencil("det(A - lambda B) vanishes at all probe points")
         for t in generalized_eig(gep_used):
@@ -437,21 +443,17 @@ def operator_determinants(mep: MultiParamEig) -> list:
     """[Delta_0, Delta_1, ..., Delta_d] block operator determinants.
 
     Delta_0 uses the coefficient blocks V_ij; Delta_k swaps column k for the
-    constant blocks V_i0.
+    constant blocks V_i0. Delta_0 is expanded once, and Delta_k reuses every
+    minor of that expansion that leaves out column k.
     """
-    d = mep.d
-    deltas = []
-    for k in range(d + 1):
-        grid = []
-        for i in range(d):
-            row = []
-            for j in range(1, d + 1):
-                if k > 0 and j == k:
-                    row.append(mep.W[i][0])
-                else:
-                    row.append(mep.W[i][j])
-            grid.append(row)
-        deltas.append(block_operator_determinant(grid))
+    one = np.ones((1, 1), dtype=complex)
+    grid = [list(W_i[1:]) for W_i in mep.W]
+    memo: dict = {}
+    deltas = [laplace_expansion(grid, np.kron, one, memo)]
+    for k in range(mep.d):
+        swapped = [row[:k] + [W_i[0]] + row[k + 1 :] for row, W_i in zip(grid, mep.W)]
+        shared = {mask: M for mask, M in memo.items() if mask & (1 << k)}
+        deltas.append(laplace_expansion(swapped, np.kron, one, shared))
     return deltas
 
 
@@ -523,12 +525,11 @@ def solve_mep_operator_determinants(
 # closed-form univariate reductions
 
 
-def solve_gb_elimination_example(
-    d: int, sigma: float, i: int = 0, shift: complex = 0.0
-) -> tuple:
+def solve_gb_elimination_example(d: int, sigma: float, shift: complex = 0.0) -> tuple:
     """Eliminate the cyclic-squares system down to one coordinate and solve.
 
-    The elimination ideal of coordinate i is generated by
+    The system is cyclic, so every coordinate has the same elimination
+    ideal, generated by
     g(x) = (x - shift)^(2^d) - sigma^(2^d - 1) (x - shift); g is built in
     closed form, solved through the companion matrix, and the estimate
     nearest the designated coordinate value is reported.
@@ -560,7 +561,6 @@ def solve_gb_elimination_example(
         subproblem_kappa=[k_uni],
         method_tag="gb",
         diagnostics={
-            "coordinate": i,
             "error": err,
             "underflow": underflow,
             "all_roots": roots,
@@ -569,48 +569,31 @@ def solve_gb_elimination_example(
     return g, report
 
 
-def solve_rur_example(
-    d: int,
-    c: float,
-    u,
-    mode: str = "exact-roots",
-    shift=None,
-    system: PolySystem | None = None,
-    degree_cap: int = 10,
-) -> tuple:
+def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
     """Rational univariate reduction for the hypercube family.
 
     The separating form t(x) = u . x takes the value
     (1/(c sqrt(d))) sum_i (+-u_i) at each sign-pattern root; f is the monic
-    polynomial with those 2^d values as roots. In ``from-solver`` mode the
-    t-values come from a normal-form solve of the supplied system instead of
-    the closed form. Warns when u fails to separate the roots.
+    polynomial with those 2^d values as roots. Warns when u fails to
+    separate the roots.
     """
-    if d > degree_cap:
-        raise ValueError(f"2^{d} roots exceeds the degree cap (d <= {degree_cap})")
+    if d > RUR_MAX_D:
+        raise ValueError(f"2^{d} roots exceeds the degree cap (d <= {RUR_MAX_D})")
     u = np.asarray(u, dtype=float)
     if u.shape != (d,):
         raise ValueError("u must have length d")
     if u @ u > 1.0 + 1e-12:
         raise ValueError("u must lie in the unit ball")
-    if mode not in ("exact-roots", "from-solver"):
-        raise ValueError(f"unknown mode {mode!r}")
     offset = 0j
     if shift is not None:
         shift = np.asarray(shift, dtype=complex)
         offset = complex(u @ shift)
     a = 1.0 / (c * math.sqrt(d))
-    if mode == "exact-roots":
-        tvals = []
-        for mask in range(2**d):
-            signs = np.array([1.0 if not mask & (1 << j) else -1.0 for j in range(d)])
-            tvals.append(a * float(signs @ u) + offset)
-        tvals = np.array(tvals, dtype=complex)
-    else:
-        if system is None:
-            raise ValueError("from-solver mode needs the system")
-        rr = solve_normal_form(system)
-        tvals = np.array([complex(u @ np.asarray(x)) for x in rr.roots])
+    tvals = []
+    for mask in range(2**d):
+        signs = np.array([1.0 if not mask & (1 << j) else -1.0 for j in range(d)])
+        tvals.append(a * float(signs @ u) + offset)
+    tvals = np.array(tvals, dtype=complex)
     tstar = a * float(np.sum(u)) + offset
     # Two values collide when they are closer than a few roundings of the
     # largest one. The t-values scale like 1/c, so an absolute cutoff flags
@@ -643,7 +626,6 @@ def solve_rur_example(
             "t_star": tstar,
             "error": abs(xhat - tstar),
             "collisions": collisions,
-            "mode": mode,
         },
     )
     return f, report

@@ -35,6 +35,15 @@ from .solvers import (
 )
 
 
+# lemmaA1 checks dimensions 2..SUBSET_DMAX with SUBSET_DRAWS sphere draws
+# each; appendixD perturbs each case PERTURBATION_TRIALS times by a
+# rank-one matrix of spectral norm PERTURBATION_EPS.
+SUBSET_DMAX = 6
+SUBSET_DRAWS = 10000
+PERTURBATION_TRIALS = 50
+PERTURBATION_EPS = 1e-8
+
+
 @dataclass
 class VerificationResult:
     name: str
@@ -60,7 +69,7 @@ def _subset_sum_log_product(u: np.ndarray) -> float:
     return float(np.sum(np.log(np.abs(sums))))
 
 
-def subset_product_suite(dmax: int = 6, draws: int = 10000, seed: int = 1) -> VerificationResult:
+def subset_product_suite(seed: int = 1) -> VerificationResult:
     """The subset-sum product that controls the separating-form derivative.
 
     At u0 = (1/sqrt(d), ..., 1/sqrt(d)) the product over nonempty subsets of
@@ -71,12 +80,12 @@ def subset_product_suite(dmax: int = 6, draws: int = 10000, seed: int = 1) -> Ve
     rng = np.random.default_rng(seed)
     worst_identity = 0.0
     max_excess = -math.inf
-    for d in range(2, dmax + 1):
+    for d in range(2, SUBSET_DMAX + 1):
         u0 = np.full(d, 1.0 / math.sqrt(d))
         direct = _subset_sum_log_product(u0)
         closed = sum(math.comb(d, m) * math.log(m / math.sqrt(d)) for m in range(1, d + 1))
         worst_identity = max(worst_identity, abs(direct - closed))
-        V = rng.standard_normal((draws, d))
+        V = rng.standard_normal((SUBSET_DRAWS, d))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         masks = np.arange(1, 2**d, dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
@@ -91,7 +100,7 @@ def subset_product_suite(dmax: int = 6, draws: int = 10000, seed: int = 1) -> Ve
         details={
             "max_log_identity_error": worst_identity,
             "max_log_excess_over_u0": max_excess,
-            "draws": draws,
+            "draws": SUBSET_DRAWS,
         },
     )
 
@@ -198,9 +207,7 @@ def _principal_angle_gap(N1: np.ndarray, N2: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - cmin * cmin))
 
 
-def nullspace_perturbation_suite(
-    trials: int = 50, eps: float = 1e-8, seed: int = 1
-) -> VerificationResult:
+def nullspace_perturbation_suite(seed: int = 1) -> VerificationResult:
     """Perturbing a matrix by eps rotates its null space by about
     eps / sigma_r, where sigma_r is the smallest nonzero singular value.
 
@@ -215,6 +222,7 @@ def nullspace_perturbation_suite(
     diagonal model, a random rectangular matrix, and the degree-3
     multiplication-structure matrix of the ill-conditioned bivariate family.
     """
+    eps = PERTURBATION_EPS
     rng = np.random.default_rng(seed)
     base_sets = []
     M1 = np.diag([1.0, 1e-3, 0.0]).astype(complex)
@@ -237,7 +245,7 @@ def nullspace_perturbation_suite(
             all_ok = False
         N1 = null_space(M, r)
         ratios = []
-        for _ in range(trials):
+        for _ in range(PERTURBATION_TRIALS):
             w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
             v = N1 @ (w / np.linalg.norm(w))
             E = eps * np.outer(u_min, v.conj())
@@ -260,7 +268,7 @@ def nullspace_perturbation_suite(
     return VerificationResult(
         name="appendixD",
         passed=bool(all_ok),
-        details={"median_ratios": medians, "eps": eps, "trials": trials},
+        details={"median_ratios": medians, "eps": eps, "trials": PERTURBATION_TRIALS},
     )
 
 

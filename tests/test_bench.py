@@ -32,6 +32,8 @@ def test_broadcast_shift_repeats_scalar_presets():
     assert _broadcast_shift(None, 4) is None
     assert _broadcast_shift((1 / 3,), 3) == (1 / 3, 1 / 3, 1 / 3)
     assert _broadcast_shift((0.1, 0.2), 2) == (0.1, 0.2)
+    with pytest.raises(ValueError, match="expected 1 or d = 3"):
+        _broadcast_shift((0.1, 0.2), 3)
 
 
 def test_with_overrides_touches_only_trials_and_seed():

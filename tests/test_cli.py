@@ -145,6 +145,25 @@ def test_audit_accepts_an_explicit_root(tmp_path, capsys):
     assert out["kappa_root"] == pytest.approx(2.0, rel=1e-9)  # 1 / sigma
 
 
+@pytest.mark.parametrize(
+    "family, argv, message",
+    [
+        ("cyclic_squares", ["audit", "--root-index", "5"], "out of range"),
+        ("cyclic_squares", ["audit", "--root", "0,0,0"], "3 coordinates"),
+        ("notdev2d", ["solve", "--method", "mep"], "does not apply"),
+    ],
+)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
+    sys_path = tmp_path / "sys.json"
+    run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
+    capsys.readouterr()
+    code = run_cli(argv[:1] + ["--system", str(sys_path)] + argv[1:])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
 def test_audit_requires_a_root_when_none_is_stored(tmp_path, capsys):
     from polylab import FamilySpec, generate
 
@@ -243,5 +262,5 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
         assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
     pencil = macaulay_pencil(s, np.random.default_rng(5))
     h = linear_poly(d, pencil.beta)
-    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.gep.col_labels)
+    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels)
     assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)

@@ -37,7 +37,7 @@ from polylab import (
     smallest_singular_hat,
     theory_digits,
 )
-from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian
+from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, poly_det
 from polylab.macaulay import linear_poly
 from polylab.numkernel import sigma_min
 
@@ -103,7 +103,6 @@ def test_kappa_uni_inverts_derivative():
 def test_kappa_eig_on_diagonal_pencil():
     gep = GenEigProblem(
         A=np.diag([2.0, 3.0]).astype(complex), B=np.eye(2, dtype=complex),
-        row_labels=None, col_labels=None,
     )
     got = {round(t.lam.real): kappa_eig(gep, t) for t in generalized_eig(gep)}
     # normal pencil: kappa is 1 + |lambda|
@@ -114,7 +113,6 @@ def test_kappa_eig_on_diagonal_pencil():
 def test_kappa_eig_rejects_infinite_eigenvalue():
     gep = GenEigProblem(
         A=np.eye(2, dtype=complex), B=np.diag([1.0, 0.0]).astype(complex),
-        row_labels=None, col_labels=None,
     )
     bad = [t for t in generalized_eig(gep) if t.is_infinite][0]
     with pytest.raises(ValueError):
@@ -152,7 +150,7 @@ def test_mep_condition_formula_matches_direct_eigen_computation():
         mep = mep_from_system(s)
         deltas = operator_determinants(mep)
         i = trial % d
-        gep = GenEigProblem(A=deltas[1 + i], B=deltas[0], row_labels=None, col_labels=None)
+        gep = GenEigProblem(A=deltas[1 + i], B=deltas[0])
         trips = [t for t in generalized_eig(gep) if not t.is_infinite]
         best = min(trips, key=lambda t: abs(t.lam - xstar[i]))
         assert abs(best.lam - xstar[i]) <= 1e-6
@@ -207,18 +205,23 @@ def test_factored_determinant_interpolates_the_root_set():
 
 
 def test_interpolant_minor_expansion_with_remainders():
-    # adding r_i on the diagonal matches det(Q + diag(r)) pointwise
+    # poly_det(Q) matches det(Q(x)), and adding r_i on the diagonal matches
+    # det(Q + diag(r)), pointwise
     rng = np.random.default_rng(66)
-    xstar = np.array([0.2, -0.4], dtype=complex)
-    s = rand_quad_with_root(2, xstar, rng)
-    qf = q_factorization(s, xstar)
-    r = [MultiPoly.constant(2, complex(rng.standard_normal())) for _ in range(2)]
-    full = lagrange_interpolant(qf, r)
-    for _ in range(5):
-        x = rng.standard_normal(2)
-        Qx = np.array([[qf.Q[i][j].eval(x) for j in range(2)] for i in range(2)])
-        want = np.linalg.det(Qx + np.diag([ri.eval(x) for ri in r]))
-        assert abs(full.eval(x) - want) <= 1e-10 * (1 + abs(want))
+    for d in (2, 1, 3, 4):
+        xstar = np.array([0.2, -0.4], dtype=complex) if d == 2 else 0.5 * rng.standard_normal(d)
+        s = rand_quad_with_root(d, xstar, rng)
+        qf = q_factorization(s, xstar)
+        r = [MultiPoly.constant(d, complex(rng.standard_normal())) for _ in range(d)]
+        det_q = poly_det(qf.Q)
+        full = lagrange_interpolant(qf, r)
+        for _ in range(5):
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            Qx = np.array([[qf.Q[i][j].eval(x) for j in range(d)] for i in range(d)])
+            want = np.linalg.det(Qx)
+            assert abs(det_q.eval(x) - want) <= 1e-10 * (1 + abs(want))
+            want = np.linalg.det(Qx + np.diag([ri.eval(x) for ri in r]))
+            assert abs(full.eval(x) - want) <= 1e-10 * (1 + abs(want))
     with pytest.raises(ValueError):
         lagrange_interpolant(qf, [r[0]])
 
@@ -283,7 +286,6 @@ def test_multiplication_eigenvalue_conditioning_matches_direct():
         i = trial % d
         gep = GenEigProblem(
             A=np.asarray(mats[i]), B=np.eye(len(basis), dtype=complex),
-            row_labels=None, col_labels=None,
         )
         trips = [t for t in generalized_eig(gep) if not t.is_infinite]
         best = min(trips, key=lambda t: abs(t.lam - xstar[i]))

@@ -116,7 +116,7 @@ def test_pencil_h_rows_match_the_linear_polynomials():
     pen = macaulay_pencil(s, np.random.default_rng(8))
     halpha = linear_poly(2, pen.alpha)
     hbeta = linear_poly(2, pen.beta)
-    cols = pen.gep.col_labels
+    cols = pen.mhat.col_labels
     for k, m in enumerate(pen.kept_h_monomials):
         for x in (np.array([0.3, -0.7]), np.array([1.1, 0.4])):
             colvals = np.array([x[0] ** c[0] * x[1] ** c[1] for c in cols])

@@ -57,7 +57,7 @@ def test_companion_zero_constant_term_keeps_origin_exact():
 def test_generalized_eig_diagonal_pencil():
     A = np.diag([2.0, 6.0]).astype(complex)
     B = np.diag([1.0, 2.0]).astype(complex)
-    gep = GenEigProblem(A=A, B=B, row_labels=None, col_labels=None)
+    gep = GenEigProblem(A=A, B=B)
     lams = sorted(t.lam.real for t in generalized_eig(gep))
     assert lams == pytest.approx([2.0, 3.0], abs=1e-13)
 
@@ -67,7 +67,7 @@ def test_generalized_eig_residuals_small():
     for _ in range(5):
         A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        gep = GenEigProblem(A=A, B=B, row_labels=None, col_labels=None)
+        gep = GenEigProblem(A=A, B=B)
         scale = np.linalg.norm(A, 2) + np.linalg.norm(B, 2)
         for t in generalized_eig(gep):
             if t.is_infinite:
@@ -81,7 +81,7 @@ def test_generalized_eig_residuals_small():
 def test_generalized_eig_flags_infinite_for_singular_b():
     A = np.eye(2, dtype=complex)
     B = np.diag([1.0, 0.0]).astype(complex)
-    gep = GenEigProblem(A=A, B=B, row_labels=None, col_labels=None)
+    gep = GenEigProblem(A=A, B=B)
     trips = generalized_eig(gep)
     assert sum(t.is_infinite for t in trips) == 1
     finite = [t for t in trips if not t.is_infinite]
@@ -91,7 +91,7 @@ def test_generalized_eig_flags_infinite_for_singular_b():
 def test_beta_ratio_separates_finite_from_infinite():
     A = np.diag([1.0, 1.0, 3.0]).astype(complex)
     B = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    gep = GenEigProblem(A=A, B=B, row_labels=None, col_labels=None)
+    gep = GenEigProblem(A=A, B=B)
     for t in generalized_eig(gep):
         assert 0.0 <= t.beta_ratio <= 1.0
         if t.is_infinite:

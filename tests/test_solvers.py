@@ -18,6 +18,7 @@ from polylab import (
     SingularPencil,
     UnsupportedShape,
     bezout_count,
+    block_operator_determinant,
     build_ms_matrices,
     determinantal_representation_quadratic,
     generate,
@@ -231,6 +232,33 @@ def test_operator_determinants_on_separable_system():
     assert np.allclose(ev, [-1.0, -1.0, 1.0, 1.0], atol=1e-10)
 
 
+def test_operator_determinants_share_one_expansion():
+    # Delta_k reuses Delta_0's minors: it must equal a fresh expansion of its
+    # own grid bit for bit, and each entry the determinant of the d x d
+    # matrix [V_ij[a_i, b_i]] of the block entries it multiplies out
+    rng = np.random.default_rng(29)
+    for d in range(1, 6):
+        sizes = [int(n) for n in rng.integers(1, 3, size=d)]
+        W = [
+            tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d + 1))
+            for n in sizes
+        ]
+        mep = MultiParamEig(d=d, W=W)
+        idx = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+        for k, delta in enumerate(operator_determinants(mep)):
+            grid = [[W_i[0] if j == k else W_i[j] for j in range(1, d + 1)] for W_i in mep.W]
+            assert np.array_equal(delta, block_operator_determinant(grid))
+            entries = np.stack(
+                [
+                    np.stack([G[idx[i][:, None], idx[i][None, :]] for G in row], axis=-1)
+                    for i, row in enumerate(grid)
+                ],
+                axis=-2,
+            )
+            want = np.linalg.det(entries)
+            np.testing.assert_allclose(delta, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_mep_solver_recovers_all_cyclic_roots():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
     rep = solve_mep_operator_determinants(mep_from_system(s), system=s)
@@ -327,19 +355,6 @@ def test_rur_collision_check_is_relative_to_the_t_values():
     assert rep.diagnostics["collisions"] >= 2
 
 
-def test_rur_from_solver_mode_matches_closed_form():
-    rng = np.random.default_rng(72)
-    s = generate(FamilySpec(family="hypercube", d=2, c=4.0), rng=rng)
-    u = np.array([0.8, 0.6])
-    f_exact, _ = solve_rur_example(2, 4.0, u)
-    f_solver, rep = solve_rur_example(2, 4.0, u, mode="from-solver", system=s)
-    assert rep.diagnostics["mode"] == "from-solver"
-    key = lambda z: (z.real, z.imag)
-    a = sorted(np.roots(f_exact.coeffs[::-1]), key=key)
-    b = sorted(np.roots(f_solver.coeffs[::-1]), key=key)
-    assert np.max(np.abs(np.array(a) - np.array(b))) <= 1e-8
-
-
 def test_rur_input_validation():
     with pytest.raises(ValueError):
         solve_rur_example(11, 4.0, np.ones(11) / np.sqrt(11))
@@ -347,10 +362,6 @@ def test_rur_input_validation():
         solve_rur_example(2, 4.0, np.array([0.8, 0.6, 0.1]))
     with pytest.raises(ValueError):
         solve_rur_example(2, 4.0, np.array([1.2, 0.9]))
-    with pytest.raises(ValueError):
-        solve_rur_example(2, 4.0, np.array([0.8, 0.6]), mode="psychic")
-    with pytest.raises(ValueError):
-        solve_rur_example(2, 4.0, np.array([0.8, 0.6]), mode="from-solver")
 
 
 def test_hausdorff_distance_basics():
