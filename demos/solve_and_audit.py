@@ -19,9 +19,7 @@ from polylab import (
     kappa_eig_ms_formula,
     kappa_root,
     mep_from_system,
-    solve_macaulay_resultant,
-    solve_mep_operator_determinants,
-    solve_normal_form,
+    solve,
 )
 from polylab.solvers import build_ms_matrices
 
@@ -31,12 +29,7 @@ for p in s.polys:
     print("  ", p.terms)
 
 # Solve with the three eigenvalue reductions.
-mep = mep_from_system(s)
-reports = {
-    "nf": solve_normal_form(s, rng=np.random.default_rng(1)),
-    "macaulay": solve_macaulay_resultant(s, rng=np.random.default_rng(1)),
-    "mep": solve_mep_operator_determinants(mep, system=s),
-}
+reports = {m: solve(s, m, rng=np.random.default_rng(1)) for m in ("nf", "macaulay", "mep")}
 for tag, rep in reports.items():
     print(f"\n{tag}: {len(rep.roots)} roots, max residual {max(rep.residuals):.2e}")
 
@@ -53,7 +46,7 @@ print(f"\nkappa_root at the origin: {kr:.3e}")
 
 mats, basis, N = build_ms_matrices(s)
 k_nf = kappa_eig_ms_formula(s, origin, basis, 0, N=N)
-k_mep = kappa_eig_mep_formula(mep, s, origin, 0)
+k_mep = kappa_eig_mep_formula(mep_from_system(s), s, origin, 0)
 print(f"multiplication-matrix eigenvalue conditioning: {k_nf:.3e}")
 print(f"operator-determinant eigenvalue conditioning:  {k_mep:.3e}")
 print(f"amplification over the root conditioning: {k_nf / kr:.1f}x")

@@ -23,11 +23,8 @@ from .solvers import (
     NullityMismatch,
     SingularDelta0,
     UnsupportedShape,
-    mep_from_system,
+    solve,
     solve_gb_elimination_example,
-    solve_macaulay_resultant,
-    solve_mep_operator_determinants,
-    solve_normal_form,
     solve_rur_example,
 )
 
@@ -133,16 +130,7 @@ def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
     )
     s = generate(fspec, rng=rng)
     target = np.array(shift, dtype=complex) if shift else np.zeros(d, dtype=complex)
-    if spec.method == "nf":
-        report = solve_normal_form(s, rng=rng, polish=spec.polish)
-    elif spec.method == "macaulay":
-        report = solve_macaulay_resultant(s, rng=rng, polish=spec.polish)
-    elif spec.method == "mep":
-        report = solve_mep_operator_determinants(
-            mep_from_system(s), system=s, polish=spec.polish
-        )
-    else:
-        raise ValueError(f"unknown method {spec.method!r}")
+    report = solve(s, spec.method, rng=rng, polish=spec.polish)
     return true_root_error(report, [target])
 
 

@@ -19,16 +19,7 @@ from .conditioning import ConditionReport, kappa_eig_macaulay_bound, kappa_eig_m
 from .families import FAMILIES, FamilySpec, generate
 from .macaulay import linear_poly, macaulay_pencil
 from .polycore import PolySystem
-from .solvers import (
-    UnsupportedShape,
-    build_ms_matrices,
-    mep_from_system,
-    solve_macaulay_resultant,
-    solve_mep_operator_determinants,
-    solve_normal_form,
-)
-
-METHODS = ("nf", "macaulay", "mep")
+from .solvers import METHODS, UnsupportedShape, build_ms_matrices, mep_from_system, solve
 
 
 def _parse_shift(text: str | None):
@@ -76,17 +67,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     s = _load_system(args.system)
     rng = np.random.default_rng(args.seed)
-    if args.method == "nf":
-        report = solve_normal_form(s, rng=rng, polish=args.polish)
-    elif args.method == "macaulay":
-        report = solve_macaulay_resultant(s, rng=rng, polish=args.polish)
-    else:
-        try:
-            mep = mep_from_system(s)
-        except UnsupportedShape as exc:
-            print(f"method mep does not apply: {exc}", file=sys.stderr)
-            return 1
-        report = solve_mep_operator_determinants(mep, system=s, polish=args.polish)
+    try:
+        report = solve(s, args.method, rng=rng, polish=args.polish)
+    except UnsupportedShape as exc:
+        print(f"method {args.method} does not apply: {exc}", file=sys.stderr)
+        return 1
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -127,6 +112,10 @@ def _cmd_audit(args) -> int:
             print(f"--root-index {args.root_index} is out of range: {n} stored roots", file=sys.stderr)
             return 1
         x = np.array(s.true_roots[args.root_index])
+    res, bound = s.residual(x), s.residual_bound()
+    if res > bound:
+        print(f"the point is not a root: residual {res:.3e} > {bound:.3e}", file=sys.stderr)
+        return 1
     methods = METHODS if args.method == "all" else (args.method,)
     out = {}
     for m in methods:
@@ -150,10 +139,13 @@ def _figure_names(choice: str) -> list:
 
 
 def _custom_spec(args) -> bench.SweepSpec:
+    """The sweep the --custom flags describe; ValueError when a trial could not run."""
     missing = [flag for flag in ("method", "family", "axis", "values") if getattr(args, flag) is None]
     if missing:
         raise SystemExit(f"--custom requires --{', --'.join(missing)}")
-    return bench.SweepSpec(
+    if args.axis != "d" and args.d is None:
+        raise ValueError(f"--axis {args.axis} requires --d")
+    spec = bench.SweepSpec(
         name="custom",
         method=args.method,
         family=args.family,
@@ -167,11 +159,27 @@ def _custom_spec(args) -> bench.SweepSpec:
         seed=args.seed if args.seed is not None else 1,
         polish=args.polish,
     )
+    # Every trial at x generates from this FamilySpec, which checks the
+    # family's parameters and the shift length.
+    for x in spec.values:
+        params = bench._resolve_params(spec, x)
+        FamilySpec(
+            family=spec.family,
+            d=params["d"],
+            sigma=params.get("sigma"),
+            c=params.get("c"),
+            shift=bench._broadcast_shift(spec.shift, params["d"]),
+        )
+    return spec
 
 
 def _cmd_sweep(args) -> int:
     if args.custom:
-        specs = [_custom_spec(args)]
+        try:
+            specs = [_custom_spec(args)]
+        except ValueError as exc:
+            print(f"sweep --custom: {exc}", file=sys.stderr)
+            return 1
     elif args.figure is not None:
         specs = [
             bench.with_overrides(bench.FIGURES[n], n_trials=args.trials, seed=args.seed)

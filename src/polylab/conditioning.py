@@ -17,17 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .macaulay import macaulay_hat
 from .numkernel import GenEigProblem, EigTriple, laplace_expansion
-from .polycore import (
-    ROOT_RESIDUAL_TOL,
-    MultiPoly,
-    PolySystem,
-    bezout_count,
-    jacobian,
-    monomial_positions,
-    rho,
-)
+from .polycore import MultiPoly, PolySystem, jacobian, monomial_positions
 
 
 class SingularJacobian(Exception):
@@ -194,14 +185,6 @@ class QFactorization:
     Q: list
     shift: np.ndarray
 
-    def reconstruct(self, i: int) -> MultiPoly:
-        d = len(self.Q)
-        acc = MultiPoly.zero(d)
-        for j in range(d):
-            lin = MultiPoly.variable(d, j) - MultiPoly.constant(d, self.shift[j])
-            acc = acc + self.Q[i][j] * lin
-        return acc
-
 
 def q_factorization(s: PolySystem, xstar) -> QFactorization:
     """Canonical factorization p_i = sum_j Q_ij (x_j - x_j*) about a root.
@@ -212,9 +195,8 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
     must pass the residual test of PolySystem.validate.
     """
     xstar = np.asarray(xstar, dtype=complex)
-    scale = s.coefficient_scale()
     res = s.residual(xstar)
-    if res > ROOT_RESIDUAL_TOL * (1.0 + scale):
+    if res > s.residual_bound():
         raise ValueError(f"x* is not a root: residual {res:.3e}")
     d = s.d
     grid = []
@@ -241,30 +223,13 @@ def poly_det(grid) -> MultiPoly:
     return laplace_expansion(grid, MultiPoly.__mul__, one, {})
 
 
-def lagrange_interpolant(qf: QFactorization, r: list | None = None) -> MultiPoly:
-    """Polynomial vanishing at every root except the factorization's shift.
+def lagrange_interpolant(qf: QFactorization) -> MultiPoly:
+    """det(Q): vanishes at every root except the factorization's shift, where it is det J(x*).
 
-    For a system written p_i = r_i (x_i - x_i*) + sum_j Q_ij (x_j - x_j*),
-    the interpolant is sum over subsets I of [d] of det(Q with rows and
-    columns I removed) times prod_{k in I} r_k; the empty determinant is 1.
-    With r = 0 this is just det(Q).
+    verification.interpolant_suite checks the minor expansion this extends
+    to when the system carries remainders r_i (x_i - x_i*) on the diagonal.
     """
-    d = len(qf.Q)
-    nvars = qf.Q[0][0].nvars
-    if r is None:
-        return poly_det(qf.Q)
-    if len(r) != d:
-        raise ValueError("need one r_i per equation")
-    acc = MultiPoly.zero(nvars)
-    for mask in range(1 << d):
-        keep = [i for i in range(d) if not mask & (1 << i)]
-        minor = [[qf.Q[i][j] for j in keep] for i in keep]
-        term = poly_det(minor) if keep else MultiPoly.constant(nvars, 1.0)
-        for k in range(d):
-            if mask & (1 << k):
-                term = term * r[k]
-        acc = acc + term
-    return acc
+    return poly_det(qf.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +291,10 @@ def basis_values(basis: list, x) -> np.ndarray:
     return np.array([monomial_eval(m, x) for m in basis])
 
 
-def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray | None) -> np.ndarray:
-    # The Macaulay columns are the full monomial block, so normal_form
-    # infers N's row monomials in either case.
-    detq = poly_det(q_factorization(s, xstar).Q)
-    if N is None:
-        N = macaulay_hat(s, rho(s)).factor.null_space(bezout_count(s))
-    return normal_form(detq, basis, N)
+def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray) -> np.ndarray:
+    # N's rows follow the Macaulay columns, the full monomial block, so
+    # normal_form infers its row monomials.
+    return normal_form(poly_det(q_factorization(s, xstar).Q), basis, N)
 
 
 def kappa_eig_ms_formula(
@@ -340,13 +302,14 @@ def kappa_eig_ms_formula(
     xstar,
     basis: list,
     i: int,
-    N: np.ndarray | None = None,
+    N: np.ndarray,
 ) -> float:
     """Eigenvalue condition number of the multiplication-matrix eigenproblem.
 
     ||[det Q]_B||_2 * ||B(x*)||_2 / |det J(x*)| * (1 + |x_i*|), where
     [det Q]_B is the normal form of det Q over the basis and B(x*) the basis
-    monomials evaluated at the root.
+    monomials evaluated at the root. N is the null space of the degree-rho
+    Macaulay matrix that the basis was read from (build_ms_matrices).
     """
     xstar = np.asarray(xstar, dtype=complex)
     c = _det_q_in_basis(s, xstar, basis, N)
@@ -367,13 +330,14 @@ def kappa_eig_macaulay_bound(
     basis: list,
     h: MultiPoly,
     col_labels: list,
-    N: np.ndarray | None = None,
+    N: np.ndarray,
 ) -> float:
     """Lower bound on the Macaulay pencil eigenvalue condition number.
 
     ||[det Q]_B||_2 * ||V(x*)||_2 / |det J(x*) * h(x*)| with V the full
     column-label monomial vector and h the linear polynomial whose multiples
-    populate the lambda side of the pencil.
+    populate the lambda side of the pencil. N is the null space the pencil's
+    basis was read from (``pencil.basis.nullspace``).
     """
     xstar = np.asarray(xstar, dtype=complex)
     c = _det_q_in_basis(s, xstar, basis, N)

@@ -10,7 +10,6 @@ eigenvalues correspond to the system's roots.
 
 from __future__ import annotations
 
-import csv as _csv
 import functools
 from dataclasses import dataclass
 
@@ -270,23 +269,3 @@ def smallest_singular_hat(s: PolySystem) -> float:
     ``mhat.factor.sigma_min`` instead and pays for no second SVD.
     """
     return macaulay_hat(s, rho(s)).factor.sigma_min
-
-
-def dump_labeled_csv(mhat: MacaulayMatrix, path) -> None:
-    """Write the matrix with a monomial header row and row labels, for eyeballing."""
-
-    def mono_str(m) -> str:
-        if sum(m) == 0:
-            return "1"
-        parts = []
-        for i, e in enumerate(m):
-            if e:
-                parts.append(f"x{i}" + (f"^{e}" if e > 1 else ""))
-        return "*".join(parts)
-
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["row"] + [mono_str(m) for m in mhat.col_labels])
-        for label, row in zip(mhat.row_labels, mhat.mat):
-            name = f"{mono_str(label[1])}*p{label[0]}"
-            w.writerow([name] + [f"{z.real:.17g}{z.imag:+.17g}j" for z in row])

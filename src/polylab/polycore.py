@@ -226,12 +226,6 @@ class MultiPoly:
         c = complex(c)
         return MultiPoly._of_terms(self.nvars, {m: c * v for m, v in self.terms.items()})
 
-    def shift_exponents(self, m: Monomial) -> "MultiPoly":
-        """Multiply by the monomial with exponent vector m."""
-        if len(m) != self.nvars:
-            raise ValueError(f"monomial {m} has wrong length for nvars={self.nvars}")
-        return MultiPoly(self.nvars, {monomial_mul(k, m): c for k, c in self.terms.items()})
-
     # ---------------- calculus and evaluation ----------------
 
     def eval(self, x) -> complex:
@@ -593,11 +587,15 @@ class PolySystem:
         values, _ = self.evaluate([x])
         return float(np.linalg.norm(values[0]))
 
+    def residual_bound(self) -> float:
+        """Largest residual a root may have: ROOT_RESIDUAL_TOL * (1 + coefficient scale)."""
+        return ROOT_RESIDUAL_TOL * (1.0 + self.coefficient_scale())
+
     def validate(self) -> None:
-        """Raise ValueError when a listed root fails the ROOT_RESIDUAL_TOL test."""
+        """Raise ValueError when a listed root's residual exceeds residual_bound()."""
         if not self.true_roots:
             return
-        bound = ROOT_RESIDUAL_TOL * (1.0 + self.coefficient_scale())
+        bound = self.residual_bound()
         values, _ = self.evaluate(self.true_roots)
         for r, res in zip(self.true_roots, np.linalg.norm(values, axis=1)):
             if res > bound:

@@ -4,7 +4,8 @@ Five solvers: multiplication-matrix normal form, Macaulay resultant pencil,
 multiparameter eigenproblem via operator determinants, and two closed-form
 univariate reductions (cyclic elimination and the rational univariate
 representation on the hypercube family). Every solver returns a RootReport
-carrying roots, residuals, and condition diagnostics.
+carrying roots, residuals, and condition diagnostics; solve(s, method) runs
+one of the three multivariate solvers by name.
 """
 
 from __future__ import annotations
@@ -457,19 +458,16 @@ def operator_determinants(mep: MultiParamEig) -> list:
     return deltas
 
 
-def solve_mep_operator_determinants(
-    mep: MultiParamEig,
-    system: PolySystem | None = None,
-    polish: bool = False,
-) -> RootReport:
-    """Roots via the generalized eigenproblems (Delta_k, Delta_0).
+def solve_mep_operator_determinants(s: PolySystem, polish: bool = False) -> RootReport:
+    """Roots via the generalized eigenproblems (Delta_k, Delta_0) of mep_from_system(s).
 
     The pencil (Delta_1, Delta_0) supplies shared left/right eigenvectors;
     every coordinate is then the Rayleigh quotient
     (y^T Delta_k w) / (y^T Delta_0 w), which keeps coordinates of one root
-    matched together. Residuals fall back to |det W_i(x)| when no scalar
-    system is supplied.
+    matched together. UnsupportedShape when s is not a system of
+    pivotable quadratics.
     """
+    mep = mep_from_system(s)
     deltas = operator_determinants(mep)
     D0 = deltas[0]
     sv = np.linalg.svd(D0, compute_uv=False)
@@ -487,26 +485,15 @@ def solve_mep_operator_determinants(
         if abs(denom) == 0.0:
             raise EigenvectorDegenerate("y^T Delta_0 w = 0")
         x = np.array([(y @ deltas[1 + j] @ w) / denom for j in range(mep.d)])
-        if polish and system is not None:
-            x = newton_polish(system, x)
+        if polish:
+            x = newton_polish(s, x)
         roots.append(x)
         per_coord = [
             (1.0 + abs(x[j])) / abs(denom) for j in range(mep.d)
         ]
         kappa_vectors.append(per_coord)
         sub_kappa.append(max(per_coord))
-    if system is not None:
-        residuals, kr = _root_diagnostics(system, roots)
-    else:
-        residuals = [
-            float(
-                np.linalg.norm(
-                    [np.linalg.det(conditioning.mep_operator(mep.W[i], x)) for i in range(mep.d)]
-                )
-            )
-            for x in roots
-        ]
-        kr = [math.nan] * len(roots)
+    residuals, kr = _root_diagnostics(s, roots)
     return RootReport(
         roots=roots,
         residuals=residuals,
@@ -519,6 +506,33 @@ def solve_mep_operator_determinants(
             "polished": polish,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# one entry point for the multivariate solvers
+
+METHODS = ("nf", "macaulay", "mep")
+
+
+def solve(
+    s: PolySystem,
+    method: str,
+    rng: np.random.Generator | None = None,
+    polish: bool = False,
+) -> RootReport:
+    """All roots of s by one of METHODS; the only place a method name picks a solver.
+
+    rng feeds the random driver (nf) or pencil divisors (macaulay) and is
+    not read by mep. The solvers are called by their module names, so
+    anything that rebinds them here (a tracer, a test double) sees the call.
+    """
+    if method == "nf":
+        return solve_normal_form(s, rng=rng, polish=polish)
+    if method == "macaulay":
+        return solve_macaulay_resultant(s, rng=rng, polish=polish)
+    if method == "mep":
+        return solve_mep_operator_determinants(s, polish=polish)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,7 @@ from .families import FamilySpec, generate
 from .macaulay import macaulay_hat
 from .numkernel import null_space, sigma_min
 from .polycore import MultiPoly, PolySystem, bezout_count, jacobian, monomials_up_to, rho
-from .solvers import (
-    MultiParamEig,
-    hausdorff_distance,
-    mep_from_system,
-    solve_macaulay_resultant,
-    solve_mep_operator_determinants,
-    solve_normal_form,
-)
+from .solvers import METHODS, MultiParamEig, hausdorff_distance, mep_from_system, solve
 
 
 # lemmaA1 checks dimensions 2..SUBSET_DMAX with SUBSET_DRAWS sphere draws
@@ -357,30 +350,23 @@ def crossmethod_suite(seed: int = 1) -> VerificationResult:
     rng = np.random.default_rng(seed)
     s_cyc = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5, seed=seed))
     truth = [np.array(r) for r in s_cyc.true_roots]
-    reports = {
-        "nf": solve_normal_form(s_cyc, rng=np.random.default_rng(seed)),
-        "macaulay": solve_macaulay_resultant(s_cyc, rng=np.random.default_rng(seed)),
-        "mep": solve_mep_operator_determinants(mep_from_system(s_cyc), system=s_cyc),
-    }
-    for tag, rep in reports.items():
+    for tag in METHODS:
+        rep = solve(s_cyc, tag, rng=np.random.default_rng(seed))
         dist = hausdorff_distance(rep.roots, truth)
         details[f"cyclic_{tag}_vs_truth"] = dist
         if dist > 1e-6:
             passed = False
     s_hyp = generate(FamilySpec(family="hypercube", d=2, c=2.0, seed=seed), rng=rng)
     truth = [np.array(r) for r in s_hyp.true_roots]
-    for tag, solver in (
-        ("nf", lambda: solve_normal_form(s_hyp, rng=np.random.default_rng(seed))),
-        ("macaulay", lambda: solve_macaulay_resultant(s_hyp, rng=np.random.default_rng(seed))),
-    ):
-        dist = hausdorff_distance(solver().roots, truth)
+    for tag in ("nf", "macaulay"):
+        dist = hausdorff_distance(solve(s_hyp, tag, rng=np.random.default_rng(seed)).roots, truth)
         details[f"hypercube_{tag}_vs_truth"] = dist
         if dist > 1e-6:
             passed = False
     shift = (0.3, -0.2)
     s_shift = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5, seed=seed, shift=shift))
     truth = [np.array(r) for r in s_shift.true_roots]
-    dist = hausdorff_distance(solve_normal_form(s_shift).roots, truth)
+    dist = hausdorff_distance(solve(s_shift, "nf").roots, truth)
     details["shifted_nf_vs_truth"] = dist
     if dist > 1e-6:
         passed = False

@@ -9,15 +9,18 @@ import pytest
 from polylab import (
     FamilySpec,
     PolySystem,
+    bezout_count,
     build_ms_matrices,
     generate,
     kappa_eig_macaulay_bound,
     kappa_eig_mep_formula,
     kappa_eig_ms_formula,
     linear_poly,
+    macaulay_hat,
     macaulay_pencil,
     mep_from_system,
     read_csv,
+    rho,
 )
 from polylab.cli import _audit_one, main
 
@@ -145,23 +148,38 @@ def test_audit_accepts_an_explicit_root(tmp_path, capsys):
     assert out["kappa_root"] == pytest.approx(2.0, rel=1e-9)  # 1 / sigma
 
 
+SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
+
+
 @pytest.mark.parametrize(
     "family, argv, message",
     [
         ("cyclic_squares", ["audit", "--root-index", "5"], "out of range"),
         ("cyclic_squares", ["audit", "--root", "0,0,0"], "3 coordinates"),
         ("notdev2d", ["solve", "--method", "mep"], "does not apply"),
+        ("cyclic_squares", ["audit", "--method", "nf", "--root", "0.3,0.7"], "not a root"),
+        ("cyclic_squares", ["audit", "--method", "macaulay", "--root", "0.3,0.7"], "not a root"),
+        ("cyclic_squares", ["audit", "--method", "mep", "--root", "0.3,0.7"], "not a root"),
+        (None, SWEEP + ["--family", "orthogonal", "--axis", "sigma", "--values", "0.1"], "requires --d"),
+        (None, SWEEP + ["--family", "orthogonal", "--axis", "d", "--values", "2,3",
+                        "--sigma", "0.1", "--shift", "0.1,0.2"], "shift has 2 coordinates"),
+        (None, SWEEP + ["--family", "orthogonal", "--axis", "d", "--values", "2,3"], "needs sigma"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
-    sys_path = tmp_path / "sys.json"
-    run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
-    capsys.readouterr()
-    code = run_cli(argv[:1] + ["--system", str(sys_path)] + argv[1:])
+    if family is None:
+        argv = argv + ["--out", str(tmp_path / "plots")]
+    else:
+        sys_path = tmp_path / "sys.json"
+        run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
+        capsys.readouterr()
+        argv = argv[:1] + ["--system", str(sys_path)] + argv[1:]
+    code = run_cli(argv)
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "plots").exists()
 
 
 def test_audit_requires_a_root_when_none_is_stored(tmp_path, capsys):
@@ -262,5 +280,6 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
         assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
     pencil = macaulay_pencil(s, np.random.default_rng(5))
     h = linear_poly(d, pencil.beta)
-    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels)
+    N = macaulay_hat(s, rho(s)).factor.null_space(bezout_count(s))
+    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels, N)
     assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)

@@ -165,11 +165,11 @@ def test_q_factorization_reconstructs_the_system():
     s = rand_quad_with_root(2, xstar, rng)
     qf = q_factorization(s, xstar)
     for i in range(2):
-        rec = qf.reconstruct(i)
         for _ in range(10):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            rec = sum(qf.Q[i][j].eval(x) * (x[j] - qf.shift[j]) for j in range(2))
             want = s.polys[i].eval(x)
-            assert abs(rec.eval(x) - want) <= 1e-10 * (1 + abs(want))
+            assert abs(rec - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_q_factorization_at_root_equals_jacobian():
@@ -213,8 +213,8 @@ def test_interpolant_minor_expansion_with_remainders():
         s = rand_quad_with_root(d, xstar, rng)
         qf = q_factorization(s, xstar)
         r = [MultiPoly.constant(d, complex(rng.standard_normal())) for _ in range(d)]
-        det_q = poly_det(qf.Q)
-        full = lagrange_interpolant(qf, r)
+        det_q = lagrange_interpolant(qf)
+        full = poly_det([[q + r[i] if i == j else q for j, q in enumerate(row)] for i, row in enumerate(qf.Q)])
         for _ in range(5):
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             Qx = np.array([[qf.Q[i][j].eval(x) for j in range(d)] for i in range(d)])
@@ -222,8 +222,6 @@ def test_interpolant_minor_expansion_with_remainders():
             assert abs(det_q.eval(x) - want) <= 1e-10 * (1 + abs(want))
             want = np.linalg.det(Qx + np.diag([ri.eval(x) for ri in r]))
             assert abs(full.eval(x) - want) <= 1e-10 * (1 + abs(want))
-    with pytest.raises(ValueError):
-        lagrange_interpolant(qf, [r[0]])
 
 
 def _family_matrix_2d(s, sigma):
@@ -309,8 +307,9 @@ def test_macaulay_bound_sits_below_measured_conditioning():
         assert abs(best.lam - lam_star) <= 1e-6 * (1 + abs(lam_star))
         measured = kappa_eig(pen.gep, best)
         mhat = macaulay_hat(s, rho(s))
+        N = mhat.factor.null_space(bezout_count(s))
         bound = kappa_eig_macaulay_bound(
-            s, xstar, pen.kept_h_monomials, hbeta, list(mhat.col_labels)
+            s, xstar, pen.kept_h_monomials, hbeta, list(mhat.col_labels), N
         )
         assert bound <= measured * (1 + 1e-6)
 

@@ -1,7 +1,5 @@
 """Macaulay matrices, quotient-basis selection, and the h-pencil."""
 
-import csv
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,7 +23,6 @@ from polylab import (
     sigma_min,
     smallest_singular_hat,
 )
-from polylab.macaulay import dump_labeled_csv
 
 
 def two_quadratics(rng):
@@ -199,17 +196,3 @@ def test_normal_form_rejects_over_degree_input():
     too_big = MultiPoly(2, {(4, 0): 1.0})
     with pytest.raises(ValueError):
         normal_form(too_big, sel.monomials, sel.nullspace, row_monomials=mhat.col_labels)
-
-
-def test_labeled_csv_dump_round_trips_header(tmp_path):
-    rng = np.random.default_rng(52)
-    s = two_quadratics(rng)
-    mhat = macaulay_hat(s, rho(s))
-    path = tmp_path / "hat.csv"
-    dump_labeled_csv(mhat, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "row"
-    assert len(rows) == 1 + mhat.mat.shape[0]
-    assert len(rows[0]) == 1 + mhat.mat.shape[1]
-    assert "1" in rows[0]  # constant-monomial column

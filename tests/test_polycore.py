@@ -18,7 +18,6 @@ from polylab import (
     generate,
     jacobian,
     linear_poly,
-    mep_from_system,
     monomials_up_to,
     rho,
     solve_macaulay_resultant,
@@ -274,7 +273,7 @@ def _solve_macaulay(s):
 
 
 def _solve_mep(s):
-    return solve_mep_operator_determinants(mep_from_system(s), system=s)
+    return solve_mep_operator_determinants(s)
 
 
 @pytest.mark.parametrize("solve", [_solve_nf, _solve_macaulay, _solve_mep])

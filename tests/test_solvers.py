@@ -26,6 +26,7 @@ from polylab import (
     mep_from_system,
     newton_polish,
     operator_determinants,
+    solve,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
     solve_mep_operator_determinants,
@@ -261,25 +262,42 @@ def test_operator_determinants_share_one_expansion():
 
 def test_mep_solver_recovers_all_cyclic_roots():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
-    rep = solve_mep_operator_determinants(mep_from_system(s), system=s)
+    rep = solve_mep_operator_determinants(s)
     assert rep.method_tag == "mep"
     assert hausdorff_distance(rep.roots, cyclic_truth(2, 0.5)) <= 1e-6
     assert max(rep.residuals) <= 1e-8
 
 
-def test_mep_solver_without_system_uses_determinant_residuals():
-    s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
-    mep = mep_from_system(s)
-    rep = solve_mep_operator_determinants(mep)
-    assert all(np.isnan(k) for k in rep.kappa_root)
-    assert max(rep.residuals) <= 1e-8
-
-
 def test_mep_solver_rejects_singular_delta0():
-    W1 = (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-    W2 = (np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)))
+    # a pivot coefficient of 1e-20 leaves Delta_0 singular to working precision
+    s = PolySystem(
+        d=2,
+        polys=[
+            MultiPoly(2, {(2, 0): 1e-20, (1, 0): 1.0, (0, 1): 0.5}),
+            MultiPoly(2, {(0, 2): 1.0, (0, 1): 1.0, (1, 0): 0.3}),
+        ],
+        true_roots=[],
+        family_tag="",
+    )
     with pytest.raises(SingularDelta0):
-        solve_mep_operator_determinants(MultiParamEig(d=2, W=(W1, W2)))
+        solve_mep_operator_determinants(s)
+
+
+def test_solve_dispatches_to_each_solver_bit_for_bit():
+    s = generate(FamilySpec(family="permutation", d=3, sigma=0.05, seed=3, shift=(0.2, -0.1, 0.4)))
+    direct = {
+        "nf": solve_normal_form(s, rng=np.random.default_rng(8)),
+        "macaulay": solve_macaulay_resultant(s, rng=np.random.default_rng(8)),
+        "mep": solve_mep_operator_determinants(s),
+    }
+    for method, want in direct.items():
+        got = solve(s, method, rng=np.random.default_rng(8))
+        assert got.method_tag == method
+        assert np.array_equal(np.array(got.roots), np.array(want.roots))
+        for field in ("residuals", "kappa_root", "subproblem_kappa"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    with pytest.raises(ValueError, match="unknown method"):
+        solve(s, "gb")
 
 
 def test_multiparam_eig_validates_block_shapes():
@@ -384,7 +402,6 @@ def test_root_report_serializes_to_json():
 
 @pytest.mark.parametrize("solve", [solve_normal_form, solve_macaulay_resultant])
 def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
-    import polylab.conditioning
     import polylab.macaulay
     import polylab.solvers
 
@@ -397,7 +414,7 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
         built.append(mhat.mat.shape)
         return mhat
 
-    for module in (polylab.macaulay, polylab.solvers, polylab.conditioning):
+    for module in (polylab.macaulay, polylab.solvers):
         monkeypatch.setattr(module, "macaulay_hat", counting_hat)
     factored = []
     original_svd = np.linalg.svd
@@ -437,8 +454,7 @@ def test_only_the_rectangular_macaulay_pencil_is_probed_for_singularity(monkeypa
     for d in (2, 3):
         s = generate(FamilySpec(family="orthogonal", d=d, sigma=0.1, seed=4))
         assert probe_count(lambda: solve_normal_form(s))[0] == 0
-        mep = mep_from_system(s)
-        assert probe_count(lambda: solve_mep_operator_determinants(mep, system=s))[0] == 0
+        assert probe_count(lambda: solve_mep_operator_determinants(s))[0] == 0
         count, report = probe_count(lambda: solve_macaulay_resultant(s, np.random.default_rng(6)))
         assert count == 1
         assert report.diagnostics["square"] == (d == 2)
