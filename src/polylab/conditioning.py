@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .numkernel import GenEigProblem, EigTriple, laplace_expansion
+from .numkernel import GenEigProblem, EigTriple, laplace_expansion, _vector_norm
 from .polycore import MultiPoly, PolySystem, jacobian, monomial_positions
 
 
@@ -84,7 +84,7 @@ def kappa_eig(gep: GenEigProblem, t: EigTriple) -> float:
     denom = abs(t.left @ gep.B @ t.right)
     if denom == 0.0:
         raise ValueError("defective eigenvalue: left^T B right = 0")
-    num = float(np.linalg.norm(t.left) * np.linalg.norm(t.right))
+    num = _vector_norm(t.left) * _vector_norm(t.right)
     return num / denom * (1.0 + abs(t.lam))
 
 

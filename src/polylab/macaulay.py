@@ -192,7 +192,7 @@ def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
     N = mhat.factor.null_space(r)
     cand = mhat.index.candidates
     C = N[cand, :]
-    Q, R, piv = scipy.linalg.qr(C.T, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(C.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size < r or diag[r - 1] <= len(cand) * np.finfo(float).eps * diag[0]:
         raise RankDeficientBasis("candidate null space rows are rank deficient")

@@ -6,10 +6,17 @@ cofactor expansion behind every grid determinant (block operator
 determinants over Kronecker products, polynomial determinants),
 companion-matrix rootfinding, and seeded random matrix generators. Matrices
 are plain complex ndarrays.
+
+generalized_eig calls LAPACK's zggev directly, once per pencil, with its
+workspace size cached per dimension. Its outputs are byte-equal to
+scipy.linalg.eig followed by a per-vector np.linalg.norm normalization,
+which is why it keeps both normalization passes.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -63,7 +70,8 @@ class EigTriple:
     The left vector uses the transpose convention: left @ (A - lambda B) = 0.
     ``lam`` is None when the eigenvalue is infinite. ``beta_ratio`` is
     |beta| / (|alpha| + |beta|) from the QZ output: 0 for an exactly infinite
-    eigenvalue, near 1 for an eigenvalue close to 0.
+    eigenvalue, near 1 for an eigenvalue close to 0. ``right`` and ``left``
+    are read-only rows of arrays shared by all triples of one pencil.
     """
 
     lam: complex | None
@@ -102,6 +110,30 @@ def check_pencil_regular(A: np.ndarray, B: np.ndarray) -> bool:
     return False
 
 
+# LAPACK's complex QZ driver, and the BLAS 2-norm that scipy.linalg.norm calls
+# on a complex vector.
+_ZGGEV = scipy.linalg.get_lapack_funcs("ggev", dtype=np.complex128)
+_NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128, ilp64="preferred")
+
+
+@functools.lru_cache(maxsize=None)
+def _zggev_lwork(n: int) -> int:
+    """Optimal zggev workspace for an n x n pencil; LAPACK's query reads only n."""
+    z = np.zeros((n, n), dtype=complex)
+    work = _ZGGEV(z, z, lwork=-1)[-2]
+    return int(work[0].real)
+
+
+def _vector_norm(v: np.ndarray) -> float:
+    """2-norm of a complex vector, summed exactly as np.linalg.norm sums it.
+
+    Private to the package (generalized_eig and conditioning.kappa_eig), so
+    tracers that wrap the public functions leave this per-vector call alone.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def generalized_eig(gep: GenEigProblem) -> list:
     """All eigenvalue triples of a square pencil.
 
@@ -111,29 +143,54 @@ def generalized_eig(gep: GenEigProblem) -> list:
     can be singular probes it first with check_pencil_regular and raises
     SingularPencil itself. On a singular pencil QZ returns meaningless
     eigenvalues.
+
+    One zggev call computes both eigenvector sets, and the output is
+    byte-equal to scipy.linalg.eig's followed by a per-vector
+    np.linalg.norm normalization. So each set is normalized twice: by the
+    BLAS nrm2 of each vector, as scipy.linalg.eig does, then by the
+    np.linalg.norm sum of squares, each pass one whole-matrix division. The
+    second pass moves the last bits, and roots read from the vectors by
+    Rayleigh quotients move with them (by about eps kappa at an
+    ill-conditioned eigenvalue), so merging the passes waits for a
+    correctness check that tolerates rounding (ROADMAP item 2(a)).
+    Non-finite input raises ValueError and a QZ failure LinAlgError, with
+    scipy's messages.
     """
     n = gep.dim
-    ab, vl, vr = scipy.linalg.eig(
-        gep.A, gep.B, left=True, right=True, homogeneous_eigvals=True
+    if n == 0:
+        return []
+    if not (np.isfinite(gep.A).all() and np.isfinite(gep.B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    alpha, beta, vl, vr, _, info = _ZGGEV(
+        gep.A, gep.B, compute_vl=1, compute_vr=1, lwork=_zggev_lwork(n)
     )
-    alpha, beta = ab
+    if info < 0:
+        raise ValueError(
+            f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)"
+        )
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})"
+        )
+    # scipy.linalg.norm's finiteness check on each vector.
+    if not (np.isfinite(vl).all() and np.isfinite(vr).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # vl and vr are Fortran-ordered: the rows of their transposes are the
+    # eigenvectors, contiguous. LAPACK returns vl with vl^H A = lambda vl^H B;
+    # its conjugate is the transpose-convention left vector.
+    right, left = vr.T, vl.T
+    for V in (right, left):
+        V /= np.array([_NRM2(v) for v in V])[:, None]
+    left = left.conj()
+    for V in (right, left):
+        V /= np.array([_vector_norm(v) for v in V])[:, None]
+        V.flags.writeable = False
     out = []
     for j in range(n):
-        right = vr[:, j] / np.linalg.norm(vr[:, j])
-        # scipy returns vl with vl^H A = lambda vl^H B; conjugate to get the
-        # transpose-convention left vector.
-        left = vl[:, j].conj()
-        left = left / np.linalg.norm(left)
         denom = abs(alpha[j]) + abs(beta[j])
         ratio = float(abs(beta[j]) / denom) if denom > 0 else 0.0
-        if abs(beta[j]) <= INFINITE_EIG_TOL * denom:
-            out.append(EigTriple(lam=None, right=right, left=left, beta_ratio=ratio))
-        else:
-            out.append(
-                EigTriple(
-                    lam=complex(alpha[j] / beta[j]), right=right, left=left, beta_ratio=ratio
-                )
-            )
+        lam = None if abs(beta[j]) <= INFINITE_EIG_TOL * denom else complex(alpha[j] / beta[j])
+        out.append(EigTriple(lam=lam, right=right[j], left=left[j], beta_ratio=ratio))
     return out
 
 

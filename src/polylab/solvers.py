@@ -204,7 +204,9 @@ def solve_normal_form(
     sub_kappa = []
     for t in generalized_eig(gep):
         w = t.right
-        x = np.array([(w.conj() @ mats[i] @ w) / (w.conj() @ w) for i in range(s.d)])
+        wc = w.conj()
+        ww = wc @ w
+        x = np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)])
         if polish:
             x = newton_polish(s, x)
         roots.append(x)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polylab import (
     GenEigProblem,
@@ -13,9 +14,11 @@ from polylab import (
     companion_matrix,
     companion_roots,
     generalized_eig,
+    kappa_eig,
     null_space,
     sigma_min,
 )
+from polylab.numkernel import _ZGGEV, INFINITE_EIG_TOL, _zggev_lwork
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -99,6 +102,98 @@ def test_beta_ratio_separates_finite_from_infinite():
         else:
             # |beta|/(|alpha|+|beta|) collapses to 1/(1+|lam|)
             assert t.beta_ratio == pytest.approx(1.0 / (1.0 + abs(t.lam)))
+
+
+def _bit_test_pencils():
+    """Seeded complex pencils n = 1..24, a real-valued one and one with singular B."""
+    rng = np.random.default_rng(28)
+    pencils = []
+    for n in range(1, 25):
+        A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        pencils.append(GenEigProblem(A=A, B=B))
+    pencils.append(GenEigProblem(A=rng.standard_normal((6, 6)), B=rng.standard_normal((6, 6))))
+    B = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 7))
+    pencils.append(GenEigProblem(A=rng.standard_normal((7, 7)) + 0j, B=B))
+    return pencils
+
+
+def _scipy_eig_reference(gep):
+    """scipy.linalg.eig followed by a per-column np.linalg.norm normalization."""
+    ab, vl, vr = scipy.linalg.eig(gep.A, gep.B, left=True, right=True, homogeneous_eigvals=True)
+    alpha, beta = ab
+    out = []
+    for j in range(gep.dim):
+        right = vr[:, j] / np.linalg.norm(vr[:, j])
+        left = vl[:, j].conj()
+        left = left / np.linalg.norm(left)
+        denom = abs(alpha[j]) + abs(beta[j])
+        ratio = float(abs(beta[j]) / denom) if denom > 0 else 0.0
+        finite = abs(beta[j]) > INFINITE_EIG_TOL * denom
+        out.append((complex(alpha[j] / beta[j]) if finite else None, ratio, right, left))
+    return out
+
+
+def test_generalized_eig_matches_scipy_eig_bit_for_bit():
+    pencils = _bit_test_pencils()
+    infinite = 0
+    for gep in pencils:
+        got = generalized_eig(gep)
+        ref = _scipy_eig_reference(gep)
+        assert len(got) == len(ref) == gep.dim
+        for t, (lam, ratio, right, left) in zip(got, ref):
+            assert t.lam == lam
+            assert t.beta_ratio == ratio
+            assert t.right.tobytes() == right.tobytes()
+            assert t.left.tobytes() == left.tobytes()
+            infinite += t.is_infinite
+    assert infinite >= 1
+
+
+def test_kappa_eig_matches_the_norm_formula_bit_for_bit():
+    for gep in _bit_test_pencils():
+        for t in generalized_eig(gep):
+            if t.is_infinite:
+                continue
+            num = float(np.linalg.norm(t.left) * np.linalg.norm(t.right))
+            expected = num / abs(t.left @ gep.B @ t.right) * (1.0 + abs(t.lam))
+            assert kappa_eig(gep, t) == expected
+
+
+def test_generalized_eig_rejects_non_finite_input():
+    A = np.eye(3, dtype=complex)
+    A[1, 2] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        generalized_eig(GenEigProblem(A=A, B=np.eye(3)))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        generalized_eig(GenEigProblem(A=np.eye(3), B=np.diag([1.0, np.inf, 1.0])))
+
+
+def test_generalized_eig_of_an_empty_pencil_is_empty():
+    assert generalized_eig(GenEigProblem(A=np.zeros((0, 0)), B=np.zeros((0, 0)))) == []
+
+
+def test_cached_workspace_equals_a_fresh_query():
+    rng = np.random.default_rng(29)
+    for gep in _bit_test_pencils():
+        n = gep.dim
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        fresh = _ZGGEV(A, A.T.copy(), lwork=-1)[-2][0].real.astype(np.int_)
+        assert _zggev_lwork(n) == fresh
+
+
+def test_eigenvectors_are_read_only_rows():
+    rng = np.random.default_rng(30)
+    gep = GenEigProblem(A=rng.standard_normal((4, 4)), B=rng.standard_normal((4, 4)))
+    trips = generalized_eig(gep)
+    before = [t.left.copy() for t in trips]
+    for t in trips:
+        assert not t.right.flags.writeable and not t.left.flags.writeable
+        assert t.right.flags.c_contiguous and t.left.flags.c_contiguous
+    with pytest.raises(ValueError):
+        trips[0].right[0] = 0.0
+    with pytest.raises(ValueError):
+        trips[1].left *= 2.0
+    assert all(np.array_equal(t.left, b) for t, b in zip(trips, before))
 
 
 def test_null_space_recovers_known_kernel():
