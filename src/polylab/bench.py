@@ -79,6 +79,8 @@ class SweepRecord:
 
 
 def _resolve_params(spec: SweepSpec, x) -> dict:
+    if spec.axis == "d" and not float(x).is_integer():
+        raise ValueError(f"dimension {x} is not an integer")
     d = int(x) if spec.axis == "d" else int(spec.d)
     params = {"d": d}
     if spec.axis == "sigma":

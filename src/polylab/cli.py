@@ -22,23 +22,38 @@ from .polycore import PolySystem
 from .solvers import METHODS, UnsupportedShape, build_ms_matrices, mep_from_system, solve
 
 
+class BadInput(Exception):
+    """A flag value or input file the command cannot use; main prints it as one line."""
+
+
 def _parse_shift(text: str | None):
     if text is None:
         return None
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise BadInput(f"--shift {text!r} is not a comma-separated list of numbers") from None
 
 
 def _parse_root(text: str):
-    return np.array([complex(v.strip().replace(" ", "")) for v in text.split(",")])
+    try:
+        return np.array([complex(v.strip().replace(" ", "")) for v in text.split(",")])
+    except ValueError:
+        raise BadInput(f"--root {text!r} is not a comma-separated list of complex numbers") from None
 
 
 def _load_system(path: str) -> PolySystem:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
-    return PolySystem.from_json_dict(data)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+        return PolySystem.from_json_dict(data)
+    except OSError as exc:
+        raise BadInput(f"cannot read --system {path}: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise BadInput(f"--system {path} is not a system JSON: {exc!r}") from None
 
 
 def _emit(obj: dict, path: str) -> None:
@@ -51,15 +66,18 @@ def _emit(obj: dict, path: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = FamilySpec(
-        family=args.family,
-        d=args.d,
-        sigma=args.sigma,
-        c=args.c,
-        seed=args.seed,
-        shift=_parse_shift(args.shift),
-    )
-    s = generate(spec)
+    try:
+        spec = FamilySpec(
+            family=args.family,
+            d=args.d,
+            sigma=args.sigma,
+            c=args.c,
+            seed=args.seed,
+            shift=_parse_shift(args.shift),
+        )
+        s = generate(spec)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
     _emit(s.to_json_dict(), args.out)
     return 0
 
@@ -113,7 +131,7 @@ def _cmd_audit(args) -> int:
             return 1
         x = np.array(s.true_roots[args.root_index])
     res, bound = s.residual(x), s.residual_bound()
-    if res > bound:
+    if not res <= bound:
         print(f"the point is not a root: residual {res:.3e} > {bound:.3e}", file=sys.stderr)
         return 1
     methods = METHODS if args.method == "all" else (args.method,)
@@ -274,7 +292,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

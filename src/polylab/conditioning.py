@@ -77,13 +77,13 @@ def kappa_eig(gep: GenEigProblem, t: EigTriple) -> float:
     """Eigenvalue condition number (||y|| ||x|| / |y^T B x|) (1 + |lambda|).
 
     y is the transpose-convention left eigenvector. Infinite or defective
-    eigenvalues (y^T B x = 0) are rejected.
+    eigenvalues (y^T B x = 0) score inf.
     """
     if t.is_infinite:
-        raise ValueError("eigenvalue is infinite")
+        return math.inf
     denom = abs(t.left @ gep.B @ t.right)
     if denom == 0.0:
-        raise ValueError("defective eigenvalue: left^T B right = 0")
+        return math.inf
     num = _vector_norm(t.left) * _vector_norm(t.right)
     return num / denom * (1.0 + abs(t.lam))
 
@@ -196,7 +196,7 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
     """
     xstar = np.asarray(xstar, dtype=complex)
     res = s.residual(xstar)
-    if res > s.residual_bound():
+    if not res <= s.residual_bound():
         raise ValueError(f"x* is not a root: residual {res:.3e}")
     d = s.d
     grid = []

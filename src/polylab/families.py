@@ -24,6 +24,7 @@ Taylor translation of the coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -64,11 +65,11 @@ class FamilySpec:
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.family == "hypercube":
-            if self.c is None or self.c <= 0:
-                raise ValueError("hypercube family needs c > 0")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise ValueError("hypercube family needs c > 0 and finite")
         else:
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError(f"family {self.family!r} needs sigma > 0")
+            if self.sigma is None or not 0 < self.sigma < math.inf:
+                raise ValueError(f"family {self.family!r} needs sigma > 0 and finite")
         if self.family == "notdev2d" and self.d != 2:
             raise ValueError("notdev2d is a two-variable family")
         if self.family == "notdev3d" and self.d != 3:
@@ -76,7 +77,10 @@ class FamilySpec:
         if self.shift is not None:
             if len(self.shift) != self.d:
                 raise ValueError("shift length must equal d")
-            object.__setattr__(self, "shift", tuple(complex(z) for z in self.shift))
+            shift = tuple(complex(z) for z in self.shift)
+            if not all(cmath.isfinite(z) for z in shift):
+                raise ValueError("shift must be finite")
+            object.__setattr__(self, "shift", shift)
 
 
 def _sq(d: int, i: int) -> MultiPoly:

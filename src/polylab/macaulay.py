@@ -136,10 +136,6 @@ class MacaulayPencil:
         return self.mhat.mat.shape[0]
 
     @property
-    def A1(self) -> np.ndarray:
-        return self.gep.A[: self.n_poly_rows]
-
-    @property
     def A2(self) -> np.ndarray:
         return self.gep.A[self.n_poly_rows :]
 

@@ -7,6 +7,7 @@ reproducible run to run. Variable indices are 0-based throughout.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import types
@@ -111,7 +112,8 @@ class MultiPoly:
     """Sparse polynomial in ``nvars`` complex variables.
 
     ``terms`` maps exponent tuples to nonzero complex coefficients. The
-    mapping is normalized on construction and must not be mutated afterwards.
+    mapping is normalized on construction, which rejects a non-finite
+    coefficient, and must not be mutated afterwards.
     """
 
     nvars: int
@@ -128,6 +130,8 @@ class MultiPoly:
             if any(e < 0 for e in m):
                 raise ValueError(f"negative exponent in monomial {m}")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of monomial {m} is not finite")
             if abs(c) > COEFF_FLOOR:
                 clean[m] = clean.get(m, 0j) + c
         clean = {m: c for m, c in clean.items() if abs(c) > COEFF_FLOOR}
@@ -598,7 +602,7 @@ class PolySystem:
         bound = self.residual_bound()
         values, _ = self.evaluate(self.true_roots)
         for r, res in zip(self.true_roots, np.linalg.norm(values, axis=1)):
-            if res > bound:
+            if not res <= bound:
                 raise ValueError(f"listed root {r} has residual {res:.3e} > {bound:.3e}")
 
     def to_json_dict(self) -> dict:

@@ -87,10 +87,6 @@ class MultiParamEig:
             Ws.append(mats)
         object.__setattr__(self, "W", Ws)
 
-    @property
-    def sizes(self) -> list:
-        return [tup[0].shape[0] for tup in self.W]
-
 
 @dataclass
 class RootReport:
@@ -140,13 +136,32 @@ def newton_polish(s: PolySystem, x) -> np.ndarray:
     return x
 
 
-def _root_diagnostics(s: PolySystem, roots: list) -> tuple:
-    """Residuals and kappa_root of every root: one batched evaluation, one stacked SVD."""
-    if not roots:
-        return [], []
-    values, J = s.evaluate(roots)
-    residuals = np.linalg.norm(values, axis=1)
-    return residuals.tolist(), conditioning.kappa_roots(J).tolist()
+def _report(
+    s: PolySystem, tag: str, roots: list, sub_kappa: list, polish: bool, diagnostics: dict
+) -> RootReport:
+    """The RootReport of the roots a solver read off its eigenpairs.
+
+    Polishes each root when asked, then scores every root with one batched
+    evaluation (residuals) and one stacked SVD (kappa_root). ``sub_kappa``
+    belongs to the unpolished eigenvalues, and ``diagnostics`` gains
+    ``"polished"``.
+    """
+    if polish:
+        roots = [newton_polish(s, x) for x in roots]
+    residuals, kappa_root = [], []
+    if roots:
+        values, J = s.evaluate(roots)
+        residuals = np.linalg.norm(values, axis=1).tolist()
+        kappa_root = conditioning.kappa_roots(J).tolist()
+    diagnostics["polished"] = polish
+    return RootReport(
+        roots=roots,
+        residuals=residuals,
+        kappa_root=kappa_root,
+        subproblem_kappa=sub_kappa,
+        method_tag=tag,
+        diagnostics=diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +221,14 @@ def solve_normal_form(
         w = t.right
         wc = w.conj()
         ww = wc @ w
-        x = np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)])
-        if polish:
-            x = newton_polish(s, x)
-        roots.append(x)
-        try:
-            sub_kappa.append(kappa_eig(gep, t))
-        except ValueError:
-            sub_kappa.append(math.inf)
-    residuals, kappa_root = _root_diagnostics(s, roots)
-    return RootReport(
-        roots=roots,
-        residuals=residuals,
-        kappa_root=kappa_root,
-        subproblem_kappa=sub_kappa,
-        method_tag="nf",
-        diagnostics={
-            "basis": [list(m) for m in basis],
-            "driver": u.tolist(),
-            "sigma_min_hat": mhat.factor.sigma_min,
-            "polished": polish,
-        },
-    )
+        roots.append(np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)]))
+        sub_kappa.append(kappa_eig(gep, t))
+    diagnostics = {
+        "basis": [list(m) for m in basis],
+        "driver": u.tolist(),
+        "sigma_min_hat": mhat.factor.sigma_min,
+    }
+    return _report(s, "nf", roots, sub_kappa, polish, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -299,81 +300,52 @@ def solve_macaulay_resultant(
     r = bezout_count(s)
     pencil = macaulay_pencil(s, rng)
     n_rows, n_cols = pencil.gep.A.shape
-    finite = []
-    vectors = []
     if n_rows == n_cols:
-        trips = [t for t in generalized_eig(pencil.gep) if not t.is_infinite]
+        gep = pencil.gep
+        finite = [t for t in generalized_eig(gep) if not t.is_infinite]
         # Rounding in a nearly singular polynomial block can push an infinite
         # eigenvalue's |beta| above the absolute cutoff; those stragglers sit
         # many orders below the finite cluster in beta_ratio.
-        trips.sort(key=lambda t: -t.beta_ratio)
-        if len(trips) > r and trips[r].beta_ratio <= 1e-6 * trips[r - 1].beta_ratio:
-            trips = trips[:r]
-        for t in trips:
-            finite.append(t)
-            vectors.append(t.right)
-        gep_used = pencil.gep
+        finite.sort(key=lambda t: -t.beta_ratio)
+        if len(finite) > r and finite[r].beta_ratio <= 1e-6 * finite[r - 1].beta_ratio:
+            finite = finite[:r]
+        vectors = [t.right for t in finite]
     else:
-        gep_used, Z = reduce_macaulay_pencil(pencil)
-        if not check_pencil_regular(gep_used.A, gep_used.B):
+        gep, Z = reduce_macaulay_pencil(pencil)
+        if not check_pencil_regular(gep.A, gep.B):
             raise SingularPencil("det(A - lambda B) vanishes at all probe points")
-        for t in generalized_eig(gep_used):
-            if t.is_infinite:
-                continue
-            finite.append(t)
-            vectors.append(Z @ t.right)
+        finite = [t for t in generalized_eig(gep) if not t.is_infinite]
+        vectors = [Z @ t.right for t in finite]
     if len(finite) != r:
         raise NullityMismatch(f"{len(finite)} finite eigenvalues, expected {r}")
     roots = []
     sub_kappa = []
-    lambdas = []
     for t, v in zip(finite, vectors):
-        x = _root_from_vector(v, pencil.mhat.index.up)
-        if polish:
-            x = newton_polish(s, x)
-        roots.append(x)
-        lambdas.append(t.lam)
-        try:
-            sub_kappa.append(kappa_eig(gep_used, t))
-        except ValueError:
-            sub_kappa.append(math.inf)
-    residuals, kappa_root = _root_diagnostics(s, roots)
-    return RootReport(
-        roots=roots,
-        residuals=residuals,
-        kappa_root=kappa_root,
-        subproblem_kappa=sub_kappa,
-        method_tag="macaulay",
-        diagnostics={
-            "kept_h_monomials": [list(m) for m in pencil.kept_h_monomials],
-            "alpha": pencil.alpha,
-            "beta": pencil.beta,
-            "sigma_min_hat": pencil.mhat.factor.sigma_min,
-            "eigenvalues": lambdas,
-            "square": bool(n_rows == n_cols),
-            "polished": polish,
-        },
-    )
+        roots.append(_root_from_vector(v, pencil.mhat.index.up))
+        sub_kappa.append(kappa_eig(gep, t))
+    diagnostics = {
+        "kept_h_monomials": [list(m) for m in pencil.kept_h_monomials],
+        "alpha": pencil.alpha,
+        "beta": pencil.beta,
+        "sigma_min_hat": pencil.mhat.factor.sigma_min,
+        "eigenvalues": [t.lam for t in finite],
+        "square": bool(n_rows == n_cols),
+    }
+    return _report(s, "macaulay", roots, sub_kappa, polish, diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # multiparameter eigenproblem solver
 
 
-def determinantal_representation_quadratic(p: MultiPoly):
+def _quadratic_representation(p: MultiPoly) -> tuple:
     """2x2 linear matrix polynomial whose determinant reproduces p.
 
     Requires p = a * x_i^2 + (affine part): exactly one degree-2 term and it
     must be a single squared variable. Returns (V_0, V_1, ..., V_d) in the
     W(x) = V_0 - sum_j x_j V_j convention, with
-    W(x) = [[a x_i, affine(x)], [-1, x_i]], checked against p at 20 probes.
+    W(x) = [[a x_i, affine(x)], [-1, x_i]]; _check_determinantal tests it.
     """
-    rep = _quadratic_representation(p)
-    _check_determinantal(CompiledPolys.of([p]), [rep])
-    return rep
-
-
-def _quadratic_representation(p: MultiPoly) -> tuple:
     d = p.nvars
     square_var = None
     a = None
@@ -487,27 +459,12 @@ def solve_mep_operator_determinants(s: PolySystem, polish: bool = False) -> Root
         if abs(denom) == 0.0:
             raise EigenvectorDegenerate("y^T Delta_0 w = 0")
         x = np.array([(y @ deltas[1 + j] @ w) / denom for j in range(mep.d)])
-        if polish:
-            x = newton_polish(s, x)
         roots.append(x)
-        per_coord = [
-            (1.0 + abs(x[j])) / abs(denom) for j in range(mep.d)
-        ]
+        per_coord = [(1.0 + abs(x[j])) / abs(denom) for j in range(mep.d)]
         kappa_vectors.append(per_coord)
         sub_kappa.append(max(per_coord))
-    residuals, kr = _root_diagnostics(s, roots)
-    return RootReport(
-        roots=roots,
-        residuals=residuals,
-        kappa_root=kr,
-        subproblem_kappa=sub_kappa,
-        method_tag="mep",
-        diagnostics={
-            "delta_dim": int(D0.shape[0]),
-            "kappa_per_coordinate": kappa_vectors,
-            "polished": polish,
-        },
-    )
+    diagnostics = {"delta_dim": int(D0.shape[0]), "kappa_per_coordinate": kappa_vectors}
+    return _report(s, "mep", roots, sub_kappa, polish, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,19 @@ def test_audit_accepts_an_explicit_root(tmp_path, capsys):
 
 
 SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
+GEN = ["gen", "--family", "orthogonal", "--d", "2"]
+
+
+def broken_system(kind, path):
+    """Write a --system file that is missing, not a system, or has a NaN coefficient."""
+    if kind == "not-a-system":
+        path.write_text('{"polys": 3}')
+    elif kind == "nan-coefficient":
+        run_cli(["gen", "--family", "cyclic_squares", "--d", "2", "--sigma", "0.5",
+                 "--out", str(path)])
+        data = json.loads(path.read_text())
+        data["polys"][0]["terms"][0]["re"] = float("nan")
+        path.write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize(
@@ -164,14 +177,29 @@ SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
         (None, SWEEP + ["--family", "orthogonal", "--axis", "d", "--values", "2,3",
                         "--sigma", "0.1", "--shift", "0.1,0.2"], "shift has 2 coordinates"),
         (None, SWEEP + ["--family", "orthogonal", "--axis", "d", "--values", "2,3"], "needs sigma"),
+        ("cyclic_squares", ["audit", "--root", "a,b"], "--root 'a,b'"),
+        ("cyclic_squares", ["audit", "--method", "nf", "--root", "nan,0"], "not a root"),
+        (None, GEN + ["--sigma", "nan"], "needs sigma"),
+        (None, GEN + ["--sigma", "inf"], "needs sigma"),
+        (None, GEN + ["--sigma", "0.1", "--shift", "a,b"], "--shift 'a,b'"),
+        (None, GEN + ["--sigma", "0.1", "--shift", "0.1,nan"], "shift must be finite"),
+        (None, SWEEP + ["--family", "orthogonal", "--axis", "d", "--values", "2.5",
+                        "--sigma", "0.1"], "dimension 2.5 is not an integer"),
+        ("missing", ["solve", "--method", "nf"], "cannot read --system"),
+        ("not-a-system", ["solve", "--method", "nf"], "is not a system JSON"),
+        ("nan-coefficient", ["audit"], "is not finite"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
+    """family names the --system file: a generated family or a broken_system kind."""
     if family is None:
         argv = argv + ["--out", str(tmp_path / "plots")]
     else:
         sys_path = tmp_path / "sys.json"
-        run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
+        if family in ("missing", "not-a-system", "nan-coefficient"):
+            broken_system(family, sys_path)
+        else:
+            run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
         capsys.readouterr()
         argv = argv[:1] + ["--system", str(sys_path)] + argv[1:]
     code = run_cli(argv)

@@ -1,5 +1,7 @@
 """Condition numbers, singular-vector scaling, factorizations, normal forms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ from polylab import (
 )
 from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, poly_det
 from polylab.macaulay import linear_poly
-from polylab.numkernel import sigma_min
+from polylab.numkernel import EigTriple, sigma_min
 
 
 def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
@@ -110,13 +112,18 @@ def test_kappa_eig_on_diagonal_pencil():
     assert got[3] == pytest.approx(4.0, rel=1e-12)
 
 
-def test_kappa_eig_rejects_infinite_eigenvalue():
+def test_kappa_eig_scores_infinite_and_defective_eigenvalues_inf():
     gep = GenEigProblem(
         A=np.eye(2, dtype=complex), B=np.diag([1.0, 0.0]).astype(complex),
     )
     bad = [t for t in generalized_eig(gep) if t.is_infinite][0]
-    with pytest.raises(ValueError):
-        kappa_eig(gep, bad)
+    assert kappa_eig(gep, bad) == math.inf
+    # Jordan block: the right vector e_1 and left vector e_2 give y^T B x = 0.
+    jordan = GenEigProblem(
+        A=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), B=np.eye(2, dtype=complex),
+    )
+    e1, e2 = np.eye(2, dtype=complex)
+    assert kappa_eig(jordan, EigTriple(lam=1.0 + 0j, right=e1, left=e2)) == math.inf
 
 
 def test_scaled_singular_vectors_reproduce_jacobian():

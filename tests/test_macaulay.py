@@ -104,7 +104,7 @@ def test_pencil_is_square_with_h_rows_for_the_basis():
     assert len(pen.kept_h_monomials) == 4
     # polynomial rows carry no lambda part
     assert np.linalg.norm(pen.gep.B[: pen.n_poly_rows], 2) == 0.0
-    assert np.allclose(pen.A1, macaulay_hat(s, rho(s)).mat)
+    assert np.allclose(pen.gep.A[: pen.n_poly_rows], macaulay_hat(s, rho(s)).mat)
 
 
 def test_pencil_h_rows_match_the_linear_polynomials():

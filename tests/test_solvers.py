@@ -20,7 +20,6 @@ from polylab import (
     bezout_count,
     block_operator_determinant,
     build_ms_matrices,
-    determinantal_representation_quadratic,
     generate,
     hausdorff_distance,
     mep_from_system,
@@ -38,7 +37,7 @@ from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.polycore import CompiledPolys
-from polylab.solvers import _check_determinantal
+from polylab.solvers import _check_determinantal, _quadratic_representation
 
 
 def cyclic_truth(d, sigma, shift=0.0):
@@ -119,6 +118,21 @@ def test_polish_flag_sharpens_an_ill_conditioned_solve():
     assert pol_err <= 1e-12
 
 
+@pytest.mark.parametrize("method", ["nf", "macaulay", "mep"])
+def test_polish_leaves_the_subproblem_kappa_of_the_eigenvalues(method):
+    for family in ("permutation", "orthogonal"):
+        for d in (2, 3):
+            shift = tuple(0.1 * (i + 1) for i in range(d))
+            s = generate(FamilySpec(family=family, d=d, sigma=0.1, seed=5, shift=shift))
+            raw = solve(s, method, rng=np.random.default_rng(6))
+            polished = solve(s, method, rng=np.random.default_rng(6), polish=True)
+            assert polished.subproblem_kappa == raw.subproblem_kappa
+            if method == "mep":
+                per_coord = polished.diagnostics["kappa_per_coordinate"]
+                assert per_coord == raw.diagnostics["kappa_per_coordinate"]
+            assert polished.diagnostics["polished"] is True
+
+
 def test_macaulay_solver_square_path_bivariate():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
     rep = solve_macaulay_resultant(s, rng=np.random.default_rng(4))
@@ -166,7 +180,7 @@ def test_macaulay_solver_rejects_positive_dimensional_systems():
 def test_determinantal_representation_matches_the_polynomial():
     rng = np.random.default_rng(71)
     p = MultiPoly(2, {(2, 0): 1.5, (1, 0): 0.3, (0, 1): -0.7, (0, 0): 0.2})
-    rep = determinantal_representation_quadratic(p)
+    rep = _quadratic_representation(p)
     assert len(rep) == 3 and rep[0].shape == (2, 2)
     for _ in range(10):
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -186,7 +200,7 @@ def test_determinantal_self_check_covers_every_template():
                     if constant:
                         terms[(0,) * d] = -0.7
                     p = MultiPoly(d, terms)
-                    rep = determinantal_representation_quadratic(p)
+                    rep = _quadratic_representation(p)
                     _check_determinantal(CompiledPolys.of([p]), [rep])
                     for k in range(d + 1):
                         bad = list(rep)
@@ -204,13 +218,13 @@ def test_determinantal_self_check_covers_every_template():
 
 def test_determinantal_representation_rejects_unsupported_shapes():
     with pytest.raises(UnsupportedShape):
-        determinantal_representation_quadratic(MultiPoly(2, {(1, 1): 1.0}))
+        _quadratic_representation(MultiPoly(2, {(1, 1): 1.0}))
     with pytest.raises(UnsupportedShape):
-        determinantal_representation_quadratic(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
+        _quadratic_representation(MultiPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
     with pytest.raises(UnsupportedShape):
-        determinantal_representation_quadratic(MultiPoly(2, {(1, 0): 1.0, (0, 1): 1.0}))
+        _quadratic_representation(MultiPoly(2, {(1, 0): 1.0, (0, 1): 1.0}))
     with pytest.raises(UnsupportedShape):
-        determinantal_representation_quadratic(MultiPoly(1, {(3,): 1.0}))
+        _quadratic_representation(MultiPoly(1, {(3,): 1.0}))
 
 
 def test_mep_from_system_requires_pivotable_quadratics():
