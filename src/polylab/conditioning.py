@@ -212,7 +212,7 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
             key = tuple(e)
             cols[j][key] = cols[j].get(key, 0j) + c
         grid.append(
-            [MultiPoly(d, cols[j]).translate(-xstar) for j in range(d)]
+            [MultiPoly._of_terms(d, cols[j]).translate(-xstar) for j in range(d)]
         )
     return QFactorization(Q=grid, shift=xstar)
 

@@ -83,33 +83,38 @@ class FamilySpec:
             object.__setattr__(self, "shift", shift)
 
 
-def _sq(d: int, i: int) -> MultiPoly:
-    e = [0] * d
-    e[i] = 2
-    return MultiPoly.monomial(d, e)
+# Each builder writes a polynomial's terms once, in the order a sum of its
+# monomials lists them. MultiPoly._of_terms normalizes each coefficient as
+# such a sum does (0j + complex(c), dropped at or below COEFF_FLOOR), so the
+# terms are bit-equal to the sum's. The coefficients are finite by
+# construction, so the validating constructor's check is not needed.
 
 
-def _lin(d: int, i: int, c) -> MultiPoly:
-    e = [0] * d
-    e[i] = 1
-    return MultiPoly.monomial(d, e, c)
+def _power(d: int, i: int, e: int = 1) -> tuple:
+    """Exponent tuple of x_i**e in d variables."""
+    m = [0] * d
+    m[i] = e
+    return tuple(m)
 
 
 def _orthogonal(spec: FamilySpec, rng) -> PolySystem:
     d, sigma = spec.d, spec.sigma
     Q = random_orthogonal(d, rng)
-    polys = []
-    for i in range(d):
-        p = _sq(d, i)
-        for j in range(d):
-            p = p + _lin(d, j, sigma * Q[i, j])
-        polys.append(p)
+    polys = [
+        MultiPoly._of_terms(
+            d, {_power(d, i, 2): 1.0} | {_power(d, j): sigma * Q[i, j] for j in range(d)}
+        )
+        for i in range(d)
+    ]
     return PolySystem(d, polys, true_roots=[np.zeros(d, dtype=complex)], family_tag="orthogonal")
 
 
 def _cyclic_squares(spec: FamilySpec, rng) -> PolySystem:
     d, sigma = spec.d, spec.sigma
-    polys = [_sq(d, i) + _lin(d, (i + 1) % d, -sigma) for i in range(d)]
+    polys = [
+        MultiPoly._of_terms(d, {_power(d, i, 2): 1.0, _power(d, (i + 1) % d): -sigma})
+        for i in range(d)
+    ]
     # Non-origin roots: x_1^(2^d - 1) = sigma^(2^d - 1), coordinates chained
     # by x_{i+1} = x_i^2 / sigma.
     roots = [np.zeros(d, dtype=complex)]
@@ -127,13 +132,17 @@ def _cyclic_squares(spec: FamilySpec, rng) -> PolySystem:
 def _hypercube(spec: FamilySpec, rng) -> PolySystem:
     d, c = spec.d, spec.c
     A = random_orthogonal(d, rng)
-    const = 1.0 / (c * c * d)
-    polys = []
-    for i in range(d):
-        p = MultiPoly.constant(d, -const * A[i, :].sum())
-        for j in range(d):
-            p = p + _sq(d, j) * A[i, j]
-        polys.append(p)
+    denom = c * c * d
+    const = 1.0 / denom if denom > 0 else math.inf
+    # |sum_j a_ij| <= sqrt(d) <= d, so the constant terms stay finite too.
+    if not (0 < const and const * d < math.inf):
+        raise ValueError(f"hypercube c={c!r}: 1/(c^2 d) is not a finite positive float")
+    polys = [
+        MultiPoly._of_terms(
+            d, {(0,) * d: -const * A[i, :].sum()} | {_power(d, j, 2): A[i, j] for j in range(d)}
+        )
+        for i in range(d)
+    ]
     a = 1.0 / (c * math.sqrt(d))
     roots = []
     for mask in range(2**d):
@@ -155,7 +164,10 @@ def _random_cycle(d: int, rng) -> list:
 def _permutation(spec: FamilySpec, rng) -> PolySystem:
     d, sigma = spec.d, spec.sigma
     perm = _random_cycle(d, rng) if d > 1 else [0]
-    polys = [_sq(d, i) + _lin(d, int(perm[i]), sigma) for i in range(d)]
+    polys = [
+        MultiPoly._of_terms(d, {_power(d, i, 2): 1.0, _power(d, int(perm[i])): sigma})
+        for i in range(d)
+    ]
     return PolySystem(d, polys, true_roots=[np.zeros(d, dtype=complex)], family_tag="permutation")
 
 
@@ -168,23 +180,20 @@ def _random_rotation_2d(rng) -> np.ndarray:
 def _notdev2d(spec: FamilySpec, rng) -> PolySystem:
     s = spec.sigma
     A = _random_rotation_2d(rng)  # det +1 keeps the closed-form interpolant clean
-    p1 = _sq(2, 0) + _lin(2, 0, s * A[0, 0]) + _lin(2, 1, s * A[0, 1])
-    p2 = (
-        MultiPoly.monomial(2, (1, 1))
-        + _sq(2, 1) * s
-        + _lin(2, 0, s * A[1, 0])
-        + _lin(2, 1, s * A[1, 1])
+    p1 = MultiPoly._of_terms(2, {(2, 0): 1.0, (1, 0): s * A[0, 0], (0, 1): s * A[0, 1]})
+    p2 = MultiPoly._of_terms(
+        2, {(1, 1): 1.0, (0, 2): s, (1, 0): s * A[1, 0], (0, 1): s * A[1, 1]}
     )
     return PolySystem(2, [p1, p2], true_roots=[np.zeros(2, dtype=complex)], family_tag="notdev2d")
 
 
 def _notdev3d(spec: FamilySpec, rng) -> PolySystem:
     s = spec.sigma
-    xy = MultiPoly.monomial(3, (1, 1, 0))
-    p1 = xy + _sq(3, 0) * s + _lin(3, 1, s)
-    p2 = xy + _sq(3, 1) * s + _lin(3, 2, s)
-    p3 = xy + _sq(3, 2) * s + _lin(3, 0, s)
-    return PolySystem(3, [p1, p2, p3], true_roots=[np.zeros(3, dtype=complex)], family_tag="notdev3d")
+    polys = [
+        MultiPoly._of_terms(3, {(1, 1, 0): 1.0, _power(3, i, 2): s, _power(3, (i + 1) % 3): s})
+        for i in range(3)
+    ]
+    return PolySystem(3, polys, true_roots=[np.zeros(3, dtype=complex)], family_tag="notdev3d")
 
 
 _BUILDERS = {

@@ -29,8 +29,11 @@ from .polycore import UniPoly
 # infinite, in the (alpha, beta) parameterization.
 INFINITE_EIG_TOL = 1e-12
 
-# Random shifts at which check_pencil_regular evaluates a pencil.
+# Random shifts at which check_pencil_regular evaluates a pencil, as (re, im)
+# pairs: the draws a default_rng(0x5EED) makes one scalar at a time.
 PENCIL_PROBES = 3
+_PENCIL_DRAWS = np.random.default_rng(0x5EED).standard_normal((PENCIL_PROBES, 2))
+_PENCIL_DRAWS.flags.writeable = False
 
 
 class SingularPencil(Exception):
@@ -98,13 +101,12 @@ def _is_numerically_singular(M: np.ndarray, scale: float) -> bool:
 
 
 def check_pencil_regular(A: np.ndarray, B: np.ndarray) -> bool:
-    """Probe det(A - lambda B) at PENCIL_PROBES random lambda; False if all are singular."""
-    rng = np.random.default_rng(0x5EED)
+    """Probe det(A - lambda B) at PENCIL_PROBES seeded random lambda; False if all are singular."""
     normA = np.linalg.norm(A, 2) if A.size else 0.0
     normB = np.linalg.norm(B, 2) if B.size else 0.0
     base = normA / normB if normB > 0 else 1.0
-    for _ in range(PENCIL_PROBES):
-        lam = base * (rng.standard_normal() + 1j * rng.standard_normal())
+    for re, im in _PENCIL_DRAWS.tolist():
+        lam = base * (re + 1j * im)
         if not _is_numerically_singular(A - lam * B, normA + abs(lam) * normB):
             return True
     return False
@@ -296,6 +298,16 @@ def laplace_expansion(grid, mul, one, memo: dict):
     return expand(0, 0)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-d arrays, bit-equal to np.kron.
+
+    The one multiply np.kron makes, on the same broadcast views, without its
+    general-rank shape handling.
+    """
+    (m, n), (p, q) = a.shape, b.shape
+    return np.multiply(a[:, None, :, None], b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def block_operator_determinant(blocks) -> np.ndarray:
     """Determinant of a d x d block grid with Kronecker products as multiplication.
 
@@ -314,7 +326,7 @@ def block_operator_determinant(blocks) -> np.ndarray:
                 raise ValueError(f"block ({i}) sizes inconsistent: {M.shape} vs {n_i}")
         sizes.append(n_i)
     grid = [[np.asarray(M, dtype=complex) for M in row] for row in blocks]
-    out = laplace_expansion(grid, np.kron, np.ones((1, 1), dtype=complex), {})
+    out = laplace_expansion(grid, kron, np.ones((1, 1), dtype=complex), {})
     expected = int(np.prod(sizes))
     assert out.shape == (expected, expected)
     return out

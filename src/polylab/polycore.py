@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import types
 from dataclasses import dataclass
@@ -107,6 +108,68 @@ def _kahan_sum(values) -> complex:
     return s
 
 
+def _cpow(z: complex, n: int) -> complex:
+    """z**n for n >= 0, rounded as numpy's complex scalar power rounds it.
+
+    Follows numpy's branches: 1 for n = 0, 0 for z = 0, then z, z*z,
+    z*(z*z), and binary powering from 1 for 4 <= n < 100. Python complex
+    arithmetic multiplies the same way and raises no overflow warning.
+    Beyond that range numpy calls the C library's cpow, and so does this.
+    """
+    if n == 0:
+        return 1 + 0j
+    if n >= 100:
+        with np.errstate(all="ignore"):
+            return complex(np.complex128(z) ** n)
+    if z == 0:
+        return 0j
+    if n == 1:
+        return z
+    if n == 2:
+        return z * z
+    if n == 3:
+        return z * (z * z)
+    acc, p, bit = 1 + 0j, z, 1
+    while True:
+        if n & bit:
+            acc = acc * p
+        bit <<= 1
+        if n < bit:
+            return acc
+        p = p * p
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _shift_plan(support: tuple) -> tuple:
+    """MultiPoly.translate's expansion for the monomials ``support``, in dict order.
+
+    Returns (tops, plan): tops[i] is the highest exponent of x_i, and
+    plan[t] lists, for term t, each monomial of prod_i (x_i + t_i)^{e_i} in
+    the order a variable-by-variable expansion creates it (lexicographic in
+    the kept exponents k_i) with its steps (i, C(e_i, k_i), e_i - k_i). A
+    coefficient v takes each step as ``v = v * C * t_i**(e_i - k_i)``.
+
+    The expansion also adds 0j to every partial coefficient and multiplies
+    by C(e, e) = 1 and t_i**0 = 1 + 0j where k_i = e_i; the plan leaves
+    those out. They can change only the sign of a zero real or imaginary
+    part, which no finite product or sum carries into a nonzero part, and
+    MultiPoly._of_terms adds 0j to every coefficient at the end. So the
+    result is bit-equal.
+    """
+    d = len(support[0]) if support else 0
+    tops = tuple(max((m[i] for m in support), default=0) for i in range(d))
+    plan = []
+    for m in support:
+        expansion = []
+        for key in itertools.product(*[range(e + 1) for e in m]):
+            steps = tuple(
+                (i, math.comb(e, k), e - k) for i, (e, k) in enumerate(zip(m, key)) if k < e
+            )
+            expansion.append((key, steps))
+        plan.append(tuple(expansion))
+    return tops, tuple(plan)
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """Sparse polynomial in ``nvars`` complex variables.
@@ -169,10 +232,6 @@ class MultiPoly:
         e = [0] * nvars
         e[i] = 1
         return MultiPoly(nvars, {tuple(e): 1.0 + 0j})
-
-    @staticmethod
-    def monomial(nvars: int, exps: Sequence[int], c=1.0) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(exps): complex(c)})
 
     # ---------------- basic queries ----------------
 
@@ -270,24 +329,26 @@ class MultiPoly:
         return MultiPoly._of_terms(self.nvars, terms)
 
     def translate(self, t) -> "MultiPoly":
-        """Return q with q(x) = p(x + t), by exact binomial expansion."""
+        """Return q with q(x) = p(x + t), by exact binomial expansion.
+
+        Replays the support's cached _shift_plan with the powers of t
+        computed once. Raises ValueError when a shifted coefficient is not
+        finite, as an overflowing power of t makes one.
+        """
         t = np.asarray(t, dtype=complex)
         if t.shape != (self.nvars,):
             raise ValueError("translation vector has wrong length")
+        tops, plan = _shift_plan(tuple(self.terms))
+        powers = [[_cpow(z, n) for n in range(top + 1)] for z, top in zip(t.tolist(), tops)]
         out: dict = {}
-        for m, c in self.terms.items():
-            # Expand prod_i (x_i + t_i)^{e_i} one variable at a time.
-            partial = {(): c}
-            for i, e in enumerate(m):
-                nxt: dict = {}
-                for stem, cc in partial.items():
-                    for k in range(e + 1):
-                        coeff = cc * math.comb(e, k) * t[i] ** (e - k)
-                        key = stem + (k,)
-                        nxt[key] = nxt.get(key, 0j) + coeff
-                partial = nxt
-            for key, cc in partial.items():
-                out[key] = out.get(key, 0j) + cc
+        for c, expansion in zip(self.terms.values(), plan):
+            for key, steps in expansion:
+                v = c
+                for i, comb, n in steps:
+                    v = v * comb * powers[i][n]
+                out[key] = out.get(key, 0j) + v
+        if not all(map(cmath.isfinite, out.values())):
+            raise ValueError("shifted coefficients overflow")
         return MultiPoly._of_terms(self.nvars, out)
 
     # ---------------- serialization ----------------

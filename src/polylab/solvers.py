@@ -10,6 +10,7 @@ one of the three multivariate solvers by name.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .numkernel import (
     check_pencil_regular,
     companion_roots,
     generalized_eig,
+    kron,
     laplace_expansion,
     random_unit_vector,
 )
@@ -381,6 +383,14 @@ def _quadratic_representation(p: MultiPoly) -> tuple:
     return tuple(Vs)
 
 
+@functools.lru_cache(maxsize=None)
+def _determinantal_probes(d: int) -> np.ndarray:
+    """The (20, 2, d) draws of default_rng(0xD57): real and imaginary probe parts."""
+    probes = np.random.default_rng(0xD57).standard_normal((20, 2, d))
+    probes.flags.writeable = False
+    return probes
+
+
 def _check_determinantal(compiled: CompiledPolys, reps: list) -> None:
     """Compare det W_i(x) with p_i(x) at 20 seeded random points, every i in one batch.
 
@@ -390,7 +400,7 @@ def _check_determinantal(compiled: CompiledPolys, reps: list) -> None:
     """
     V = np.array(reps)  # (k, d + 1, 2, 2)
     k, d = V.shape[0], V.shape[1] - 1
-    probes = np.random.default_rng(0xD57).standard_normal((20, 2, d))
+    probes = _determinantal_probes(d)
     X = probes[:, 0] + 1j * probes[:, 1]
     W = np.broadcast_to(V[:, 0], (len(X), k, 2, 2))
     for j in range(d):
@@ -424,11 +434,11 @@ def operator_determinants(mep: MultiParamEig) -> list:
     one = np.ones((1, 1), dtype=complex)
     grid = [list(W_i[1:]) for W_i in mep.W]
     memo: dict = {}
-    deltas = [laplace_expansion(grid, np.kron, one, memo)]
+    deltas = [laplace_expansion(grid, kron, one, memo)]
     for k in range(mep.d):
         swapped = [row[:k] + [W_i[0]] + row[k + 1 :] for row, W_i in zip(grid, mep.W)]
         shared = {mask: M for mask, M in memo.items() if mask & (1 << k)}
-        deltas.append(laplace_expansion(swapped, np.kron, one, shared))
+        deltas.append(laplace_expansion(swapped, kron, one, shared))
     return deltas
 
 

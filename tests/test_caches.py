@@ -1,9 +1,12 @@
-"""Structure caches: compiled layouts and Macaulay index maps, built once per support.
+"""Structure caches: compiled layouts, Macaulay index maps and Taylor-shift plans, built once per support.
 
 The references below assemble the same arrays term by term, with no cache,
 the way the library did before the structure was shared; cached output must
 match them bit for bit.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,8 +68,33 @@ def assert_matches_reference(s, degree) -> None:
     assert mhat.col_labels == cols
 
 
+def reference_translate(p, t) -> MultiPoly:
+    """p(x + t), expanded one variable at a time with numpy scalar powers of t."""
+    t = np.asarray(t, dtype=complex)
+    out: dict = {}
+    for m, c in p.terms.items():
+        partial = {(): c}
+        for i, e in enumerate(m):
+            nxt: dict = {}
+            for stem, cc in partial.items():
+                for k in range(e + 1):
+                    coeff = cc * math.comb(e, k) * t[i] ** (e - k)
+                    key = stem + (k,)
+                    nxt[key] = nxt.get(key, 0j) + coeff
+            partial = nxt
+        for key, cc in partial.items():
+            out[key] = out.get(key, 0j) + cc
+    return MultiPoly._of_terms(p.nvars, out)
+
+
+def assert_same_terms(p, q) -> None:
+    assert list(p.terms) == list(q.terms)
+    assert bits_equal(list(p.terms.values()), list(q.terms.values()))
+
+
 def clear_caches() -> None:
     polycore._compiled_layout.cache_clear()
+    polycore._shift_plan.cache_clear()
     macaulay._macaulay_index.cache_clear()
 
 
@@ -191,3 +219,65 @@ def test_translate_rejects_wrong_length_input():
     for t in [(1.0,), (1.0, 2.0, 3.0)]:
         with pytest.raises(ValueError):
             p.translate(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_translate_matches_the_variable_by_variable_expansion(data):
+    d = data.draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 5)] * d)
+    coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    p = MultiPoly(d, data.draw(st.dictionaries(monomial, coeff, max_size=6)))
+    real = st.floats(-10, 10, allow_nan=False).map(complex)
+    kind = data.draw(st.sampled_from(["zero", "real", "complex"]))
+    t = {
+        "zero": [0.0] * d,
+        "real": data.draw(st.lists(real, min_size=d, max_size=d)),
+        "complex": data.draw(st.lists(coeff, min_size=d, max_size=d)),
+    }[kind]
+    for shift in (t, [-z for z in t]):
+        assert_same_terms(p.translate(shift), reference_translate(p, shift))
+
+
+def test_translate_matches_the_expansion_for_every_power_branch():
+    # numpy rounds z**n by branch: n <= 3 unrolled, binary powering below
+    # 100, the C library's cpow from 100 on.
+    for e in (1, 2, 3, 4, 7, 8, 99, 100, 101):
+        p = MultiPoly(2, {(e, 1): 1.5 - 0.5j, (0, e): 2.0})
+        for t in [(0.97 + 0.11j, -0.3), (-0.0, 1.01j), (1 / 3, -1 / 3)]:
+            assert_same_terms(p.translate(t), reference_translate(p, t))
+
+
+def test_a_second_translate_of_a_support_builds_no_plan():
+    p = MultiPoly(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 1): -2.0})
+    q = MultiPoly(2, {(2, 0): 3.0, (1, 1): -1.0j, (0, 1): 0.25})
+    polycore._shift_plan.cache_clear()
+    p.translate((0.3, -0.2))
+    first = polycore._shift_plan.cache_info()
+    q.translate((1.0, 2.0j))
+    second = polycore._shift_plan.cache_info()
+    assert (first.misses, first.hits) == (1, 0)
+    assert (second.misses, second.hits) == (1, 1)
+
+
+def test_translate_overflow_is_one_value_error_and_no_warning():
+    cases = [
+        (MultiPoly(2, {(2, 0): 1.0, (0, 1): 0.5}), (1e200, 1e200)),  # t**2 overflows
+        (MultiPoly(1, {(1,): 1e300}), (1e10,)),  # a finite power, an overflowing product
+        (MultiPoly(1, {(100,): 1.0}), (1e5,)),  # the C library's cpow overflows
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, t in cases:
+            with pytest.raises(ValueError, match="shifted coefficients overflow"):
+                p.translate(t)
+
+
+def test_powers_round_as_numpy_scalar_powers():
+    points = [0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1 / 3, -0.0),
+              0.97 + 0.11j, 1e200 + 1e-200j, -1e-170j, complex(np.inf, 1.0)]
+    with np.errstate(all="ignore"):
+        for z in points:
+            for n in range(102):
+                want = np.complex128(z) ** n
+                assert np.complex128(polycore._cpow(z, n)).tobytes() == want.tobytes()

@@ -188,10 +188,17 @@ def broken_system(kind, path):
         ("missing", ["solve", "--method", "nf"], "cannot read --system"),
         ("not-a-system", ["solve", "--method", "nf"], "is not a system JSON"),
         ("nan-coefficient", ["audit"], "is not finite"),
+        (None, GEN + ["--sigma", "0.1", "--shift", "1e200,1e200"], "shifted coefficients overflow"),
+        (None, ["gen", "--family", "hypercube", "--d", "2", "--c", "1e-300"], "hypercube c=1e-300"),
+        (None, ["gen", "--family", "hypercube", "--d", "2", "--c", "1e-160"], "hypercube c=1e-160"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
-    """family names the --system file: a generated family or a broken_system kind."""
+    """family names the --system file: a generated family or a broken_system kind.
+
+    A warning is an error here: each bad input gets its one line and nothing else.
+    """
     if family is None:
         argv = argv + ["--out", str(tmp_path / "plots")]
     else:

@@ -1,10 +1,14 @@
 """Benchmark system generators and their planted roots."""
 
+import re
+
 import numpy as np
 import pytest
 
-from polylab import FamilySpec, generate, jacobian, kappa_root, true_root_error
+from polylab import FamilySpec, MultiPoly, generate, jacobian, kappa_root, true_root_error
+from polylab import families
 from polylab.families import FAMILIES
+from polylab.numkernel import random_orthogonal
 
 
 def spec_for(family, d, sigma=0.1, c=4.0, seed=None, shift=None):
@@ -148,6 +152,95 @@ def test_notdev3d_terms_are_exact():
     assert dict(s.polys[0].terms) == {(1, 1, 0): 1.0, (2, 0, 0): sigma, (0, 1, 0): sigma}
     assert dict(s.polys[1].terms) == {(1, 1, 0): 1.0, (0, 2, 0): sigma, (0, 0, 1): sigma}
     assert dict(s.polys[2].terms) == {(1, 1, 0): 1.0, (0, 0, 2): sigma, (1, 0, 0): sigma}
+
+
+def _monomial(d, exps, c=1.0):
+    return MultiPoly(d, {tuple(exps): complex(c)})
+
+
+def _sq(d, i):
+    e = [0] * d
+    e[i] = 2
+    return _monomial(d, e)
+
+
+def _lin(d, i, c):
+    e = [0] * d
+    e[i] = 1
+    return _monomial(d, e, c)
+
+
+def reference_polys(spec, rng) -> list:
+    """A family's polynomials as sums of monomials, drawing from rng as its builder does."""
+    d, s = spec.d, spec.sigma
+    if spec.family == "orthogonal":
+        Q = random_orthogonal(d, rng)
+        polys = []
+        for i in range(d):
+            p = _sq(d, i)
+            for j in range(d):
+                p = p + _lin(d, j, s * Q[i, j])
+            polys.append(p)
+        return polys
+    if spec.family == "cyclic_squares":
+        return [_sq(d, i) + _lin(d, (i + 1) % d, -s) for i in range(d)]
+    if spec.family == "hypercube":
+        A = random_orthogonal(d, rng)
+        const = 1.0 / (spec.c * spec.c * d)
+        polys = []
+        for i in range(d):
+            p = MultiPoly.constant(d, -const * A[i, :].sum())
+            for j in range(d):
+                p = p + _sq(d, j) * A[i, j]
+            polys.append(p)
+        return polys
+    if spec.family == "permutation":
+        perm = families._random_cycle(d, rng) if d > 1 else [0]
+        return [_sq(d, i) + _lin(d, int(perm[i]), s) for i in range(d)]
+    if spec.family == "notdev2d":
+        A = families._random_rotation_2d(rng)
+        p1 = _sq(2, 0) + _lin(2, 0, s * A[0, 0]) + _lin(2, 1, s * A[0, 1])
+        p2 = (
+            _monomial(2, (1, 1))
+            + _sq(2, 1) * s
+            + _lin(2, 0, s * A[1, 0])
+            + _lin(2, 1, s * A[1, 1])
+        )
+        return [p1, p2]
+    xy = _monomial(3, (1, 1, 0))
+    return [
+        xy + _sq(3, 0) * s + _lin(3, 1, s),
+        xy + _sq(3, 1) * s + _lin(3, 2, s),
+        xy + _sq(3, 2) * s + _lin(3, 0, s),
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_builders_match_sums_of_monomials_bit_for_bit(family):
+    dims = {"notdev2d": [2], "notdev3d": [3]}.get(family, [1, 2, 3, 4, 5])
+    # sigma = 1e-301 puts the sigma terms under COEFF_FLOOR, which drops them.
+    params = [{"c": 0.5}, {"c": 100.0}] if family == "hypercube" else [
+        {"sigma": 1e-301}, {"sigma": 0.3}
+    ]
+    for d in dims:
+        for kw in params:
+            for shift in (None, tuple(1 / 3 - 0.2j * k for k in range(d))):
+                for seed in (1, 2, 3):
+                    spec = FamilySpec(family=family, d=d, seed=seed, shift=shift, **kw)
+                    want = reference_polys(spec, np.random.default_rng(seed))
+                    if shift is not None:
+                        want = [p.translate(-np.asarray(shift)) for p in want]
+                    got = generate(spec).polys
+                    for p, q in zip(got, want, strict=True):
+                        assert list(p.terms) == list(q.terms)
+                        values = [list(r.terms.values()) for r in (p, q)]
+                        assert np.array(values[0]).tobytes() == np.array(values[1]).tobytes()
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e200])
+def test_hypercube_scale_outside_the_float_range_is_one_value_error(c):
+    with pytest.raises(ValueError, match=re.escape(f"hypercube c={c!r}:")):
+        generate(spec_for("hypercube", 2, c=c))
 
 
 def test_shift_moves_the_planted_root():

@@ -18,7 +18,8 @@ from polylab import (
     null_space,
     sigma_min,
 )
-from polylab.numkernel import _ZGGEV, INFINITE_EIG_TOL, _zggev_lwork
+from polylab import numkernel
+from polylab.numkernel import _ZGGEV, INFINITE_EIG_TOL, PENCIL_PROBES, _zggev_lwork, kron
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -227,6 +228,30 @@ def test_block_operator_determinant_two_by_two_formula():
     got = block_operator_determinant([[V[0][0], V[0][1]], [V[1][0], V[1][1]]])
     want = np.kron(V[0][0], V[1][1]) - np.kron(V[0][1], V[1][0])
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_kron_is_bit_equal_to_numpy_kron():
+    rng = np.random.default_rng(28)
+
+    def block(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    shapes = [(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (2, 3, 4, 1), (8, 8, 2, 2)]
+    pairs = [(block(m, n), block(p, q)) for m, n, p, q in shapes]
+    big = block(6, 6)
+    pairs += [(big[::2, ::3], block(2, 2)), (block(2, 2), big.T), (big[1:3, 1:5], big[::-2, ::2])]
+    pairs.append((np.ones((1, 1), dtype=complex), np.array([[-0.0 - 0.0j, 1e-310 + np.inf * 1j]])))
+    with np.errstate(invalid="ignore"):
+        for a, b in pairs:
+            got, want = kron(a, b), np.kron(a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_pencil_probes_are_the_seeded_scalar_draws():
+    rng = np.random.default_rng(0x5EED)
+    draws = [rng.standard_normal() for _ in range(2 * PENCIL_PROBES)]
+    assert numkernel._PENCIL_DRAWS.ravel().tolist() == draws
+    assert not numkernel._PENCIL_DRAWS.flags.writeable
 
 
 def test_block_operator_determinant_scalar_blocks():

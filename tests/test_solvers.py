@@ -37,7 +37,7 @@ from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.polycore import CompiledPolys
-from polylab.solvers import _check_determinantal, _quadratic_representation
+from polylab.solvers import _check_determinantal, _determinantal_probes, _quadratic_representation
 
 
 def cyclic_truth(d, sigma, shift=0.0):
@@ -214,6 +214,15 @@ def test_determinantal_self_check_covers_every_template():
     reps[1] = (reps[1][0] + np.array([[0.0, 0.25], [0.0, 0.0]]),) + reps[1][1:]
     with pytest.raises(AssertionError):
         _check_determinantal(s.compiled, reps)
+
+
+def test_determinantal_probes_are_cached_read_only_draws():
+    for d in (1, 2, 5):
+        probes = _determinantal_probes(d)
+        fresh = np.random.default_rng(0xD57).standard_normal((20, 2, d))
+        assert probes.tobytes() == fresh.tobytes() and probes.shape == fresh.shape
+        assert not probes.flags.writeable
+        assert _determinantal_probes(d) is probes
 
 
 def test_determinantal_representation_rejects_unsupported_shapes():
