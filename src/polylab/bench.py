@@ -16,11 +16,10 @@ import numpy as np
 from . import conditioning
 from .conditioning import theory_digits
 from .families import FamilySpec, generate, true_root_error
-from .macaulay import RankDeficientBasis
+from .macaulay import NullityMismatch, RankDeficientBasis
 from .numkernel import SingularPencil
 from .solvers import (
     EigenvectorDegenerate,
-    NullityMismatch,
     SingularDelta0,
     UnsupportedShape,
     solve,

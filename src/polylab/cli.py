@@ -82,13 +82,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _failure(exc: Exception) -> tuple:
+    """(audit key, verb, text) for a solver failure; UnsupportedShape means the method does not apply."""
+    if isinstance(exc, UnsupportedShape):
+        return "unsupported", "does not apply", str(exc)
+    return "failed", "failed", f"{type(exc).__name__}: {exc}"
+
+
 def _cmd_solve(args) -> int:
     s = _load_system(args.system)
     rng = np.random.default_rng(args.seed)
     try:
         report = solve(s, args.method, rng=rng, polish=args.polish)
-    except UnsupportedShape as exc:
-        print(f"method {args.method} does not apply: {exc}", file=sys.stderr)
+    except bench.SOLVER_FAILURES as exc:
+        _, verb, text = _failure(exc)
+        print(f"method {args.method} {verb}: {text}", file=sys.stderr)
         return 1
     _emit(report.to_json_dict(), args.out)
     return 0
@@ -139,11 +147,12 @@ def _cmd_audit(args) -> int:
     for m in methods:
         try:
             out[m] = _audit_one(s, x, m, args.seed).to_json_dict()
-        except UnsupportedShape as exc:
+        except bench.SOLVER_FAILURES as exc:
+            key, verb, text = _failure(exc)
             if args.method != "all":
-                print(f"method {m} does not apply: {exc}", file=sys.stderr)
+                print(f"method {m} {verb}: {text}", file=sys.stderr)
                 return 1
-            out[m] = {"method": m, "unsupported": str(exc)}
+            out[m] = {"method": m, key: text}
     _emit(out if args.method == "all" else out[args.method], args.out)
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkernel import GenEigProblem, SvdFactor, check_pencil_regular
+from .numkernel import GenEigProblem, SingularPencil, SvdFactor, check_pencil_regular
 from .polycore import (
     CompiledLayout,
     MultiPoly,
@@ -33,6 +33,10 @@ MACAULAY_CACHE_SIZE = 64
 
 class RankDeficientBasis(Exception):
     """The candidate rows cannot supply an invertible basis submatrix."""
+
+
+class NullityMismatch(Exception):
+    """Numerical nullity of the Macaulay matrix disagrees with the root count."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +118,15 @@ class MacaulayMatrix:
 
 @dataclass(frozen=True)
 class MacaulayPencil:
-    """Pencil A - lambda B with A = [A1; A2], B = [0; B2].
+    """The pencil A - lambda B that the Macaulay solver solves.
 
-    A1 is the full degree-rho Macaulay matrix ``mhat``; the A2/B2 rows carry
-    the multiples of h_alpha and h_beta kept for the basis monomials of
-    ``basis``, whose null space is that of A1.
+    A2 and B2 are the rows of h_alpha and h_beta times the basis monomials
+    of ``basis``, and A1 is the full degree-rho Macaulay matrix ``mhat``.
+    When A1 plus the kept h rows is square, ``gep`` is A = [A1; A2],
+    B = [0; B2] and ``Z`` is None. Otherwise (extra syzygy rows) ``gep`` is
+    (A2 Z, B2 Z), with Z = basis.nullspace, the null space of A1: the same
+    finite eigenvalues, and Z maps its eigenvectors back to the Macaulay
+    columns. macaulay_pencil has probed ``gep`` for singularity.
     """
 
     gep: GenEigProblem
@@ -126,22 +134,11 @@ class MacaulayPencil:
     basis: BasisSelection
     alpha: np.ndarray
     beta: np.ndarray
+    Z: np.ndarray | None
 
     @property
     def kept_h_monomials(self) -> list:
         return self.basis.monomials
-
-    @property
-    def n_poly_rows(self) -> int:
-        return self.mhat.mat.shape[0]
-
-    @property
-    def A2(self) -> np.ndarray:
-        return self.gep.A[self.n_poly_rows :]
-
-    @property
-    def B2(self) -> np.ndarray:
-        return self.gep.B[self.n_poly_rows :]
 
 
 @dataclass(frozen=True)
@@ -228,34 +225,40 @@ def linear_poly(d: int, coeffs: np.ndarray) -> MultiPoly:
 
 
 def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
-    """Build the eigenvalue pencil from the Macaulay matrix and a random h.
+    """Build the eigenvalue pencil the Macaulay solver solves, from a random h.
 
     h rows are kept exactly for the basis monomials chosen from the null
-    space, so the finite spectrum has size bezout_count(s). alpha and beta
-    are unit-scale complex Gaussians, redrawn up to three times if the
-    square pencil comes out singular. This probe is the only singularity
-    check a square pencil gets: generalized_eig runs none.
+    space, so the finite spectrum has size bezout_count(s). A rectangular
+    system is compressed to that null space (see MacaulayPencil), after a
+    NullityMismatch check that the null space has exactly one dimension
+    per kept row. alpha and beta are unit-scale complex Gaussians, redrawn
+    up to three times if the pencil comes out singular (SingularPencil
+    after the fourth draw). This probe is the only singularity check a
+    Macaulay pencil gets: generalized_eig runs none.
     """
     r = bezout_count(s)
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat, r)
-    square = mhat.mat.shape[0] + r == len(mhat.col_labels)
-    last_err = None
+    Z = None
+    if mhat.mat.shape[0] + r != len(mhat.col_labels):
+        nullity = mhat.factor.nullity
+        if nullity != r:
+            raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
+        Z = sel.nullspace
     for _ in range(4):
         alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
         beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
         A2 = _h_rows(sel.indices, alpha, mhat.index.up)
         B2 = _h_rows(sel.indices, beta, mhat.index.up)
-        A = np.vstack([mhat.mat, A2])
-        B = np.vstack([np.zeros_like(mhat.mat), B2])
-        if square and not check_pencil_regular(A, B):
-            last_err = "pencil singular at probe points"
-            continue
-        gep = GenEigProblem(A=A, B=B)
-        return MacaulayPencil(gep=gep, mhat=mhat, basis=sel, alpha=alpha, beta=beta)
-    from .numkernel import SingularPencil
-
-    raise SingularPencil(f"no regular pencil after redraws: {last_err}")
+        if Z is None:
+            A = np.vstack([mhat.mat, A2])
+            B = np.vstack([np.zeros_like(mhat.mat), B2])
+        else:
+            A, B = A2 @ Z, B2 @ Z
+        if check_pencil_regular(A, B):
+            gep = GenEigProblem(A=A, B=B)
+            return MacaulayPencil(gep=gep, mhat=mhat, basis=sel, alpha=alpha, beta=beta, Z=Z)
+    raise SingularPencil("no regular pencil after redraws: pencil singular at probe points")
 
 
 def smallest_singular_hat(s: PolySystem) -> float:

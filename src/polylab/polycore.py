@@ -405,16 +405,6 @@ class UniPoly:
             return UniPoly(np.zeros(1))
         return UniPoly(npoly.polyder(self.coeffs))
 
-    def __add__(self, other):
-        return UniPoly(npoly.polyadd(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return UniPoly(self.coeffs * complex(other))
-        return UniPoly(npoly.polymul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
 
 # Complex arrays below are handled as float64 pairs: axis 0 of length 2
 # holds the real and the imaginary parts. numpy's vectorized complex

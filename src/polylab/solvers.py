@@ -19,11 +19,9 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import BasisSingular, kappa_eig, kappa_uni
-from .macaulay import MacaulayMatrix, MacaulayPencil, choose_basis, macaulay_hat, macaulay_pencil
+from .macaulay import MacaulayMatrix, NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
-    SingularPencil,
-    check_pencil_regular,
     companion_roots,
     generalized_eig,
     kron,
@@ -45,10 +43,6 @@ NEWTON_STEPS = 2
 
 # Largest dimension solve_rur_example accepts: its polynomial has 2^d roots.
 RUR_MAX_D = 10
-
-
-class NullityMismatch(Exception):
-    """Numerical nullity of the Macaulay matrix disagrees with the root count."""
 
 
 class SingularDelta0(Exception):
@@ -237,23 +231,6 @@ def solve_normal_form(
 # Macaulay resultant solver
 
 
-def reduce_macaulay_pencil(pencil: MacaulayPencil) -> tuple:
-    """Project out the lambda-independent rows: (gep, Z), gep = (A2 Z, B2 Z) with A1 Z = 0.
-
-    The reduced pencil has the same finite eigenvalues as the full one, and
-    Z maps its eigenvectors back to the leading coordinates. Z is the null
-    space the pencil's basis was chosen from, and the nullity check reads
-    the same factor of A1, so the reduction runs no SVD of its own.
-    """
-    r = len(pencil.kept_h_monomials)
-    nullity = pencil.mhat.factor.nullity
-    if nullity != r:
-        raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
-    Z = pencil.basis.nullspace
-    gep = GenEigProblem(A=pencil.A2 @ Z, B=pencil.B2 @ Z)
-    return gep, Z
-
-
 def _root_from_vector(v: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Read coordinates off an eigenvector indexed by the Macaulay columns.
 
@@ -292,19 +269,17 @@ def solve_macaulay_resultant(
 ) -> RootReport:
     """Roots from the eigenvectors of the h-augmented Macaulay pencil.
 
-    A square pencil is solved directly and its infinite eigenvalues are
-    discarded; macaulay_pencil has already probed it for singularity. A
-    rectangular one (extra syzygy rows) is first compressed to the null
-    space of the polynomial block, and the compressed pencil is probed
-    here: SingularPencil when it is singular.
+    macaulay_pencil builds and probes the pencil. A square one is solved
+    directly and its infinite eigenvalues are discarded; a rectangular one
+    arrives compressed to the null space Z of the polynomial block, and Z
+    maps its eigenvectors back to the Macaulay columns.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
     r = bezout_count(s)
     pencil = macaulay_pencil(s, rng)
-    n_rows, n_cols = pencil.gep.A.shape
-    if n_rows == n_cols:
-        gep = pencil.gep
-        finite = [t for t in generalized_eig(gep) if not t.is_infinite]
+    gep = pencil.gep
+    finite = [t for t in generalized_eig(gep) if not t.is_infinite]
+    if pencil.Z is None:
         # Rounding in a nearly singular polynomial block can push an infinite
         # eigenvalue's |beta| above the absolute cutoff; those stragglers sit
         # many orders below the finite cluster in beta_ratio.
@@ -313,11 +288,7 @@ def solve_macaulay_resultant(
             finite = finite[:r]
         vectors = [t.right for t in finite]
     else:
-        gep, Z = reduce_macaulay_pencil(pencil)
-        if not check_pencil_regular(gep.A, gep.B):
-            raise SingularPencil("det(A - lambda B) vanishes at all probe points")
-        finite = [t for t in generalized_eig(gep) if not t.is_infinite]
-        vectors = [Z @ t.right for t in finite]
+        vectors = [pencil.Z @ t.right for t in finite]
     if len(finite) != r:
         raise NullityMismatch(f"{len(finite)} finite eigenvalues, expected {r}")
     roots = []
@@ -331,7 +302,7 @@ def solve_macaulay_resultant(
         "beta": pencil.beta,
         "sigma_min_hat": pencil.mhat.factor.sigma_min,
         "eigenvalues": [t.lam for t in finite],
-        "square": bool(n_rows == n_cols),
+        "square": pencil.Z is None,
     }
     return _report(s, "macaulay", roots, sub_kappa, polish, diagnostics)
 

@@ -152,9 +152,19 @@ SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
 GEN = ["gen", "--family", "orthogonal", "--d", "2"]
 
 
+BROKEN_KINDS = ("missing", "not-a-system", "nan-coefficient", "rank-deficient")
+
+
 def broken_system(kind, path):
-    """Write a --system file that is missing, not a system, or has a NaN coefficient."""
-    if kind == "not-a-system":
+    """Write a --system file of one of BROKEN_KINDS.
+
+    The file is missing, not a system, or has a NaN coefficient; a
+    rank-deficient system is fig 5's sigma = 1 notdev3d system, on which nf
+    and macaulay raise RankDeficientBasis.
+    """
+    if kind == "rank-deficient":
+        run_cli(["gen", "--family", "notdev3d", "--d", "3", "--sigma", "1", "--out", str(path)])
+    elif kind == "not-a-system":
         path.write_text('{"polys": 3}')
     elif kind == "nan-coefficient":
         run_cli(["gen", "--family", "cyclic_squares", "--d", "2", "--sigma", "0.5",
@@ -191,6 +201,9 @@ def broken_system(kind, path):
         (None, GEN + ["--sigma", "0.1", "--shift", "1e200,1e200"], "shifted coefficients overflow"),
         (None, ["gen", "--family", "hypercube", "--d", "2", "--c", "1e-300"], "hypercube c=1e-300"),
         (None, ["gen", "--family", "hypercube", "--d", "2", "--c", "1e-160"], "hypercube c=1e-160"),
+        ("rank-deficient", ["solve", "--method", "nf"], "method nf failed: RankDeficientBasis"),
+        ("rank-deficient", ["solve", "--method", "macaulay"], "method macaulay failed: RankDeficientBasis"),
+        ("rank-deficient", ["audit", "--method", "nf"], "method nf failed: RankDeficientBasis"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -203,7 +216,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
         argv = argv + ["--out", str(tmp_path / "plots")]
     else:
         sys_path = tmp_path / "sys.json"
-        if family in ("missing", "not-a-system", "nan-coefficient"):
+        if family in BROKEN_KINDS:
             broken_system(family, sys_path)
         else:
             run_cli(["gen", "--family", family, "--d", "2", "--sigma", "0.5", "--out", str(sys_path)])
@@ -215,6 +228,18 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
     assert captured.out == ""
     assert message in captured.err and captured.err.count("\n") == 1
     assert not (tmp_path / "plots").exists()
+
+
+def test_audit_all_records_each_failure_and_goes_on(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    broken_system("rank-deficient", sys_path)
+    capsys.readouterr()
+    assert run_cli(["audit", "--system", str(sys_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    failed = "RankDeficientBasis: candidate null space rows are rank deficient"
+    assert out["nf"] == {"method": "nf", "failed": failed}
+    assert out["macaulay"] == {"method": "macaulay", "failed": failed}
+    assert out["mep"] == {"method": "mep", "unsupported": "mixed quadratic term present"}
 
 
 def test_audit_requires_a_root_when_none_is_stored(tmp_path, capsys):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import polylab.macaulay
 from polylab import (
     FamilySpec,
     MultiPoly,
+    NullityMismatch,
     PolySystem,
     RankDeficientBasis,
+    SingularPencil,
     bezout_count,
     choose_basis,
     generalized_eig,
@@ -23,6 +26,8 @@ from polylab import (
     sigma_min,
     smallest_singular_hat,
 )
+from polylab.macaulay import _h_rows
+from polylab.numkernel import SvdFactor
 
 
 def two_quadratics(rng):
@@ -99,12 +104,14 @@ def test_pencil_is_square_with_h_rows_for_the_basis():
     rng = np.random.default_rng(45)
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5), rng=rng)
     pen = macaulay_pencil(s, np.random.default_rng(7))
+    n_poly_rows = pen.mhat.mat.shape[0]
     assert pen.gep.A.shape == (10, 10)
-    assert pen.n_poly_rows == 6
+    assert n_poly_rows == 6
+    assert pen.Z is None
     assert len(pen.kept_h_monomials) == 4
     # polynomial rows carry no lambda part
-    assert np.linalg.norm(pen.gep.B[: pen.n_poly_rows], 2) == 0.0
-    assert np.allclose(pen.gep.A[: pen.n_poly_rows], macaulay_hat(s, rho(s)).mat)
+    assert np.linalg.norm(pen.gep.B[:n_poly_rows], 2) == 0.0
+    assert np.allclose(pen.gep.A[:n_poly_rows], macaulay_hat(s, rho(s)).mat)
 
 
 def test_pencil_h_rows_match_the_linear_polynomials():
@@ -114,14 +121,16 @@ def test_pencil_h_rows_match_the_linear_polynomials():
     halpha = linear_poly(2, pen.alpha)
     hbeta = linear_poly(2, pen.beta)
     cols = pen.mhat.col_labels
+    A2 = pen.gep.A[pen.mhat.mat.shape[0] :]
+    B2 = pen.gep.B[pen.mhat.mat.shape[0] :]
     for k, m in enumerate(pen.kept_h_monomials):
         for x in (np.array([0.3, -0.7]), np.array([1.1, 0.4])):
             colvals = np.array([x[0] ** c[0] * x[1] ** c[1] for c in cols])
             mval = x[0] ** m[0] * x[1] ** m[1]
             a_want = halpha.eval(x) * mval
             b_want = hbeta.eval(x) * mval
-            assert abs(pen.A2[k] @ colvals - a_want) <= 1e-12 * (1 + abs(a_want))
-            assert abs(pen.B2[k] @ colvals - b_want) <= 1e-12 * (1 + abs(b_want))
+            assert abs(A2[k] @ colvals - a_want) <= 1e-12 * (1 + abs(a_want))
+            assert abs(B2[k] @ colvals - b_want) <= 1e-12 * (1 + abs(b_want))
 
 
 def test_pencil_finite_spectrum_is_h_ratio_at_the_roots():
@@ -140,6 +149,77 @@ def test_pencil_finite_spectrum_is_h_ratio_at_the_roots():
     )
     assert len(got) == bezout_count(s)
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-8
+
+
+def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
+    # At d = 3 the 30 x 35 Macaulay matrix plus 8 h rows is rectangular.
+    rng = np.random.default_rng(49)
+    s = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=rng)
+    pen = macaulay_pencil(s, np.random.default_rng(10))
+    r = bezout_count(s)
+    assert pen.mhat.mat.shape[0] + r > len(pen.mhat.col_labels)
+    assert pen.Z is pen.basis.nullspace
+    assert pen.gep.A.shape == (r, r)
+    up = pen.mhat.index.up
+    assert pen.gep.A.tobytes() == (_h_rows(pen.basis.indices, pen.alpha, up) @ pen.Z).tobytes()
+    assert pen.gep.B.tobytes() == (_h_rows(pen.basis.indices, pen.beta, up) @ pen.Z).tobytes()
+    halpha = linear_poly(3, pen.alpha)
+    hbeta = linear_poly(3, pen.beta)
+    want = sorted(
+        (complex(halpha.eval(np.asarray(x))) / complex(hbeta.eval(np.asarray(x))) for x in s.true_roots),
+        key=lambda z: (z.real, z.imag),
+    )
+    got = sorted((t.lam for t in generalized_eig(pen.gep)), key=lambda z: (z.real, z.imag))
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-8
+
+
+def test_only_a_rectangular_pencil_checks_the_nullity_before_drawing(monkeypatch):
+    square = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5), rng=np.random.default_rng(52))
+    rect = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=np.random.default_rng(52))
+    monkeypatch.setattr(SvdFactor, "nullity", property(lambda self: 9))
+    assert macaulay_pencil(square, np.random.default_rng(13)).Z is None
+    rng = np.random.default_rng(13)
+    with pytest.raises(NullityMismatch, match="numerical nullity 9 != kept h rows 8"):
+        macaulay_pencil(rect, rng)
+    assert rng.standard_normal() == np.random.default_rng(13).standard_normal()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_pencil_that_fails_its_probe_is_redrawn(monkeypatch, d):
+    s = generate(FamilySpec(family="cyclic_squares", d=d, sigma=0.5), rng=np.random.default_rng(50))
+    # The redrawn pencil is the one the rng's next alpha and beta build.
+    rng = np.random.default_rng(11)
+    rng.standard_normal(4 * (d + 1))
+    want = macaulay_pencil(s, rng)
+    verdicts = iter([False, True])
+    probed = []
+
+    def probe(A, B):
+        probed.append(A.shape)
+        return next(verdicts)
+
+    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", probe)
+    pen = macaulay_pencil(s, np.random.default_rng(11))
+    assert probed == [pen.gep.A.shape] * 2
+    assert pen.alpha.tobytes() == want.alpha.tobytes()
+    assert pen.beta.tobytes() == want.beta.tobytes()
+    assert pen.gep.A.tobytes() == want.gep.A.tobytes()
+    assert pen.gep.B.tobytes() == want.gep.B.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_pencil_that_never_passes_its_probe_raises_singular_pencil(monkeypatch, d):
+    s = generate(FamilySpec(family="cyclic_squares", d=d, sigma=0.5), rng=np.random.default_rng(51))
+    probed = []
+
+    def never(A, B):
+        probed.append(A.shape)
+        return False
+
+    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", never)
+    with pytest.raises(SingularPencil):
+        macaulay_pencil(s, np.random.default_rng(12))
+    assert len(probed) == 4
 
 
 def test_smallest_singular_hat_matches_direct_svd():

@@ -453,7 +453,7 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
     assert factored.count(built[0]) == 1
 
 
-def test_only_the_rectangular_macaulay_pencil_is_probed_for_singularity(monkeypatch):
+def test_every_macaulay_pencil_is_probed_once_in_macaulay_pencil(monkeypatch):
     import polylab.macaulay
     import polylab.numkernel
     import polylab.solvers
@@ -465,22 +465,35 @@ def test_only_the_rectangular_macaulay_pencil_is_probed_for_singularity(monkeypa
         probes.append(A.shape)
         return original(A, B, *args, **kwargs)
 
-    for module in (polylab.numkernel, polylab.macaulay, polylab.solvers):
+    for module in (polylab.numkernel, polylab.macaulay):
         monkeypatch.setattr(module, "check_pencil_regular", counting)
+    assert not hasattr(polylab.solvers, "check_pencil_regular")
 
-    def probe_count(solve):
+    def probed_shapes(solve):
         probes.clear()
         report = solve()
         assert len(report.roots) == bezout_count(s)
-        return len(probes), report
+        return list(probes), report
 
     for d in (2, 3):
         s = generate(FamilySpec(family="orthogonal", d=d, sigma=0.1, seed=4))
-        assert probe_count(lambda: solve_normal_form(s))[0] == 0
-        assert probe_count(lambda: solve_mep_operator_determinants(s))[0] == 0
-        count, report = probe_count(lambda: solve_macaulay_resultant(s, np.random.default_rng(6)))
-        assert count == 1
+        assert probed_shapes(lambda: solve_normal_form(s))[0] == []
+        assert probed_shapes(lambda: solve_mep_operator_determinants(s))[0] == []
+        shapes, report = probed_shapes(lambda: solve_macaulay_resultant(s, np.random.default_rng(6)))
+        # The square d = 2 pencil is probed whole, the d = 3 one compressed to r x r.
+        n = 10 if d == 2 else bezout_count(s)
+        assert shapes == [(n, n)]
         assert report.diagnostics["square"] == (d == 2)
-    monkeypatch.setattr(polylab.solvers, "check_pencil_regular", lambda A, B: False)
+    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", lambda A, B: False)
     with pytest.raises(SingularPencil):
         solve_macaulay_resultant(s, rng=np.random.default_rng(6))
+
+
+def test_nullity_mismatch_is_one_class_exported_everywhere():
+    import polylab
+    import polylab.macaulay
+    import polylab.solvers
+
+    assert polylab.solvers.NullityMismatch is polylab.macaulay.NullityMismatch
+    assert polylab.NullityMismatch is polylab.macaulay.NullityMismatch
+    assert polylab.macaulay.NullityMismatch in bench.SOLVER_FAILURES
