@@ -154,6 +154,9 @@ def _cmd_audit(args) -> int:
                 return 1
             out[m] = {"method": m, key: text}
     _emit(out if args.method == "all" else out[args.method], args.out)
+    if not any("kappa_sub" in rec for rec in out.values()):
+        print("no method produced a kappa", file=sys.stderr)
+        return 1
     return 0
 
 

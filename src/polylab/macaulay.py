@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .numkernel import GenEigProblem, SingularPencil, SvdFactor, check_pencil_regular
+from .numkernel import GenEigProblem, SvdFactor
 from .polycore import (
     CompiledLayout,
     MultiPoly,
@@ -126,7 +126,8 @@ class MacaulayPencil:
     B = [0; B2] and ``Z`` is None. Otherwise (extra syzygy rows) ``gep`` is
     (A2 Z, B2 Z), with Z = basis.nullspace, the null space of A1: the same
     finite eigenvalues, and Z maps its eigenvectors back to the Macaulay
-    columns. macaulay_pencil has probed ``gep`` for singularity.
+    columns. Either way A1's numerical nullity is the Bezout count r, which
+    macaulay_pencil has checked.
     """
 
     gep: GenEigProblem
@@ -228,37 +229,33 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     """Build the eigenvalue pencil the Macaulay solver solves, from a random h.
 
     h rows are kept exactly for the basis monomials chosen from the null
-    space, so the finite spectrum has size bezout_count(s). A rectangular
-    system is compressed to that null space (see MacaulayPencil), after a
-    NullityMismatch check that the null space has exactly one dimension
-    per kept row. alpha and beta are unit-scale complex Gaussians, redrawn
-    up to three times if the pencil comes out singular (SingularPencil
-    after the fourth draw). This probe is the only singularity check a
-    Macaulay pencil gets: generalized_eig runs none.
+    space, so the finite spectrum has size r = bezout_count(s). Both shapes
+    first pass a NullityMismatch check that the Macaulay matrix's numerical
+    nullity is r, one null dimension per kept row; it reads the factor
+    choose_basis computed. For the square pencil that check is the
+    regularity condition: a larger nullity makes [A1; A2 - lambda B2]
+    singular for every lambda. A rectangular system is then compressed to
+    the null space (see MacaulayPencil). alpha and beta are unit-scale
+    complex Gaussians, drawn once: 4 (d + 1) standard normals from rng.
     """
     r = bezout_count(s)
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat, r)
-    Z = None
-    if mhat.mat.shape[0] + r != len(mhat.col_labels):
-        nullity = mhat.factor.nullity
-        if nullity != r:
-            raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
+    nullity = mhat.factor.nullity
+    if nullity != r:
+        raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
+    alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
+    beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
+    A2 = _h_rows(sel.indices, alpha, mhat.index.up)
+    B2 = _h_rows(sel.indices, beta, mhat.index.up)
+    if mhat.mat.shape[0] + r == len(mhat.col_labels):
+        Z = None
+        A = np.vstack([mhat.mat, A2])
+        B = np.vstack([np.zeros_like(mhat.mat), B2])
+    else:
         Z = sel.nullspace
-    for _ in range(4):
-        alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
-        beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
-        A2 = _h_rows(sel.indices, alpha, mhat.index.up)
-        B2 = _h_rows(sel.indices, beta, mhat.index.up)
-        if Z is None:
-            A = np.vstack([mhat.mat, A2])
-            B = np.vstack([np.zeros_like(mhat.mat), B2])
-        else:
-            A, B = A2 @ Z, B2 @ Z
-        if check_pencil_regular(A, B):
-            gep = GenEigProblem(A=A, B=B)
-            return MacaulayPencil(gep=gep, mhat=mhat, basis=sel, alpha=alpha, beta=beta, Z=Z)
-    raise SingularPencil("no regular pencil after redraws: pencil singular at probe points")
+        A, B = A2 @ Z, B2 @ Z
+    return MacaulayPencil(gep=GenEigProblem(A=A, B=B), mhat=mhat, basis=sel, alpha=alpha, beta=beta, Z=Z)
 
 
 def smallest_singular_hat(s: PolySystem) -> float:

@@ -25,19 +25,13 @@ import scipy.linalg
 
 from .polycore import UniPoly
 
-# Relative magnitude of beta below which a pencil eigenvalue is flagged
-# infinite, in the (alpha, beta) parameterization.
-INFINITE_EIG_TOL = 1e-12
-
-# Random shifts at which check_pencil_regular evaluates a pencil, as (re, im)
-# pairs: the draws a default_rng(0x5EED) makes one scalar at a time.
-PENCIL_PROBES = 3
-_PENCIL_DRAWS = np.random.default_rng(0x5EED).standard_normal((PENCIL_PROBES, 2))
-_PENCIL_DRAWS.flags.writeable = False
+# A QZ pair entry within QZ_ZERO_TOL * n * eps of the norm of its matrix
+# (alpha against ||A||_F, beta against ||B||_F) is zero at QZ's backward error.
+QZ_ZERO_TOL = 100
 
 
 class SingularPencil(Exception):
-    """The pencil det(A - lambda B) is numerically identically zero."""
+    """QZ returned a pair with alpha and beta both at rounding level: det(A - lambda B) is identically 0."""
 
 
 class NullSpaceGapWarning(UserWarning):
@@ -71,9 +65,11 @@ class EigTriple:
     """One eigenvalue with unit right and left eigenvectors.
 
     The left vector uses the transpose convention: left @ (A - lambda B) = 0.
-    ``lam`` is None when the eigenvalue is infinite. ``beta_ratio`` is
+    ``lam`` is None when the eigenvalue is infinite: QZ's |beta| is at
+    rounding level of ||B||_F (see generalized_eig). ``beta_ratio`` is
     |beta| / (|alpha| + |beta|) from the QZ output: 0 for an exactly infinite
-    eigenvalue, near 1 for an eigenvalue close to 0. ``right`` and ``left``
+    eigenvalue, near 1 for an eigenvalue close to 0; a caller that knows how
+    many eigenvalues are finite ranks them by it. ``right`` and ``left``
     are read-only rows of arrays shared by all triples of one pencil.
     """
 
@@ -92,24 +88,6 @@ def sigma_min(M) -> float:
     M = np.asarray(M, dtype=complex)
     s = np.linalg.svd(M, compute_uv=False)
     return float(s[-1])
-
-
-def _is_numerically_singular(M: np.ndarray, scale: float) -> bool:
-    s = np.linalg.svd(M, compute_uv=False)
-    n = max(M.shape)
-    return bool(s[-1] <= n * np.finfo(float).eps * max(scale, s[0]))
-
-
-def check_pencil_regular(A: np.ndarray, B: np.ndarray) -> bool:
-    """Probe det(A - lambda B) at PENCIL_PROBES seeded random lambda; False if all are singular."""
-    normA = np.linalg.norm(A, 2) if A.size else 0.0
-    normB = np.linalg.norm(B, 2) if B.size else 0.0
-    base = normA / normB if normB > 0 else 1.0
-    for re, im in _PENCIL_DRAWS.tolist():
-        lam = base * (re + 1j * im)
-        if not _is_numerically_singular(A - lam * B, normA + abs(lam) * normB):
-            return True
-    return False
 
 
 # LAPACK's complex QZ driver, and the BLAS 2-norm that scipy.linalg.norm calls
@@ -139,12 +117,15 @@ def _vector_norm(v: np.ndarray) -> float:
 def generalized_eig(gep: GenEigProblem) -> list:
     """All eigenvalue triples of a square pencil.
 
-    Infinite eigenvalues (|beta| tiny) are flagged with lam=None. Left
-    eigenvectors are returned in the transpose convention. The pencil must
-    be regular, and this function does not check it: a caller whose pencil
-    can be singular probes it first with check_pencil_regular and raises
-    SingularPencil itself. On a singular pencil QZ returns meaningless
-    eigenvalues.
+    Each QZ pair (alpha, beta) is judged against ||A||_F and ||B||_F at one
+    tolerance, QZ_ZERO_TOL * n * eps: a pair with both entries that small
+    raises SingularPencil (QZ's sign of a singular pencil, Moler & Stewart
+    1973), and a pair with only beta that small is infinite (lam=None). Left
+    eigenvectors are returned in the transpose convention. The guard is not a
+    regularity test: a singular pencil whose QZ pairs all stay away from
+    (0, 0) passes it, and QZ's eigenvalues of it are meaningless, so a caller
+    whose pencil can be singular rules that out itself (macaulay_pencil's
+    nullity check).
 
     One zggev call computes both eigenvector sets, and the output is
     byte-equal to scipy.linalg.eig's followed by a per-vector
@@ -174,6 +155,13 @@ def generalized_eig(gep: GenEigProblem) -> list:
         raise np.linalg.LinAlgError(
             f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})"
         )
+    tol = QZ_ZERO_TOL * n * np.finfo(float).eps
+    zero_alpha = np.abs(alpha) <= tol * np.linalg.norm(gep.A)
+    infinite = np.abs(beta) <= tol * np.linalg.norm(gep.B)
+    if (zero_alpha & infinite).any():
+        raise SingularPencil(
+            f"a QZ pair has |alpha| <= {tol:.1e} ||A||_F and |beta| <= {tol:.1e} ||B||_F"
+        )
     # scipy.linalg.norm's finiteness check on each vector.
     if not (np.isfinite(vl).all() and np.isfinite(vr).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -189,9 +177,8 @@ def generalized_eig(gep: GenEigProblem) -> list:
         V.flags.writeable = False
     out = []
     for j in range(n):
-        denom = abs(alpha[j]) + abs(beta[j])
-        ratio = float(abs(beta[j]) / denom) if denom > 0 else 0.0
-        lam = None if abs(beta[j]) <= INFINITE_EIG_TOL * denom else complex(alpha[j] / beta[j])
+        ratio = float(abs(beta[j]) / (abs(alpha[j]) + abs(beta[j])))
+        lam = None if infinite[j] else complex(alpha[j] / beta[j])
         out.append(EigTriple(lam=lam, right=right[j], left=left[j], beta_ratio=ratio))
     return out
 

@@ -269,28 +269,34 @@ def solve_macaulay_resultant(
 ) -> RootReport:
     """Roots from the eigenvectors of the h-augmented Macaulay pencil.
 
-    macaulay_pencil builds and probes the pencil. A square one is solved
-    directly and its infinite eigenvalues are discarded; a rectangular one
-    arrives compressed to the null space Z of the polynomial block, and Z
-    maps its eigenvectors back to the Macaulay columns.
+    macaulay_pencil builds the pencil; a rectangular one arrives compressed
+    to the null space Z of the polynomial block, and Z maps its eigenvectors
+    back to the Macaulay columns. The Bezout count r decides which QZ pairs
+    are the roots. A pencil with more than r pairs (the square one) keeps
+    the r with the largest beta ratio, in that order, and the next one must
+    sit six orders below them: its infinite eigenvalues lie in Jordan
+    blocks, where QZ leaves |beta| up to about 2e-6 ||B||_F, so no cutoff on
+    |beta| alone picks the finite set. A missing gap, or a kept pair that is
+    infinite, is a NullityMismatch. A pencil with exactly r pairs keeps QZ
+    order.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
     r = bezout_count(s)
     pencil = macaulay_pencil(s, rng)
     gep = pencil.gep
-    finite = [t for t in generalized_eig(gep) if not t.is_infinite]
-    if pencil.Z is None:
-        # Rounding in a nearly singular polynomial block can push an infinite
-        # eigenvalue's |beta| above the absolute cutoff; those stragglers sit
-        # many orders below the finite cluster in beta_ratio.
+    finite = generalized_eig(gep)
+    if len(finite) > r:
         finite.sort(key=lambda t: -t.beta_ratio)
-        if len(finite) > r and finite[r].beta_ratio <= 1e-6 * finite[r - 1].beta_ratio:
-            finite = finite[:r]
+        if finite[r].beta_ratio > 1e-6 * finite[r - 1].beta_ratio:
+            raise NullityMismatch(f"no beta-ratio gap after the largest {r} of {len(finite)} eigenvalues")
+        del finite[r:]
+    infinite = sum(t.is_infinite for t in finite)
+    if infinite:
+        raise NullityMismatch(f"{infinite} of the {r} kept eigenvalues are infinite")
+    if pencil.Z is None:
         vectors = [t.right for t in finite]
     else:
         vectors = [pencil.Z @ t.right for t in finite]
-    if len(finite) != r:
-        raise NullityMismatch(f"{len(finite)} finite eigenvalues, expected {r}")
     roots = []
     sub_kappa = []
     for t, v in zip(finite, vectors):

@@ -234,8 +234,11 @@ def test_audit_all_records_each_failure_and_goes_on(tmp_path, capsys):
     sys_path = tmp_path / "sys.json"
     broken_system("rank-deficient", sys_path)
     capsys.readouterr()
-    assert run_cli(["audit", "--system", str(sys_path)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    # Every record is written, and with no kappa among them the audit exits 1.
+    assert run_cli(["audit", "--system", str(sys_path)]) == 1
+    captured = capsys.readouterr()
+    assert "no method produced a kappa" in captured.err
+    out = json.loads(captured.out)
     failed = "RankDeficientBasis: candidate null space rows are rank deficient"
     assert out["nf"] == {"method": "nf", "failed": failed}
     assert out["macaulay"] == {"method": "macaulay", "failed": failed}

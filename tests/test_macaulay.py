@@ -25,6 +25,7 @@ from polylab import (
     rho,
     sigma_min,
     smallest_singular_hat,
+    solve_macaulay_resultant,
 )
 from polylab.macaulay import _h_rows
 from polylab.numkernel import SvdFactor
@@ -173,53 +174,40 @@ def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-8
 
 
-def test_only_a_rectangular_pencil_checks_the_nullity_before_drawing(monkeypatch):
+def test_both_pencil_shapes_check_the_nullity_before_drawing(monkeypatch):
+    # For the square pencil a nullity above r makes it singular for every lambda.
     square = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5), rng=np.random.default_rng(52))
     rect = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=np.random.default_rng(52))
-    monkeypatch.setattr(SvdFactor, "nullity", property(lambda self: 9))
     assert macaulay_pencil(square, np.random.default_rng(13)).Z is None
-    rng = np.random.default_rng(13)
-    with pytest.raises(NullityMismatch, match="numerical nullity 9 != kept h rows 8"):
-        macaulay_pencil(rect, rng)
-    assert rng.standard_normal() == np.random.default_rng(13).standard_normal()
+    assert macaulay_pencil(rect, np.random.default_rng(13)).Z is not None
+    monkeypatch.setattr(SvdFactor, "nullity", property(lambda self: 9))
+    for s, r in ((square, 4), (rect, 8)):
+        rng = np.random.default_rng(13)
+        with pytest.raises(NullityMismatch, match=f"numerical nullity 9 != kept h rows {r}"):
+            macaulay_pencil(s, rng)
+        assert rng.standard_normal() == np.random.default_rng(13).standard_normal()
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_a_pencil_that_fails_its_probe_is_redrawn(monkeypatch, d):
-    s = generate(FamilySpec(family="cyclic_squares", d=d, sigma=0.5), rng=np.random.default_rng(50))
-    # The redrawn pencil is the one the rng's next alpha and beta build.
-    rng = np.random.default_rng(11)
-    rng.standard_normal(4 * (d + 1))
-    want = macaulay_pencil(s, rng)
-    verdicts = iter([False, True])
-    probed = []
+class _ZeroRng:
+    """Draws only zeros, so alpha = beta = 0 and both h blocks vanish."""
 
-    def probe(A, B):
-        probed.append(A.shape)
-        return next(verdicts)
-
-    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", probe)
-    pen = macaulay_pencil(s, np.random.default_rng(11))
-    assert probed == [pen.gep.A.shape] * 2
-    assert pen.alpha.tobytes() == want.alpha.tobytes()
-    assert pen.beta.tobytes() == want.beta.tobytes()
-    assert pen.gep.A.tobytes() == want.gep.A.tobytes()
-    assert pen.gep.B.tobytes() == want.gep.B.tobytes()
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_a_pencil_that_never_passes_its_probe_raises_singular_pencil(monkeypatch, d):
+@pytest.mark.parametrize("d", [2, 3])  # square, then compressed pencil
+def test_a_pencil_that_never_passes_its_probe_raises_singular_pencil(d):
+    # With h_alpha = h_beta = 0 the pencil is singular for every lambda: the
+    # square one is ([A1; 0], 0), the compressed one is (0, 0). QZ's pair
+    # guard in generalized_eig is the probe, and the solve raises through it.
     s = generate(FamilySpec(family="cyclic_squares", d=d, sigma=0.5), rng=np.random.default_rng(51))
-    probed = []
-
-    def never(A, B):
-        probed.append(A.shape)
-        return False
-
-    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", never)
+    pen = macaulay_pencil(s, _ZeroRng())
+    assert (pen.Z is None) == (d == 2)
+    assert not pen.gep.B.any()
     with pytest.raises(SingularPencil):
-        macaulay_pencil(s, np.random.default_rng(12))
-    assert len(probed) == 4
+        generalized_eig(pen.gep)
+    with pytest.raises(SingularPencil):
+        solve_macaulay_resultant(s, rng=_ZeroRng())
 
 
 def test_smallest_singular_hat_matches_direct_svd():

@@ -9,6 +9,7 @@ import scipy.linalg
 from polylab import (
     GenEigProblem,
     NullSpaceGapWarning,
+    SingularPencil,
     UniPoly,
     block_operator_determinant,
     companion_matrix,
@@ -18,8 +19,7 @@ from polylab import (
     null_space,
     sigma_min,
 )
-from polylab import numkernel
-from polylab.numkernel import _ZGGEV, INFINITE_EIG_TOL, PENCIL_PROBES, _zggev_lwork, kron
+from polylab.numkernel import _ZGGEV, QZ_ZERO_TOL, _zggev_lwork, kron
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -122,14 +122,14 @@ def _scipy_eig_reference(gep):
     """scipy.linalg.eig followed by a per-column np.linalg.norm normalization."""
     ab, vl, vr = scipy.linalg.eig(gep.A, gep.B, left=True, right=True, homogeneous_eigvals=True)
     alpha, beta = ab
+    tol = QZ_ZERO_TOL * gep.dim * np.finfo(float).eps * np.linalg.norm(gep.B)
     out = []
     for j in range(gep.dim):
         right = vr[:, j] / np.linalg.norm(vr[:, j])
         left = vl[:, j].conj()
         left = left / np.linalg.norm(left)
-        denom = abs(alpha[j]) + abs(beta[j])
-        ratio = float(abs(beta[j]) / denom) if denom > 0 else 0.0
-        finite = abs(beta[j]) > INFINITE_EIG_TOL * denom
+        ratio = float(abs(beta[j]) / (abs(alpha[j]) + abs(beta[j])))
+        finite = abs(beta[j]) > tol
         out.append((complex(alpha[j] / beta[j]) if finite else None, ratio, right, left))
     return out
 
@@ -158,6 +158,34 @@ def test_kappa_eig_matches_the_norm_formula_bit_for_bit():
             num = float(np.linalg.norm(t.left) * np.linalg.norm(t.right))
             expected = num / abs(t.left @ gep.B @ t.right) * (1.0 + abs(t.lam))
             assert kappa_eig(gep, t) == expected
+
+
+def _with_common_null_vector(A, B, v, side):
+    """A and B projected so that v is a common right (A v = B v = 0) or left null vector."""
+    P = np.eye(len(v)) - np.outer(v, v.conj())
+    return (A @ P, B @ P) if side == "right" else (P.T @ A, P.T @ B)
+
+
+def test_a_pencil_with_a_common_null_vector_raises_singular_pencil():
+    # det(A - lambda B) vanishes identically, and QZ shows it as a pair with
+    # alpha and beta both at rounding level.
+    rng = np.random.default_rng(31)
+    for side in ("right", "left"):
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            A, B = _with_common_null_vector(A, B, v / np.linalg.norm(v), side)
+            with pytest.raises(SingularPencil):
+                generalized_eig(GenEigProblem(A=A, B=B))
+
+
+def test_a_random_regular_pencil_does_not_raise_singular_pencil():
+    rng = np.random.default_rng(32)
+    for _ in range(500):
+        n = int(rng.integers(1, 13))
+        A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        assert len(generalized_eig(GenEigProblem(A=A, B=B))) == n
 
 
 def test_generalized_eig_rejects_non_finite_input():
@@ -245,13 +273,6 @@ def test_kron_is_bit_equal_to_numpy_kron():
         for a, b in pairs:
             got, want = kron(a, b), np.kron(a, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_pencil_probes_are_the_seeded_scalar_draws():
-    rng = np.random.default_rng(0x5EED)
-    draws = [rng.standard_normal() for _ in range(2 * PENCIL_PROBES)]
-    assert numkernel._PENCIL_DRAWS.ravel().tolist() == draws
-    assert not numkernel._PENCIL_DRAWS.flags.writeable
 
 
 def test_block_operator_determinant_scalar_blocks():

@@ -15,7 +15,6 @@ from polylab import (
     PolySystem,
     RankDeficientBasis,
     SingularDelta0,
-    SingularPencil,
     UnsupportedShape,
     bezout_count,
     block_operator_determinant,
@@ -150,8 +149,9 @@ def test_macaulay_solver_reduced_path_trivariate():
 
 
 def test_macaulay_solver_filters_near_infinite_stragglers():
-    # tiny sigma pushes one infinite eigenvalue's |beta| above the absolute
-    # cutoff; the relative gap filter must still deliver exactly 4 roots
+    # tiny sigma pushes the infinite eigenvalues' |beta| far above rounding
+    # level; the Bezout count and the beta-ratio gap must still deliver
+    # exactly 4 roots
     target = np.array([1 / 3, 1 / 3], dtype=complex)
     for sigma in (1e-3, 1e-4):
         for seed in range(20):
@@ -453,42 +453,70 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
     assert factored.count(built[0]) == 1
 
 
-def test_every_macaulay_pencil_is_probed_once_in_macaulay_pencil(monkeypatch):
-    import polylab.macaulay
-    import polylab.numkernel
-    import polylab.solvers
-
-    probes = []
-    original = polylab.numkernel.check_pencil_regular
-
-    def counting(A, B, *args, **kwargs):
-        probes.append(A.shape)
-        return original(A, B, *args, **kwargs)
-
-    for module in (polylab.numkernel, polylab.macaulay):
-        monkeypatch.setattr(module, "check_pencil_regular", counting)
-    assert not hasattr(polylab.solvers, "check_pencil_regular")
-
-    def probed_shapes(solve):
-        probes.clear()
-        report = solve()
-        assert len(report.roots) == bezout_count(s)
-        return list(probes), report
-
+def test_a_macaulay_solve_draws_its_divisors_once():
+    # alpha and beta take exactly 4 (d + 1) standard normals from the rng.
     for d in (2, 3):
         s = generate(FamilySpec(family="orthogonal", d=d, sigma=0.1, seed=4))
-        assert probed_shapes(lambda: solve_normal_form(s))[0] == []
-        assert probed_shapes(lambda: solve_mep_operator_determinants(s))[0] == []
-        shapes, report = probed_shapes(lambda: solve_macaulay_resultant(s, np.random.default_rng(6)))
-        # The square d = 2 pencil is probed whole, the d = 3 one compressed to r x r.
-        n = 10 if d == 2 else bezout_count(s)
-        assert shapes == [(n, n)]
+        rng = np.random.default_rng(6)
+        report = solve_macaulay_resultant(s, rng)
+        assert len(report.roots) == bezout_count(s)
         assert report.diagnostics["square"] == (d == 2)
-    monkeypatch.setattr(polylab.macaulay, "check_pencil_regular", lambda A, B: False)
-    with pytest.raises(SingularPencil):
-        solve_macaulay_resultant(s, rng=np.random.default_rng(6))
+        fresh = np.random.default_rng(6)
+        fresh.standard_normal(4 * (d + 1))
+        assert rng.standard_normal() == fresh.standard_normal()
 
 
+def _cutoff_and_straggler_rule(trips, r):
+    """Reference finite set of a Macaulay pencil's QZ triples, or the failure class.
+
+    An absolute cutoff |beta| <= 1e-12 (|alpha| + |beta|) marks a pair
+    infinite; a square pencil's remaining pairs are sorted by beta ratio and
+    stragglers six orders below the r-th are cut; any count but r fails.
+    """
+    finite = [t for t in trips if t.beta_ratio > 1e-12]
+    if len(trips) > r:
+        finite.sort(key=lambda t: -t.beta_ratio)
+        if len(finite) > r and finite[r].beta_ratio <= 1e-6 * finite[r - 1].beta_ratio:
+            finite = finite[:r]
+    return [t.lam for t in finite] if len(finite) == r else "NullityMismatch"
+
+
+def test_the_bezout_rule_keeps_the_cutoff_and_straggler_rules_eigenvalues(monkeypatch):
+    # Every fig 1g trial and the fig 4b sigma = 1e-8 trials, six of which fail.
+    import polylab.solvers
+
+    seen = []
+    kept = []
+    eig, solver = polylab.solvers.generalized_eig, polylab.solvers.solve_macaulay_resultant
+
+    def recording_eig(gep):
+        seen.append(eig(gep))
+        return seen[-1]
+
+    def recording_solver(*args, **kwargs):
+        report = solver(*args, **kwargs)
+        kept.append(report.diagnostics["eigenvalues"])
+        return report
+
+    monkeypatch.setattr(polylab.solvers, "generalized_eig", recording_eig)
+    monkeypatch.setattr(polylab.solvers, "solve_macaulay_resultant", recording_solver)
+    points = [(FIGURES["1g"], idx, x) for idx, x in enumerate(FIGURES["1g"].values)]
+    points.append((FIGURES["4b"], 0, FIGURES["4b"].values[0]))
+    failures = 0
+    for spec, idx, x in points:
+        for trial in range(spec.n_trials):
+            seen.clear()
+            kept.clear()
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, idx, trial]))
+            try:
+                bench._trial_error(spec, x, rng)
+                got = kept[0]
+            except bench.SOLVER_FAILURES as exc:
+                got = type(exc).__name__
+            want = _cutoff_and_straggler_rule(seen[0], 4) if seen else got
+            assert got == want, (spec.name, x, trial)
+            failures += isinstance(got, str)
+    assert failures == 6
 def test_nullity_mismatch_is_one_class_exported_everywhere():
     import polylab
     import polylab.macaulay
