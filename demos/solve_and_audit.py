@@ -13,15 +13,17 @@ import numpy as np
 
 from polylab import (
     FamilySpec,
+    choose_basis,
     generate,
     hausdorff_distance,
     kappa_eig_mep_formula,
     kappa_eig_ms_formula,
     kappa_root,
+    macaulay_hat,
     mep_from_system,
+    rho,
     solve,
 )
-from polylab.solvers import build_ms_matrices
 
 s = generate(FamilySpec(family="permutation", d=2, sigma=1e-2, seed=7))
 print("system polynomials:")
@@ -44,8 +46,8 @@ origin = np.zeros(2, dtype=complex)
 kr = kappa_root(s, origin)
 print(f"\nkappa_root at the origin: {kr:.3e}")
 
-mats, basis, N = build_ms_matrices(s)
-k_nf = kappa_eig_ms_formula(s, origin, basis, 0, N=N)
+sel = choose_basis(macaulay_hat(s, rho(s)))
+k_nf = kappa_eig_ms_formula(s, origin, sel.monomials, 0, N=sel.nullspace)
 k_mep = kappa_eig_mep_formula(mep_from_system(s), s, origin, 0)
 print(f"multiplication-matrix eigenvalue conditioning: {k_nf:.3e}")
 print(f"operator-determinant eigenvalue conditioning:  {k_mep:.3e}")

@@ -17,9 +17,9 @@ import numpy as np
 from . import bench, verification
 from .conditioning import ConditionReport, kappa_eig_macaulay_bound, kappa_eig_mep_formula, kappa_eig_ms_formula, kappa_root
 from .families import FAMILIES, FamilySpec, generate
-from .macaulay import linear_poly, macaulay_pencil
-from .polycore import PolySystem
-from .solvers import METHODS, UnsupportedShape, build_ms_matrices, mep_from_system, solve
+from .macaulay import choose_basis, linear_poly, macaulay_hat, macaulay_pencil
+from .polycore import PolySystem, rho
+from .solvers import METHODS, UnsupportedShape, mep_from_system, solve
 
 
 class BadInput(Exception):
@@ -109,8 +109,8 @@ def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
     # |x_i| gives the maximum over i exactly.
     i = int(np.argmax(np.abs(x)))
     if method == "nf":
-        _, basis, N = build_ms_matrices(s)
-        ks = kappa_eig_ms_formula(s, x, basis, i, N)
+        sel = choose_basis(macaulay_hat(s, rho(s)))
+        ks = kappa_eig_ms_formula(s, x, sel.monomials, i, sel.nullspace)
     elif method == "mep":
         ks = kappa_eig_mep_formula(mep_from_system(s), s, x, i)
     else:

@@ -33,6 +33,10 @@ class BasisSingular(Exception):
     """The basis rows of the null space are numerically singular."""
 
 
+# Largest condition number of the basis rows N_B of a Macaulay null space
+# that the normal form solver and normal_form accept.
+BASIS_COND_MAX = 1e12
+
 # Largest sigma_min / sigma_max of W_i(x*) that mep_root_vectors accepts as
 # singular, i.e. x* as a joint eigenvalue.
 MEP_ROOT_TOL = 1e-6
@@ -166,11 +170,7 @@ def kappa_eig_mep_formula(mep, s: PolySystem, xstar, i: int) -> float:
     detJ = abs(np.linalg.det(jacobian(s, xstar)))
     if detJ == 0.0:
         raise SingularJacobian(f"Jacobian singular at {xstar}")
-    prod = 1.0
-    for k in range(mep.d):
-        _, sv, _ = np.linalg.svd(mep_operator(mep.W[k], xstar))
-        if sv.size > 1:
-            prod *= float(np.prod(sv[:-1]))
+    prod = math.prod(np.diag(mep_row_scaling(mep, xstar)).tolist())
     return prod / detJ * (1.0 + abs(xstar[i]))
 
 
@@ -245,24 +245,16 @@ def _full_block_positions(n_rows: int, d: int) -> Mapping:
     return monomial_positions(deg, d)
 
 
-def normal_form(
-    f: MultiPoly,
-    basis: list,
-    N: np.ndarray,
-    row_monomials: list | None = None,
-) -> np.ndarray:
+def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     """Coefficients of f's residue class over the quotient basis.
 
-    N is a null-space matrix of the Macaulay matrix whose rows follow
-    ``row_monomials`` (inferred as the full monomial block when omitted,
-    which reads the shared grlex index instead of building one).
-    The vector c solves N_B^T c = N^T f, matching the values every null
-    space functional takes on f and on its basis representation.
+    N is a null-space matrix of the Macaulay matrix, so its rows follow the
+    Macaulay columns: the full monomial block in grlex order, read from the
+    shared index. The vector c solves N_B^T c = N^T f, matching the values
+    every null space functional takes on f and on its basis representation.
+    Basis rows N_B conditioned worse than BASIS_COND_MAX raise BasisSingular.
     """
-    if row_monomials is None:
-        index = _full_block_positions(N.shape[0], f.nvars)
-    else:
-        index = {m: k for k, m in enumerate(row_monomials)}
+    index = _full_block_positions(N.shape[0], f.nvars)
     fvec = np.zeros(len(index), dtype=complex)
     for m, c in f.terms.items():
         if m not in index:
@@ -273,7 +265,7 @@ def normal_form(
     except KeyError as e:
         raise ValueError(f"basis monomial {e} not among row monomials") from e
     NB = N[b_idx, :]
-    if np.linalg.cond(NB) > 1e12:
+    if np.linalg.cond(NB) > BASIS_COND_MAX:
         raise BasisSingular("basis rows of the null space are numerically singular")
     return np.linalg.solve(NB.T, N.T @ fvec)
 
@@ -292,8 +284,6 @@ def basis_values(basis: list, x) -> np.ndarray:
 
 
 def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray) -> np.ndarray:
-    # N's rows follow the Macaulay columns, the full monomial block, so
-    # normal_form infers its row monomials.
     return normal_form(poly_det(q_factorization(s, xstar).Q), basis, N)
 
 
@@ -309,7 +299,7 @@ def kappa_eig_ms_formula(
     ||[det Q]_B||_2 * ||B(x*)||_2 / |det J(x*)| * (1 + |x_i*|), where
     [det Q]_B is the normal form of det Q over the basis and B(x*) the basis
     monomials evaluated at the root. N is the null space of the degree-rho
-    Macaulay matrix that the basis was read from (build_ms_matrices).
+    Macaulay matrix that the basis was read from (``choose_basis``).
     """
     xstar = np.asarray(xstar, dtype=complex)
     c = _det_q_in_basis(s, xstar, basis, N)

@@ -101,7 +101,8 @@ class MacaulayMatrix:
 
     ``row_labels[k] = (i, m)`` means row k holds the coefficients of
     m * p_i over ``col_labels``. The label lists are the matrix's own
-    copies; ``index`` is the shared map they came from.
+    copies; ``index`` is the shared map they came from. ``bezout`` is the
+    system's Bezout count, the nullity choose_basis requires.
     """
 
     mat: np.ndarray
@@ -109,6 +110,7 @@ class MacaulayMatrix:
     col_labels: list
     degree: int
     index: MacaulayIndex
+    bezout: int
 
     @functools.cached_property
     def factor(self) -> SvdFactor:
@@ -169,20 +171,28 @@ def macaulay_hat(s: PolySystem, degree: int) -> MacaulayMatrix:
         col_labels=list(index.col_labels),
         degree=degree,
         index=index,
+        bezout=bezout_count(s),
     )
 
 
-def choose_basis(mhat: MacaulayMatrix, r: int) -> BasisSelection:
-    """Select r quotient-basis monomials of degree <= degree - 1.
+def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
+    """Select r = mhat.bezout quotient-basis monomials of degree <= degree - 1.
 
-    The null space N is read from the matrix's shared factor with
-    prescribed nullity r, so it costs no SVD beyond ``mhat.factor``.
+    The quotient exists only when the matrix's numerical nullity is r; any
+    other nullity (roots at infinity, multiple roots, a positive-dimensional
+    solution set) raises NullityMismatch before the null space is read. The
+    null space N is then read from the matrix's shared factor with nullity
+    r, so it costs no SVD beyond ``mhat.factor``.
     Candidate rows of N (monomials below the top degree) are ranked by
     column-pivoted QR, greedy on residual norms, and the first r pivots form
     the basis. The condition number of the selected r x r submatrix is
     reported alongside, and N travels with the selection for the caller to
     reuse.
     """
+    r = mhat.bezout
+    nullity = mhat.factor.nullity
+    if nullity != r:
+        raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
     N = mhat.factor.null_space(r)
     cand = mhat.index.candidates
     C = N[cand, :]
@@ -229,26 +239,21 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     """Build the eigenvalue pencil the Macaulay solver solves, from a random h.
 
     h rows are kept exactly for the basis monomials chosen from the null
-    space, so the finite spectrum has size r = bezout_count(s). Both shapes
-    first pass a NullityMismatch check that the Macaulay matrix's numerical
-    nullity is r, one null dimension per kept row; it reads the factor
-    choose_basis computed. For the square pencil that check is the
+    space, so the finite spectrum has size r = bezout_count(s). choose_basis
+    has checked that the Macaulay matrix's numerical nullity is r, one null
+    dimension per kept row. For the square pencil that check is the
     regularity condition: a larger nullity makes [A1; A2 - lambda B2]
     singular for every lambda. A rectangular system is then compressed to
     the null space (see MacaulayPencil). alpha and beta are unit-scale
     complex Gaussians, drawn once: 4 (d + 1) standard normals from rng.
     """
-    r = bezout_count(s)
     mhat = macaulay_hat(s, rho(s))
-    sel = choose_basis(mhat, r)
-    nullity = mhat.factor.nullity
-    if nullity != r:
-        raise NullityMismatch(f"numerical nullity {nullity} != kept h rows {r}")
+    sel = choose_basis(mhat)
     alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
     beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
     A2 = _h_rows(sel.indices, alpha, mhat.index.up)
     B2 = _h_rows(sel.indices, beta, mhat.index.up)
-    if mhat.mat.shape[0] + r == len(mhat.col_labels):
+    if mhat.mat.shape[0] + mhat.bezout == len(mhat.col_labels):
         Z = None
         A = np.vstack([mhat.mat, A2])
         B = np.vstack([np.zeros_like(mhat.mat), B2])
@@ -256,12 +261,3 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
         Z = sel.nullspace
         A, B = A2 @ Z, B2 @ Z
     return MacaulayPencil(gep=GenEigProblem(A=A, B=B), mhat=mhat, basis=sel, alpha=alpha, beta=beta, Z=Z)
-
-
-def smallest_singular_hat(s: PolySystem) -> float:
-    """sigma_min of the degree-rho Macaulay matrix, read from its shared factor.
-
-    A caller that already holds the MacaulayMatrix reads
-    ``mhat.factor.sigma_min`` instead and pays for no second SVD.
-    """
-    return macaulay_hat(s, rho(s)).factor.sigma_min

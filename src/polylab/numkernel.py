@@ -124,8 +124,8 @@ def generalized_eig(gep: GenEigProblem) -> list:
     eigenvectors are returned in the transpose convention. The guard is not a
     regularity test: a singular pencil whose QZ pairs all stay away from
     (0, 0) passes it, and QZ's eigenvalues of it are meaningless, so a caller
-    whose pencil can be singular rules that out itself (macaulay_pencil's
-    nullity check).
+    whose pencil can be singular rules that out itself (the Macaulay
+    pencil's nullity check in choose_basis).
 
     One zggev call computes both eigenvector sets, and the output is
     byte-equal to scipy.linalg.eig's followed by a per-vector

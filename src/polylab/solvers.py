@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conditioning
-from .conditioning import BasisSingular, kappa_eig, kappa_uni
-from .macaulay import MacaulayMatrix, NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
+from .conditioning import BASIS_COND_MAX, BasisSingular, kappa_eig, kappa_uni
+from .macaulay import NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
     companion_roots,
@@ -33,7 +33,6 @@ from .polycore import (
     MultiPoly,
     PolySystem,
     UniPoly,
-    bezout_count,
     rho,
 )
 from numpy.polynomial import polynomial as npoly
@@ -164,34 +163,6 @@ def _report(
 # normal form solver
 
 
-def build_ms_matrices(s: PolySystem):
-    """Multiplication matrices M_{x_i} on the quotient, plus basis and null space.
-
-    The eigenvalues of M_{x_i} are the i-th coordinates of the roots, and
-    the matrices commute up to rounding. The nullity check, the basis choice
-    and the null space all read one SVD of the degree-rho Macaulay matrix.
-    Raises NullityMismatch when the numerical nullity of the Macaulay matrix
-    is not the expected root count (roots at infinity or multiple roots),
-    and BasisSingular when no usable basis submatrix exists.
-    """
-    return _ms_matrices(s, macaulay_hat(s, rho(s)))
-
-
-def _ms_matrices(s: PolySystem, mhat: MacaulayMatrix):
-    r = bezout_count(s)
-    nullity = mhat.factor.nullity
-    if nullity != r:
-        raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
-    sel = choose_basis(mhat, r)
-    if sel.cond > 1e12:
-        raise BasisSingular(f"basis rows condition {sel.cond:.3e}")
-    N = sel.nullspace
-    NB = N[sel.indices, :]
-    up = mhat.index.up
-    mats = [np.linalg.solve(NB.T, N[up[i, sel.indices], :].T) for i in range(s.d)]
-    return mats, sel.monomials, N
-
-
 def solve_normal_form(
     s: PolySystem,
     rng: np.random.Generator | None = None,
@@ -199,18 +170,27 @@ def solve_normal_form(
 ) -> RootReport:
     """Roots via eigenvectors of a random combination of multiplication matrices.
 
-    One driver matrix M_t with t = sum u_i x_i (random unit u) supplies the
+    The multiplication matrices M_{x_i} on the quotient come from the basis
+    choose_basis reads off the degree-rho Macaulay null space N: M_{x_i}
+    solves N_B^T M = N_{x_i B}^T. Their eigenvalues are the i-th coordinates
+    of the roots, and they commute up to rounding. A basis submatrix N_B
+    conditioned worse than BASIS_COND_MAX raises BasisSingular. One driver
+    matrix M_t with t = sum u_i x_i (random unit u) supplies the
     eigenvectors; every coordinate is then a Rayleigh quotient against
     M_{x_i}. The polish flag runs two Newton steps per root; benchmarks
     leave it off to expose the raw eigenproblem accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
     mhat = macaulay_hat(s, rho(s))
-    mats, basis, _ = _ms_matrices(s, mhat)
-    r = len(basis)
+    sel = choose_basis(mhat)
+    if sel.cond > BASIS_COND_MAX:
+        raise BasisSingular(f"basis rows condition {sel.cond:.3e}")
+    N = sel.nullspace
+    NB = N[sel.indices, :]
+    mats = [np.linalg.solve(NB.T, N[mhat.index.up[i, sel.indices], :].T) for i in range(s.d)]
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
-    gep = GenEigProblem(A=Mt, B=np.eye(r, dtype=complex))
+    gep = GenEigProblem(A=Mt, B=np.eye(mhat.bezout, dtype=complex))
     roots = []
     sub_kappa = []
     for t in generalized_eig(gep):
@@ -220,7 +200,7 @@ def solve_normal_form(
         roots.append(np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)]))
         sub_kappa.append(kappa_eig(gep, t))
     diagnostics = {
-        "basis": [list(m) for m in basis],
+        "basis": [list(m) for m in sel.monomials],
         "driver": u.tolist(),
         "sigma_min_hat": mhat.factor.sigma_min,
     }
@@ -281,8 +261,8 @@ def solve_macaulay_resultant(
     order.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
-    r = bezout_count(s)
     pencil = macaulay_pencil(s, rng)
+    r = pencil.mhat.bezout
     gep = pencil.gep
     finite = generalized_eig(gep)
     if len(finite) > r:

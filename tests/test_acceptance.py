@@ -20,7 +20,6 @@ from polylab import (
     PolySystem,
     b0_matrix,
     bezout_count,
-    build_ms_matrices,
     choose_basis,
     generalized_eig,
     generate,
@@ -41,7 +40,6 @@ from polylab import (
     q_factorization,
     rho,
     run_sweep,
-    smallest_singular_hat,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
     solve_normal_form,
@@ -91,6 +89,16 @@ def _rooted_system(d, xstar, rng, single_square=False, scale_up=False):
             p = p.scale(1.0 / p.coefficient_scale())
         polys.append(p)
     return PolySystem(d, polys, true_roots=[np.asarray(xstar, dtype=complex)], family_tag="")
+
+
+def _multiplication_matrices(s):
+    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
+    sel = choose_basis(macaulay_hat(s, rho(s)))
+
+    def column(i, m):
+        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+
+    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
 
 
 def _slope(xs, ys):
@@ -192,7 +200,7 @@ def test_eigenvalue_condition_formulas_match_direct():
         i = k % d
 
         s = _rooted_system(d, xstar, rng)
-        mats, basis, N = build_ms_matrices(s)
+        mats, basis, N = _multiplication_matrices(s)
         gep = GenEigProblem(A=np.asarray(mats[i]), B=np.eye(len(basis), dtype=complex))
         best = min(
             (t for t in generalized_eig(gep) if not t.is_infinite),
@@ -234,14 +242,9 @@ def test_reduced_determinant_norm_bounds_and_examples():
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
         s = _rooted_system(2, xstar, rng, scale_up=True)
         mhat = macaulay_hat(s, rho(s))
-        sel = choose_basis(mhat, bezout_count(s))
-        c = normal_form(
-            lagrange_interpolant(q_factorization(s, xstar)),
-            sel.monomials,
-            sel.nullspace,
-            row_monomials=mhat.col_labels,
-        )
-        worst_margin = min(worst_margin, float(np.linalg.norm(c)) - smallest_singular_hat(s))
+        sel = choose_basis(mhat)
+        c = normal_form(lagrange_interpolant(q_factorization(s, xstar)), sel.monomials, sel.nullspace)
+        worst_margin = min(worst_margin, float(np.linalg.norm(c)) - mhat.factor.sigma_min)
 
     basis_2d = [(0, 0), (1, 0), (0, 1), (0, 2)]
     ratios = []
@@ -249,12 +252,7 @@ def test_reduced_determinant_norm_bounds_and_examples():
         s = generate(FamilySpec(family="notdev2d", d=2, sigma=sigma, seed=k + 1))
         mhat = macaulay_hat(s, rho(s))
         N = null_space(mhat.mat, bezout_count(s))
-        c = normal_form(
-            lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))),
-            basis_2d,
-            N,
-            row_monomials=mhat.col_labels,
-        )
+        c = normal_form(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))), basis_2d, N)
         ratios.append(float(np.linalg.norm(c)) / sigma)
     ratios_ok = all(0.1 <= r <= 10.0 for r in ratios)
 

@@ -36,7 +36,6 @@ from polylab import (
     null_space,
     q_factorization,
     rho,
-    smallest_singular_hat,
     theory_digits,
 )
 from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, poly_det
@@ -250,7 +249,7 @@ def test_reduced_determinant_closed_form_bivariate():
     N = null_space(mhat.mat, bezout_count(s))
     basis = [(0, 0), (1, 0), (0, 1), (0, 2)]
     qf = q_factorization(s, np.zeros(2, dtype=complex))
-    c = normal_form(lagrange_interpolant(qf), basis, N, row_monomials=mhat.col_labels)
+    c = normal_form(lagrange_interpolant(qf), basis, N)
     want = {
         (0, 0): sigma**2,
         (1, 0): sigma * a22 - sigma**2 * a21,
@@ -279,15 +278,23 @@ def test_reduced_determinant_closed_form_trivariate():
             assert abs(q.terms[m] - v) <= 1e-12 * abs(v)
 
 
-def test_multiplication_eigenvalue_conditioning_matches_direct():
-    from polylab import build_ms_matrices
+def _multiplication_matrices(s):
+    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
+    sel = choose_basis(macaulay_hat(s, rho(s)))
 
+    def column(i, m):
+        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+
+    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
+
+
+def test_multiplication_eigenvalue_conditioning_matches_direct():
     rng = np.random.default_rng(67)
     for trial in range(5):
         d = 2 if trial % 2 == 0 else 3
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.4
         s = rand_quad_with_root(d, xstar, rng)
-        mats, basis, N = build_ms_matrices(s)
+        mats, basis, N = _multiplication_matrices(s)
         i = trial % d
         gep = GenEigProblem(
             A=np.asarray(mats[i]), B=np.eye(len(basis), dtype=complex),
@@ -328,12 +335,10 @@ def test_reduced_determinant_norm_dominates_hat_sigma_min():
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
         s = rand_quad_with_root(2, xstar, rng, scale_up=True)
         mhat = macaulay_hat(s, rho(s))
-        sel = choose_basis(mhat, bezout_count(s))
+        sel = choose_basis(mhat)
         qf = q_factorization(s, xstar)
-        c = normal_form(
-            lagrange_interpolant(qf), sel.monomials, sel.nullspace, row_monomials=mhat.col_labels
-        )
-        assert np.linalg.norm(c) >= smallest_singular_hat(s) - 1e-10
+        c = normal_form(lagrange_interpolant(qf), sel.monomials, sel.nullspace)
+        assert np.linalg.norm(c) >= mhat.factor.sigma_min - 1e-10
 
 
 def test_normal_form_rejects_singular_basis_rows():
@@ -347,7 +352,6 @@ def test_normal_form_rejects_singular_basis_rows():
             MultiPoly(2, {(0, 0): 1.0}),
             [(0, 0), (0, 0), (1, 0), (0, 1)],
             N,
-            row_monomials=mhat.col_labels,
         )
 
 

@@ -6,11 +6,11 @@ import scipy.linalg
 
 import polylab.macaulay
 from polylab import (
+    FAMILIES,
     FamilySpec,
     MultiPoly,
     NullityMismatch,
     PolySystem,
-    RankDeficientBasis,
     SingularPencil,
     bezout_count,
     choose_basis,
@@ -24,7 +24,6 @@ from polylab import (
     null_space,
     rho,
     sigma_min,
-    smallest_singular_hat,
     solve_macaulay_resultant,
 )
 from polylab.macaulay import _h_rows
@@ -76,7 +75,7 @@ def test_choose_basis_reads_the_null_space():
     s = two_quadratics(rng)
     mhat = macaulay_hat(s, rho(s))
     r = bezout_count(s)
-    sel = choose_basis(mhat, r)
+    sel = choose_basis(mhat)
     assert len(sel.monomials) == r
     assert all(sum(m) <= mhat.degree - 1 for m in sel.monomials)
     # the null space annihilates the matrix and has orthonormal columns
@@ -87,18 +86,12 @@ def test_choose_basis_reads_the_null_space():
     assert sel.cond < 1e6
 
 
-def test_choose_basis_rejects_positive_dimensional_system():
-    # x^2 and xy share the whole line x = 0
-    s = PolySystem(
-        2,
-        [MultiPoly(2, {(2, 0): 1.0}), MultiPoly(2, {(1, 1): 1.0})],
-        true_roots=[],
-        family_tag="",
-    )
-    mhat = macaulay_hat(s, rho(s))
-    with pytest.warns(Warning):
-        with pytest.raises(RankDeficientBasis):
-            choose_basis(mhat, bezout_count(s))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_macaulay_matrix_carries_the_bezout_count(family):
+    d = 3 if family == "notdev3d" else 2
+    scale = {"c": 2.0} if family == "hypercube" else {"sigma": 0.5}
+    s = generate(FamilySpec(family=family, d=d, **scale), rng=np.random.default_rng(46))
+    assert macaulay_hat(s, rho(s)).bezout == bezout_count(s)
 
 
 def test_pencil_is_square_with_h_rows_for_the_basis():
@@ -183,7 +176,7 @@ def test_both_pencil_shapes_check_the_nullity_before_drawing(monkeypatch):
     monkeypatch.setattr(SvdFactor, "nullity", property(lambda self: 9))
     for s, r in ((square, 4), (rect, 8)):
         rng = np.random.default_rng(13)
-        with pytest.raises(NullityMismatch, match=f"numerical nullity 9 != kept h rows {r}"):
+        with pytest.raises(NullityMismatch, match=f"numerical nullity 9 != expected root count {r}"):
             macaulay_pencil(s, rng)
         assert rng.standard_normal() == np.random.default_rng(13).standard_normal()
 
@@ -210,13 +203,6 @@ def test_a_pencil_that_never_passes_its_probe_raises_singular_pencil(d):
         solve_macaulay_resultant(s, rng=_ZeroRng())
 
 
-def test_smallest_singular_hat_matches_direct_svd():
-    rng = np.random.default_rng(48)
-    s = two_quadratics(rng)
-    direct = np.linalg.svd(macaulay_hat(s, rho(s)).mat, compute_uv=False)[-1]
-    assert smallest_singular_hat(s) == pytest.approx(direct, rel=1e-12)
-
-
 @pytest.mark.parametrize("d", [2, 4])  # wide, then tall Macaulay matrix
 def test_shared_factor_matches_fresh_factorizations(d):
     s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2), rng=np.random.default_rng(53))
@@ -236,9 +222,9 @@ def test_normal_form_annihilates_ideal_members():
     rng = np.random.default_rng(49)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
     mhat = macaulay_hat(s, rho(s))
-    sel = choose_basis(mhat, bezout_count(s))
+    sel = choose_basis(mhat)
     for p in s.polys:
-        c = normal_form(p, sel.monomials, sel.nullspace, row_monomials=mhat.col_labels)
+        c = normal_form(p, sel.monomials, sel.nullspace)
         assert np.max(np.abs(c)) <= 1e-10 * s.coefficient_scale()
 
 
@@ -246,11 +232,9 @@ def test_normal_form_fixes_basis_monomials():
     rng = np.random.default_rng(50)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
     mhat = macaulay_hat(s, rho(s))
-    sel = choose_basis(mhat, bezout_count(s))
+    sel = choose_basis(mhat)
     for k, m in enumerate(sel.monomials):
-        c = normal_form(
-            MultiPoly(2, {m: 1.0}), sel.monomials, sel.nullspace, row_monomials=mhat.col_labels
-        )
+        c = normal_form(MultiPoly(2, {m: 1.0}), sel.monomials, sel.nullspace)
         e = np.zeros(len(sel.monomials))
         e[k] = 1.0
         assert np.max(np.abs(c - e)) <= 1e-10
@@ -260,7 +244,7 @@ def test_normal_form_rejects_over_degree_input():
     rng = np.random.default_rng(51)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
     mhat = macaulay_hat(s, rho(s))
-    sel = choose_basis(mhat, bezout_count(s))
+    sel = choose_basis(mhat)
     too_big = MultiPoly(2, {(4, 0): 1.0})
     with pytest.raises(ValueError):
-        normal_form(too_big, sel.monomials, sel.nullspace, row_monomials=mhat.col_labels)
+        normal_form(too_big, sel.monomials, sel.nullspace)

@@ -13,17 +13,19 @@ from polylab import (
     MultiPoly,
     NullityMismatch,
     PolySystem,
-    RankDeficientBasis,
     SingularDelta0,
     UnsupportedShape,
     bezout_count,
     block_operator_determinant,
-    build_ms_matrices,
+    choose_basis,
     generate,
     hausdorff_distance,
+    macaulay_hat,
     mep_from_system,
     newton_polish,
+    normal_form,
     operator_determinants,
+    rho,
     solve,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
@@ -60,9 +62,19 @@ def test_newton_polish_contracts_toward_the_root():
     assert np.linalg.norm(x1 - target) < np.linalg.norm(x0 - target)
 
 
+def _multiplication_matrices(s):
+    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
+    sel = choose_basis(macaulay_hat(s, rho(s)))
+
+    def column(i, m):
+        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+
+    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
+
+
 def test_ms_matrices_commute_and_share_the_root_spectrum():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
-    mats, basis, N = build_ms_matrices(s)
+    mats, basis, _ = _multiplication_matrices(s)
     assert basis == [(0, 0), (1, 0), (0, 1), (1, 1)]
     comm = np.linalg.norm(mats[0] @ mats[1] - mats[1] @ mats[0], 2)
     assert comm <= 1e-12
@@ -72,7 +84,10 @@ def test_ms_matrices_commute_and_share_the_root_spectrum():
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-10
 
 
-def test_ms_matrices_reject_positive_dimensional_systems():
+@pytest.mark.parametrize("method", ["nf", "macaulay"])
+def test_a_positive_dimensional_system_raises_nullity_mismatch_without_warning(method):
+    # x^2 and xy share the whole line x = 0: the Macaulay nullity exceeds the
+    # Bezout count, and choose_basis says so before it reads the null space.
     s = PolySystem(
         2,
         [MultiPoly(2, {(2, 0): 1.0}), MultiPoly(2, {(1, 1): 1.0})],
@@ -80,9 +95,9 @@ def test_ms_matrices_reject_positive_dimensional_systems():
         family_tag="",
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         with pytest.raises(NullityMismatch):
-            build_ms_matrices(s)
+            solve(s, method, rng=np.random.default_rng(0))
 
 
 def test_normal_form_solver_recovers_all_cyclic_roots():
@@ -173,7 +188,7 @@ def test_macaulay_solver_rejects_positive_dimensional_systems():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises((RankDeficientBasis, NullityMismatch)):
+        with pytest.raises(NullityMismatch):
             solve_macaulay_resultant(s, rng=np.random.default_rng(0))
 
 
