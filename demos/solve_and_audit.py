@@ -47,7 +47,7 @@ kr = kappa_root(s, origin)
 print(f"\nkappa_root at the origin: {kr:.3e}")
 
 sel = choose_basis(macaulay_hat(s, rho(s)))
-k_nf = kappa_eig_ms_formula(s, origin, sel.monomials, 0, N=sel.nullspace)
+k_nf = kappa_eig_ms_formula(s, origin, sel, 0)
 k_mep = kappa_eig_mep_formula(mep_from_system(s), s, origin, 0)
 print(f"multiplication-matrix eigenvalue conditioning: {k_nf:.3e}")
 print(f"operator-determinant eigenvalue conditioning:  {k_mep:.3e}")

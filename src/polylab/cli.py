@@ -15,7 +15,14 @@ import sys
 import numpy as np
 
 from . import bench, verification
-from .conditioning import ConditionReport, kappa_eig_macaulay_bound, kappa_eig_mep_formula, kappa_eig_ms_formula, kappa_root
+from .conditioning import (
+    ConditionReport,
+    kappa_eig_macaulay_bound,
+    kappa_eig_mep_formula,
+    kappa_eig_ms_formula,
+    kappa_root,
+    root_point,
+)
 from .families import FAMILIES, FamilySpec, generate
 from .macaulay import choose_basis, linear_poly, macaulay_hat, macaulay_pencil
 from .polycore import PolySystem, rho
@@ -103,22 +110,24 @@ def _cmd_solve(args) -> int:
 
 
 def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
-    kr = kappa_root(s, x)
+    """kappa_root at x (a point or its RootPoint) next to one method's closed-form kappa.
+
+    The root is evaluated once, and kappa_root, the formula's residual
+    check and its det J(x*) all read that one evaluation.
+    """
+    root = root_point(s, x)
+    kr = kappa_root(s, root)
     # The formulas depend on the coordinate i only through a final factor
     # (1 + |x_i|), and rounded multiplication is monotone, so the largest
     # |x_i| gives the maximum over i exactly.
-    i = int(np.argmax(np.abs(x)))
+    i = int(np.argmax(np.abs(root.x)))
     if method == "nf":
-        sel = choose_basis(macaulay_hat(s, rho(s)))
-        ks = kappa_eig_ms_formula(s, x, sel.monomials, i, sel.nullspace)
+        ks = kappa_eig_ms_formula(s, root, choose_basis(macaulay_hat(s, rho(s))), i)
     elif method == "mep":
-        ks = kappa_eig_mep_formula(mep_from_system(s), s, x, i)
+        ks = kappa_eig_mep_formula(mep_from_system(s), s, root, i)
     else:
         pencil = macaulay_pencil(s, np.random.default_rng(seed))
-        h = linear_poly(s.d, pencil.beta)
-        ks = kappa_eig_macaulay_bound(
-            s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels, pencil.basis.nullspace
-        )
+        ks = kappa_eig_macaulay_bound(s, root, pencil.basis, linear_poly(s.d, pencil.beta))
     return ConditionReport.make(kr, ks, method)
 
 
@@ -138,15 +147,15 @@ def _cmd_audit(args) -> int:
             print(f"--root-index {args.root_index} is out of range: {n} stored roots", file=sys.stderr)
             return 1
         x = np.array(s.true_roots[args.root_index])
-    res, bound = s.residual(x), s.residual_bound()
-    if not res <= bound:
-        print(f"the point is not a root: residual {res:.3e} > {bound:.3e}", file=sys.stderr)
+    root, bound = root_point(s, x), s.residual_bound()
+    if not root.residual <= bound:
+        print(f"the point is not a root: residual {root.residual:.3e} > {bound:.3e}", file=sys.stderr)
         return 1
     methods = METHODS if args.method == "all" else (args.method,)
     out = {}
     for m in methods:
         try:
-            out[m] = _audit_one(s, x, m, args.seed).to_json_dict()
+            out[m] = _audit_one(s, root, m, args.seed).to_json_dict()
         except bench.SOLVER_FAILURES as exc:
             key, verb, text = _failure(exc)
             if args.method != "all":

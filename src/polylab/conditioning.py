@@ -11,14 +11,23 @@ benchmark plots.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .numkernel import GenEigProblem, EigTriple, laplace_expansion, _vector_norm
-from .polycore import MultiPoly, PolySystem, jacobian, monomial_positions
+from .macaulay import BasisSelection
+from .numkernel import GenEigProblem, EigTriple, _vector_norm
+from .polycore import (
+    SUPPORT_CACHE_SIZE,
+    MultiPoly,
+    PolySystem,
+    _cpow,
+    monomial_positions,
+)
 
 
 class SingularJacobian(Exception):
@@ -46,15 +55,39 @@ MEP_ROOT_TOL = 1e-6
 # scalar condition numbers
 
 
+@dataclass(frozen=True)
+class RootPoint:
+    """A point x with a system's residual and Jacobian there."""
+
+    x: np.ndarray
+    residual: float
+    jacobian: np.ndarray
+
+
+def root_point(s: PolySystem, xstar) -> RootPoint:
+    """x* evaluated on s in one compiled call; a RootPoint is returned as it is.
+
+    kappa_root, q_factorization and the closed-form kappas accept either a
+    point or the RootPoint of that point on the same system, so a caller
+    that needs several of them at one root evaluates it once.
+    """
+    if isinstance(xstar, RootPoint):
+        return xstar
+    x = np.asarray(xstar, dtype=complex)
+    values, J = s.evaluate([x])
+    return RootPoint(x=x, residual=float(np.linalg.norm(values[0])), jacobian=J[0])
+
+
 def kappa_root(s: PolySystem, xstar) -> float:
     """Absolute condition number of a simple root: ||J(x*)^{-1}||_2.
 
-    J comes from the system's compiled form (see ``jacobian``); solvers
+    J comes from the system's compiled form (see ``root_point``); solvers
     score all their roots at once with ``kappa_roots``.
     """
-    k = float(kappa_roots(jacobian(s, xstar)[None])[0])
+    root = root_point(s, xstar)
+    k = float(kappa_roots(root.jacobian[None])[0])
     if math.isinf(k):
-        raise SingularJacobian(f"Jacobian singular at {xstar}")
+        raise SingularJacobian(f"Jacobian singular at {root.x}")
     return k
 
 
@@ -166,12 +199,10 @@ def kappa_eig_mep_formula(mep, s: PolySystem, xstar, i: int) -> float:
     (prod over equations of the nonzero singular values of W_k(x*)) divided
     by |det J(x*)|, times (1 + |x_i*|).
     """
-    xstar = np.asarray(xstar, dtype=complex)
-    detJ = abs(np.linalg.det(jacobian(s, xstar)))
-    if detJ == 0.0:
-        raise SingularJacobian(f"Jacobian singular at {xstar}")
-    prod = math.prod(np.diag(mep_row_scaling(mep, xstar)).tolist())
-    return prod / detJ * (1.0 + abs(xstar[i]))
+    root = root_point(s, xstar)
+    detJ = _abs_det_jacobian(root)
+    prod = math.prod(np.diag(mep_row_scaling(mep, root.x)).tolist())
+    return prod / detJ * (1.0 + abs(root.x[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +211,19 @@ def kappa_eig_mep_formula(mep, s: PolySystem, xstar, i: int) -> float:
 
 @dataclass(frozen=True)
 class QFactorization:
-    """Grid Q of polynomials with p_i = sum_j Q_ij * (x_j - shift_j)."""
+    """Grid Q of polynomials with p_i = sum_j Q_ij * (x_j - shift_j).
 
-    Q: list
+    ``shifted`` holds the grid in the coordinates y = x - shift, where
+    q_factorization reads it off; ``Q`` is the same grid in x, translated
+    back entry by entry on first use.
+    """
+
+    shifted: tuple
     shift: np.ndarray
+
+    @functools.cached_property
+    def Q(self) -> list:
+        return [[q.translate(-self.shift) for q in row] for row in self.shifted]
 
 
 def q_factorization(s: PolySystem, xstar) -> QFactorization:
@@ -192,18 +232,17 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
     Built by Taylor shifting each polynomial to the root and assigning every
     shifted monomial to the column of its lowest-index variable with positive
     exponent. Evaluated at the root, Q recovers the Jacobian exactly. x*
-    must pass the residual test of PolySystem.validate.
+    (a point or its RootPoint) must pass the residual test of
+    PolySystem.validate.
     """
-    xstar = np.asarray(xstar, dtype=complex)
-    res = s.residual(xstar)
-    if not res <= s.residual_bound():
-        raise ValueError(f"x* is not a root: residual {res:.3e}")
+    root = root_point(s, xstar)
+    if not root.residual <= s.residual_bound():
+        raise ValueError(f"x* is not a root: residual {root.residual:.3e}")
     d = s.d
     grid = []
     for p in s.polys:
-        shifted = p.translate(xstar)
         cols = [dict() for _ in range(d)]
-        for m, c in shifted.terms.items():
+        for m, c in p.translate(root.x).terms.items():
             if sum(m) == 0:
                 continue  # residual-sized constant, discarded
             j = next(k for k, e in enumerate(m) if e > 0)
@@ -211,25 +250,85 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
             e[j] -= 1
             key = tuple(e)
             cols[j][key] = cols[j].get(key, 0j) + c
-        grid.append(
-            [MultiPoly._of_terms(d, cols[j]).translate(-xstar) for j in range(d)]
-        )
-    return QFactorization(Q=grid, shift=xstar)
+        grid.append(tuple(MultiPoly._of_terms(d, col) for col in cols))
+    return QFactorization(shifted=tuple(grid), shift=root.x)
+
+
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _cofactor_plan(nvars: int, supports: tuple) -> tuple:
+    """numkernel.laplace_expansion of a polynomial grid, compiled for its supports.
+
+    ``supports[i][j]`` lists the monomials of entry (i, j) in dict order.
+    Returns (monomials, levels): one level per expansion row, the last row
+    first. The level of row k holds every minor on rows k..d-1, the one
+    without the columns in ``mask`` being the sum over the other columns j
+    of +-(entry (k, j)) * (the previous level's minor for mask | 1 << j),
+    with laplace_expansion's signs; before row d-1 stands the constant 1.
+    So the plan makes the expansion's d * 2^(d-1) polynomial products, not
+    the d! of Leibniz's formula. A level is (take, minor, sign, put, size):
+    scalar product n is entry coefficient take[n] (flat over the grid, row
+    by row, each entry in dict order) times previous-level coefficient
+    minor[n] times sign[n], added to coefficient put[n] of the level's
+    ``size``. The last level is the determinant, over ``monomials``.
+    """
+    d = len(supports)
+    starts = [0, *itertools.accumulate(len(sup) for row in supports for sup in row)]
+    prev = {(1 << d) - 1: (0, {(0,) * nvars: 0})}  # mask -> (offset, {monomial: position})
+    levels = []
+    for row in range(d - 1, -1, -1):
+        take, minor, sign, put = [], [], [], []
+        level = {}
+        size = 0
+        for mask in (m for m in range(1 << d) if bin(m).count("1") == row):
+            out: dict = {}
+            free = [j for j in range(d) if not mask & (1 << j)]
+            for pos, j in enumerate(free):
+                offset, child = prev[mask | (1 << j)]
+                start = starts[row * d + j]
+                for ta, ma in enumerate(supports[row][j]):
+                    for mb, tb in child.items():
+                        m = tuple(a + b for a, b in zip(ma, mb))
+                        take.append(start + ta)
+                        minor.append(offset + tb)
+                        sign.append(-1.0 if pos % 2 else 1.0)
+                        put.append(size + out.setdefault(m, len(out)))
+            level[mask] = (size, out)
+            size += len(out)
+        arrays = (np.array(take, dtype=np.intp), np.array(minor, dtype=np.intp),
+                  np.array(sign), np.array(put, dtype=np.intp))
+        for a in arrays:
+            a.setflags(write=False)
+        levels.append(arrays + (size,))
+        prev = level
+    return tuple(prev[0][1]), tuple(levels)
 
 
 def poly_det(grid) -> MultiPoly:
-    """Determinant of a square grid of polynomials; see laplace_expansion."""
-    one = MultiPoly.constant(grid[0][0].nvars, 1.0)
-    return laplace_expansion(grid, MultiPoly.__mul__, one, {})
+    """Determinant of a square grid of polynomials, by its cached cofactor plan.
+
+    Each expansion row is one gather-multiply-scatter over the flat
+    coefficient arrays; see _cofactor_plan.
+    """
+    nvars = grid[0][0].nvars
+    monomials, levels = _cofactor_plan(nvars, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
+    flat = np.array([c for row in grid for q in row for c in q.terms.values()], dtype=complex)
+    coeffs = np.ones(1, dtype=complex)
+    for take, minor, sign, put, size in levels:
+        prod = flat[take] * coeffs[minor]
+        coeffs = np.empty(size, dtype=complex)
+        coeffs.real = np.bincount(put, prod.real * sign, size)
+        coeffs.imag = np.bincount(put, prod.imag * sign, size)
+    return MultiPoly._of_terms(nvars, dict(zip(monomials, coeffs.tolist())))
 
 
 def lagrange_interpolant(qf: QFactorization) -> MultiPoly:
     """det(Q): vanishes at every root except the factorization's shift, where it is det J(x*).
 
+    Expanded over the shifted grid and translated back to x once.
     verification.interpolant_suite checks the minor expansion this extends
     to when the system carries remainders r_i (x_i - x_i*) on the diagonal.
     """
-    return poly_det(qf.Q)
+    return poly_det(qf.shifted).translate(-qf.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +344,21 @@ def _full_block_positions(n_rows: int, d: int) -> Mapping:
     return monomial_positions(deg, d)
 
 
+def _coefficient_vector(f: MultiPoly, index: Mapping) -> np.ndarray:
+    fvec = np.zeros(len(index), dtype=complex)
+    for m, c in f.terms.items():
+        if m not in index:
+            raise ValueError(f"monomial {m} exceeds the matrix degree")
+        fvec[index[m]] = c
+    return fvec
+
+
+def _solve_basis(fvec: np.ndarray, N: np.ndarray, NB: np.ndarray, cond: float) -> np.ndarray:
+    if cond > BASIS_COND_MAX:
+        raise BasisSingular("basis rows of the null space are numerically singular")
+    return np.linalg.solve(NB.T, N.T @ fvec)
+
+
 def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     """Coefficients of f's residue class over the quotient basis.
 
@@ -255,87 +369,87 @@ def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     Basis rows N_B conditioned worse than BASIS_COND_MAX raise BasisSingular.
     """
     index = _full_block_positions(N.shape[0], f.nvars)
-    fvec = np.zeros(len(index), dtype=complex)
-    for m, c in f.terms.items():
-        if m not in index:
-            raise ValueError(f"monomial {m} exceeds the matrix degree")
-        fvec[index[m]] = c
+    fvec = _coefficient_vector(f, index)
     try:
         b_idx = [index[m] for m in basis]
     except KeyError as e:
         raise ValueError(f"basis monomial {e} not among row monomials") from e
     NB = N[b_idx, :]
-    if np.linalg.cond(NB) > BASIS_COND_MAX:
-        raise BasisSingular("basis rows of the null space are numerically singular")
-    return np.linalg.solve(NB.T, N.T @ fvec)
+    return _solve_basis(fvec, N, NB, np.linalg.cond(NB))
 
 
-def monomial_eval(m, x) -> complex:
-    x = np.asarray(x, dtype=complex)
-    v = 1.0 + 0j
-    for xi, e in zip(x, m):
-        if e:
-            v *= xi**e
-    return complex(v)
+def basis_values(basis, x) -> np.ndarray:
+    """The monomials ``basis`` (an iterable of exponent tuples) at the point x.
+
+    Each is 1 times x_i**e_i for every e_i > 0, in ascending i. The powers
+    are computed once per variable and exponent by polycore._cpow, which
+    rounds as numpy's scalar power does, so every value is the one numpy's
+    scalar arithmetic gives, bit for bit.
+    """
+    top = max(map(max, basis))
+    powers = [[_cpow(z, n) for n in range(top + 1)] for z in np.asarray(x, dtype=complex).tolist()]
+    values = []
+    for m in basis:
+        v = 1 + 0j
+        for p, e in zip(powers, m):
+            if e:
+                v = v * p[e]
+        values.append(v)
+    return np.array(values)
 
 
-def basis_values(basis: list, x) -> np.ndarray:
-    return np.array([monomial_eval(m, x) for m in basis])
+def _det_q_in_basis(s: PolySystem, root: RootPoint, sel: BasisSelection) -> np.ndarray:
+    """[det Q]_B over the selection's basis; its basis rows' condition number is ``sel.cond``."""
+    N = sel.nullspace
+    fvec = _coefficient_vector(
+        lagrange_interpolant(q_factorization(s, root)), _full_block_positions(N.shape[0], s.d)
+    )
+    return _solve_basis(fvec, N, N[sel.indices, :], sel.cond)
 
 
-def _det_q_in_basis(s: PolySystem, xstar, basis: list, N: np.ndarray) -> np.ndarray:
-    return normal_form(poly_det(q_factorization(s, xstar).Q), basis, N)
+def _abs_det_jacobian(root: RootPoint) -> float:
+    detJ = abs(np.linalg.det(root.jacobian))
+    if detJ == 0.0:
+        raise SingularJacobian(f"Jacobian singular at {root.x}")
+    return detJ
 
 
-def kappa_eig_ms_formula(
-    s: PolySystem,
-    xstar,
-    basis: list,
-    i: int,
-    N: np.ndarray,
-) -> float:
+def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> float:
     """Eigenvalue condition number of the multiplication-matrix eigenproblem.
 
     ||[det Q]_B||_2 * ||B(x*)||_2 / |det J(x*)| * (1 + |x_i*|), where
     [det Q]_B is the normal form of det Q over the basis and B(x*) the basis
-    monomials evaluated at the root. N is the null space of the degree-rho
-    Macaulay matrix that the basis was read from (``choose_basis``).
+    monomials evaluated at the root. ``sel`` is the BasisSelection that
+    ``choose_basis`` read from the null space of the degree-rho Macaulay
+    matrix; x* is a point or its RootPoint.
     """
-    xstar = np.asarray(xstar, dtype=complex)
-    c = _det_q_in_basis(s, xstar, basis, N)
-    detJ = abs(np.linalg.det(jacobian(s, xstar)))
-    if detJ == 0.0:
-        raise SingularJacobian(f"Jacobian singular at {xstar}")
+    root = root_point(s, xstar)
+    c = _det_q_in_basis(s, root, sel)
+    detJ = _abs_det_jacobian(root)
     return (
         float(np.linalg.norm(c))
-        * float(np.linalg.norm(basis_values(basis, xstar)))
+        * float(np.linalg.norm(basis_values(sel.monomials, root.x)))
         / detJ
-        * (1.0 + abs(xstar[i]))
+        * (1.0 + abs(root.x[i]))
     )
 
 
-def kappa_eig_macaulay_bound(
-    s: PolySystem,
-    xstar,
-    basis: list,
-    h: MultiPoly,
-    col_labels: list,
-    N: np.ndarray,
-) -> float:
+def kappa_eig_macaulay_bound(s: PolySystem, xstar, sel: BasisSelection, h: MultiPoly) -> float:
     """Lower bound on the Macaulay pencil eigenvalue condition number.
 
-    ||[det Q]_B||_2 * ||V(x*)||_2 / |det J(x*) * h(x*)| with V the full
-    column-label monomial vector and h the linear polynomial whose multiples
-    populate the lambda side of the pencil. N is the null space the pencil's
-    basis was read from (``pencil.basis.nullspace``).
+    ||[det Q]_B||_2 * ||V(x*)||_2 / |det J(x*) * h(x*)| with V the vector of
+    all Macaulay column monomials (the rows of ``sel.nullspace``) and h the
+    linear polynomial whose multiples populate the lambda side of the
+    pencil. ``sel`` is the pencil's basis selection (``pencil.basis``); x*
+    is a point or its RootPoint.
     """
-    xstar = np.asarray(xstar, dtype=complex)
-    c = _det_q_in_basis(s, xstar, basis, N)
-    detJ = abs(np.linalg.det(jacobian(s, xstar)))
-    hval = abs(h.eval(xstar))
+    root = root_point(s, xstar)
+    c = _det_q_in_basis(s, root, sel)
+    detJ = abs(np.linalg.det(root.jacobian))
+    hval = abs(h.eval(root.x))
     if detJ == 0.0 or hval == 0.0:
         raise SingularJacobian("det(J) * h vanishes at the root")
-    V = basis_values(col_labels, xstar)
+    V = basis_values(_full_block_positions(sel.nullspace.shape[0], s.d), root.x)
     return float(np.linalg.norm(c)) * float(np.linalg.norm(V)) / (detJ * hval)
 
 

@@ -98,7 +98,7 @@ def _multiplication_matrices(s):
     def column(i, m):
         return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
 
-    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
+    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
 
 def _slope(xs, ys):
@@ -200,15 +200,15 @@ def test_eigenvalue_condition_formulas_match_direct():
         i = k % d
 
         s = _rooted_system(d, xstar, rng)
-        mats, basis, N = _multiplication_matrices(s)
-        gep = GenEigProblem(A=np.asarray(mats[i]), B=np.eye(len(basis), dtype=complex))
+        mats, sel = _multiplication_matrices(s)
+        gep = GenEigProblem(A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex))
         best = min(
             (t for t in generalized_eig(gep) if not t.is_infinite),
             key=lambda t: abs(t.lam - xstar[i]),
         )
         assert abs(best.lam - xstar[i]) <= 1e-6
         direct = kappa_eig(gep, best)
-        formula = kappa_eig_ms_formula(s, xstar, basis, i, N=N)
+        formula = kappa_eig_ms_formula(s, xstar, sel, i)
         worst_ms = max(worst_ms, abs(formula - direct) / direct)
 
         s2 = _rooted_system(d, xstar, rng, single_square=True)

@@ -1,4 +1,4 @@
-"""Structure caches: compiled layouts, Macaulay index maps and Taylor-shift plans, built once per support.
+"""Structure caches: compiled layouts, Macaulay index maps, Taylor-shift and cofactor plans, built once per support.
 
 The references below assemble the same arrays term by term, with no cache,
 the way the library did before the structure was shared; cached output must
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylab import FAMILIES, FamilySpec, MultiPoly, PolySystem, generate, monomials_up_to, rho
-from polylab import macaulay, polycore
+from polylab import conditioning, macaulay, polycore
+from polylab.conditioning import poly_det
 from polylab.macaulay import macaulay_hat
 from polylab.polycore import CompiledPolys, MonomialOrder
 
@@ -96,6 +97,7 @@ def clear_caches() -> None:
     polycore._compiled_layout.cache_clear()
     polycore._shift_plan.cache_clear()
     macaulay._macaulay_index.cache_clear()
+    conditioning._cofactor_plan.cache_clear()
 
 
 def family_pairs(shifted: bool):
@@ -281,3 +283,37 @@ def test_powers_round_as_numpy_scalar_powers():
             for n in range(102):
                 want = np.complex128(z) ** n
                 assert np.complex128(polycore._cpow(z, n)).tobytes() == want.tobytes()
+
+
+def test_cofactor_plans_are_built_once_per_support_and_bounded():
+    def grid(c):
+        return [
+            [MultiPoly(2, {(1, 0): c, (0, 0): 1.0}), MultiPoly(2, {(0, 1): 2.0})],
+            [MultiPoly(2, {(0, 0): 3.0}), MultiPoly(2, {(1, 1): c, (0, 1): -1.0})],
+        ]
+
+    conditioning._cofactor_plan.cache_clear()
+    poly_det(grid(1.5))
+    poly_det(grid(-0.5j))
+    info = conditioning._cofactor_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for k in range(polycore.SUPPORT_CACHE_SIZE + 10):
+        assert poly_det([[MultiPoly(1, {(k,): 2.0})]]).terms == {(k,): 2.0 + 0j}
+    info = conditioning._cofactor_plan.cache_info()
+    assert info.maxsize == polycore.SUPPORT_CACHE_SIZE
+    assert info.currsize == polycore.SUPPORT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_cofactor_plan_makes_the_memoized_expansions_products(d):
+    # On a grid of constants every polynomial product is one scalar product:
+    # d * 2^(d-1) of them (6 * 32 = 192 at d = 6), not Leibniz's d! * d.
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    grid = [[MultiPoly(2, {(0, 0): A[i, j]}) for j in range(d)] for i in range(d)]
+    det = poly_det(grid)
+    _, levels = conditioning._cofactor_plan(2, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
+    assert sum(len(take) for take, *_ in levels) == d * 2 ** (d - 1)
+    for take, minor, sign, put, _ in levels:
+        assert not any(a.flags.writeable for a in (take, minor, sign, put))
+    assert det.terms[(0, 0)] == pytest.approx(np.linalg.det(A), rel=1e-12)

@@ -9,7 +9,6 @@ import pytest
 from polylab import (
     FamilySpec,
     PolySystem,
-    bezout_count,
     choose_basis,
     generate,
     kappa_eig_macaulay_bound,
@@ -335,7 +334,7 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
     s = generate(FamilySpec(family=family, d=d, sigma=1e-2, shift=shift))
     x = np.array(s.true_roots[0])
     sel = choose_basis(macaulay_hat(s, rho(s)))
-    want = {"nf": max(kappa_eig_ms_formula(s, x, sel.monomials, i, sel.nullspace) for i in range(d))}
+    want = {"nf": max(kappa_eig_ms_formula(s, x, sel, i) for i in range(d))}
     if not family.startswith("notdev"):
         mep = mep_from_system(s)
         want["mep"] = max(kappa_eig_mep_formula(mep, s, x, i) for i in range(d))
@@ -343,6 +342,5 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
         assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
     pencil = macaulay_pencil(s, np.random.default_rng(5))
     h = linear_poly(d, pencil.beta)
-    N = macaulay_hat(s, rho(s)).factor.null_space(bezout_count(s))
-    fresh = kappa_eig_macaulay_bound(s, x, pencil.kept_h_monomials, h, pencil.mhat.col_labels, N)
+    fresh = kappa_eig_macaulay_bound(s, x, choose_basis(macaulay_hat(s, rho(s))), h)
     assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylab import (
     ConditionReport,
@@ -38,9 +40,9 @@ from polylab import (
     rho,
     theory_digits,
 )
-from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, poly_det
+from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, basis_values, poly_det
 from polylab.macaulay import linear_poly
-from polylab.numkernel import EigTriple, sigma_min
+from polylab.numkernel import EigTriple, laplace_expansion, sigma_min
 
 
 def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
@@ -230,6 +232,70 @@ def test_interpolant_minor_expansion_with_remainders():
             assert abs(full.eval(x) - want) <= 1e-10 * (1 + abs(want))
 
 
+def reference_det_q(qf) -> MultiPoly:
+    """det Q as MultiPoly products over the grid in x, by memoized cofactor expansion."""
+    d = len(qf.Q)
+    return laplace_expansion(qf.Q, MultiPoly.__mul__, MultiPoly.constant(d, 1.0), {})
+
+
+def reference_monomials(monomials, x) -> np.ndarray:
+    return np.array([np.prod([x[k] ** e for k, e in enumerate(m)]) for m in monomials])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
+    d = data.draw(st.integers(2, 4))
+    coord = st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    xstar = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=complex)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = rand_quad_with_root(d, xstar, rng)
+    qf = q_factorization(s, xstar)
+    det_q = lagrange_interpolant(qf)
+    for _ in range(3):
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        want = np.linalg.det(np.array([[q.eval(x) for q in row] for row in qf.Q]))
+        assert abs(det_q.eval(x) - want) <= 1e-10 * (1 + abs(want))
+
+    ref = reference_det_q(qf)
+    detJ = abs(np.linalg.det(jacobian(s, xstar)))
+    i = int(np.argmax(np.abs(xstar)))
+    sel = choose_basis(macaulay_hat(s, rho(s)))
+    want = (
+        np.linalg.norm(normal_form(ref, sel.monomials, sel.nullspace))
+        * np.linalg.norm(reference_monomials(sel.monomials, xstar))
+        / detJ
+        * (1 + abs(xstar[i]))
+    )
+    assert kappa_eig_ms_formula(s, xstar, sel, i) == pytest.approx(want, rel=1e-12)
+    pen = macaulay_pencil(s, rng)
+    h = linear_poly(d, pen.beta)
+    want = (
+        np.linalg.norm(normal_form(ref, pen.basis.monomials, pen.basis.nullspace))
+        * np.linalg.norm(reference_monomials(monomials_up_to(rho(s), d), xstar))
+        / (detJ * abs(h.eval(xstar)))
+    )
+    assert kappa_eig_macaulay_bound(s, xstar, pen.basis, h) == pytest.approx(want, rel=1e-12)
+
+
+def test_basis_values_are_numpy_scalar_products_bit_for_bit():
+    # x_i**e from numpy's scalar power (unrolled to e = 3, binary powering
+    # above), multiplied from 1 in ascending i, skipping e_i = 0.
+    rng = np.random.default_rng(71)
+    points = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (1, 2, 3, 4)]
+    points += [np.array([complex(-0.0, 1.0), 0j, complex(1 / 3, -0.0)])]
+    for x in points:
+        monomials = monomials_up_to(7, x.size)
+        want = []
+        for m in monomials:
+            v = 1.0 + 0j
+            for xi, e in zip(x, m):
+                if e:
+                    v *= xi**e
+            want.append(complex(v))
+        assert basis_values(monomials, x).tobytes() == np.array(want).tobytes()
+
+
 def _family_matrix_2d(s, sigma):
     a11 = s.polys[0].terms.get((1, 0), 0j) / sigma
     a12 = s.polys[0].terms.get((0, 1), 0j) / sigma
@@ -285,7 +351,7 @@ def _multiplication_matrices(s):
     def column(i, m):
         return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
 
-    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
+    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
 
 def test_multiplication_eigenvalue_conditioning_matches_direct():
@@ -294,16 +360,16 @@ def test_multiplication_eigenvalue_conditioning_matches_direct():
         d = 2 if trial % 2 == 0 else 3
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.4
         s = rand_quad_with_root(d, xstar, rng)
-        mats, basis, N = _multiplication_matrices(s)
+        mats, sel = _multiplication_matrices(s)
         i = trial % d
         gep = GenEigProblem(
-            A=np.asarray(mats[i]), B=np.eye(len(basis), dtype=complex),
+            A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex),
         )
         trips = [t for t in generalized_eig(gep) if not t.is_infinite]
         best = min(trips, key=lambda t: abs(t.lam - xstar[i]))
         assert abs(best.lam - xstar[i]) <= 1e-6
         direct = kappa_eig(gep, best)
-        formula = kappa_eig_ms_formula(s, xstar, basis, i, N=N)
+        formula = kappa_eig_ms_formula(s, xstar, sel, i)
         assert formula == pytest.approx(direct, rel=1e-6)
 
 
@@ -320,11 +386,7 @@ def test_macaulay_bound_sits_below_measured_conditioning():
         best = min(trips, key=lambda t: abs(t.lam - lam_star))
         assert abs(best.lam - lam_star) <= 1e-6 * (1 + abs(lam_star))
         measured = kappa_eig(pen.gep, best)
-        mhat = macaulay_hat(s, rho(s))
-        N = mhat.factor.null_space(bezout_count(s))
-        bound = kappa_eig_macaulay_bound(
-            s, xstar, pen.kept_h_monomials, hbeta, list(mhat.col_labels), N
-        )
+        bound = kappa_eig_macaulay_bound(s, xstar, pen.basis, hbeta)
         assert bound <= measured * (1 + 1e-6)
 
 
