@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .macaulay import BasisSelection
-from .numkernel import GenEigProblem, EigTriple, _vector_norm
+from .numkernel import EigPairs, GenEigProblem, _bilinear, _magnitude, _row_norms
 from .polycore import (
     SUPPORT_CACHE_SIZE,
     MultiPoly,
@@ -110,19 +110,20 @@ def kappa_uni(p, xstar) -> float:
     return 1.0 / abs(dval)
 
 
-def kappa_eig(gep: GenEigProblem, t: EigTriple) -> float:
-    """Eigenvalue condition number (||y|| ||x|| / |y^T B x|) (1 + |lambda|).
+def kappa_eig(gep: GenEigProblem, pairs: EigPairs) -> np.ndarray:
+    """Eigenvalue condition number (||y|| ||x|| / |y^T B x|) (1 + |lambda|) of every pair.
 
     y is the transpose-convention left eigenvector. Infinite or defective
-    eigenvalues (y^T B x = 0) score inf.
+    eigenvalues (y^T B x = 0) score inf. Each kappa is byte-equal to the
+    formula evaluated for its pair alone.
     """
-    if t.is_infinite:
-        return math.inf
-    denom = abs(t.left @ gep.B @ t.right)
-    if denom == 0.0:
-        return math.inf
-    num = _vector_norm(t.left) * _vector_norm(t.right)
-    return num / denom * (1.0 + abs(t.lam))
+    norm_left, norm_right = _row_norms(np.stack((pairs.left, pairs.right)))
+    denom = _magnitude(_bilinear(pairs.left, gep.B[None], pairs.right)[:, 0])
+    kappa = np.full(len(pairs), math.inf)
+    np.divide(norm_left * norm_right, denom, out=kappa, where=~pairs.infinite & (denom != 0.0))
+    # A skipped pair stays inf: 1 + |lam| >= 1, and lam is inf at an infinite pair.
+    kappa *= 1.0 + _magnitude(pairs.lam)
+    return kappa
 
 
 # ---------------------------------------------------------------------------

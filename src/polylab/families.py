@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import random_orthogonal
+from .numkernel import _row_norms, random_orthogonal
 from .polycore import MultiPoly, PolySystem
 
 FAMILIES = (
@@ -231,7 +231,8 @@ def true_root_error(report, truth) -> float:
     """Distance from the designated root to the nearest reported root."""
     truth = np.asarray(truth, dtype=complex)
     roots = getattr(report, "roots", report)
-    best = math.inf
-    for r in roots:
-        best = min(best, float(np.linalg.norm(np.asarray(r, dtype=complex) - truth)))
-    return best
+    if len(roots) == 0:
+        return math.inf
+    # fmin skips a NaN distance, as min(best, nan) does.
+    dist = _row_norms(np.asarray(roots, dtype=complex) - truth)
+    return float(np.fmin.reduce(dist, initial=math.inf))

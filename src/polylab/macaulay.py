@@ -11,12 +11,12 @@ eigenvalues correspond to the system's roots.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .numkernel import GenEigProblem, SvdFactor
+from .numkernel import _ZGEQP3, GenEigProblem, SvdFactor, _zgeqp3_lwork
 from .polycore import (
     CompiledLayout,
     MultiPoly,
@@ -195,17 +195,23 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
         raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
     N = mhat.factor.null_space(r)
     cand = mhat.index.candidates
-    C = N[cand, :]
-    R, piv = scipy.linalg.qr(C.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
+    # scipy.linalg.qr(C.T, mode="r", pivoting=True) minus its finiteness
+    # check: N comes from the SVD of a finite matrix (MultiPoly rejects
+    # non-finite coefficients). The fancy-indexed copy is ours to overwrite.
+    CT = N[cand, :].T
+    qr, jpvt, _, _, info = _ZGEQP3(CT, lwork=_zgeqp3_lwork(*CT.shape), overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
+    diag = np.abs(np.diag(qr))
     if diag.size < r or diag[r - 1] <= len(cand) * np.finfo(float).eps * diag[0]:
         raise RankDeficientBasis("candidate null space rows are rank deficient")
-    chosen = sorted(int(cand[p]) for p in piv[:r])
+    chosen = sorted(int(cand[p]) for p in jpvt[:r] - 1)
     indices = np.array(chosen)
-    NB = N[indices, :]
+    # np.linalg.cond(NB), which is this ratio of the singular values.
+    s = np.linalg.svd(N[indices, :], compute_uv=False)
     return BasisSelection(
         monomials=[mhat.index.col_labels[k] for k in chosen],
-        cond=float(np.linalg.cond(NB)),
+        cond=float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
         nullspace=N,
         indices=indices,
     )

@@ -8,9 +8,12 @@ companion-matrix rootfinding, and seeded random matrix generators. Matrices
 are plain complex ndarrays.
 
 generalized_eig calls LAPACK's zggev directly, once per pencil, with its
-workspace size cached per dimension. Its outputs are byte-equal to
+workspace size cached per dimension, and returns every eigenpair of the
+pencil as one EigPairs of arrays. Its outputs are byte-equal to
 scipy.linalg.eig followed by a per-vector np.linalg.norm normalization,
-which is why it keeps both normalization passes.
+which is why it keeps both normalization passes. The private stacked
+kernels (_dots, _row_norms, _bilinear, _magnitude) let callers read all
+eigenpairs at once with results byte-equal to a loop over the pairs.
 """
 
 from __future__ import annotations
@@ -61,26 +64,41 @@ class GenEigProblem:
 
 
 @dataclass(frozen=True)
-class EigTriple:
-    """One eigenvalue with unit right and left eigenvectors.
+class EigPairs:
+    """Every eigenpair of one pencil, as arrays indexed alike (QZ order).
 
-    The left vector uses the transpose convention: left @ (A - lambda B) = 0.
-    ``lam`` is None when the eigenvalue is infinite: QZ's |beta| is at
-    rounding level of ||B||_F (see generalized_eig). ``beta_ratio`` is
-    |beta| / (|alpha| + |beta|) from the QZ output: 0 for an exactly infinite
-    eigenvalue, near 1 for an eigenvalue close to 0; a caller that knows how
-    many eigenvalues are finite ranks them by it. ``right`` and ``left``
-    are read-only rows of arrays shared by all triples of one pencil.
+    ``lam[k]`` is the k-th eigenvalue, inf where ``infinite[k]``: QZ's
+    |beta| is at rounding level of ||B||_F (see generalized_eig).
+    ``beta_ratio`` is |beta| / (|alpha| + |beta|) from the QZ output: 0 for
+    an exactly infinite eigenvalue, near 1 for an eigenvalue close to 0; a
+    caller that knows how many eigenvalues are finite ranks them by it.
+    ``right[k]`` and ``left[k]`` are unit eigenvectors, the left one in the
+    transpose convention: left[k] @ (A - lam[k] B) = 0. Their rows are
+    read-only.
     """
 
-    lam: complex | None
+    lam: np.ndarray
+    infinite: np.ndarray
+    beta_ratio: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    beta_ratio: float = 1.0
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.lam is None
+    def __post_init__(self):
+        self.right.setflags(write=False)
+        self.left.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.lam.size
+
+    def take(self, idx) -> "EigPairs":
+        """The pairs at ``idx``, an index array or a boolean mask, in its order."""
+        return EigPairs(
+            lam=self.lam[idx],
+            infinite=self.infinite[idx],
+            beta_ratio=self.beta_ratio[idx],
+            right=self.right[idx],
+            left=self.left[idx],
+        )
 
 
 def sigma_min(M) -> float:
@@ -104,23 +122,56 @@ def _zggev_lwork(n: int) -> int:
     return int(work[0].real)
 
 
-def _vector_norm(v: np.ndarray) -> float:
-    """2-norm of a complex vector, summed exactly as np.linalg.norm sums it.
+# LAPACK's column-pivoted QR, as scipy.linalg.qr(pivoting=True) calls it.
+_ZGEQP3 = scipy.linalg.get_lapack_funcs("geqp3", dtype=np.complex128)
 
-    Private to the package (generalized_eig and conditioning.kappa_eig), so
-    tracers that wrap the public functions leave this per-vector call alone.
+
+@functools.lru_cache(maxsize=None)
+def _zgeqp3_lwork(m: int, n: int) -> int:
+    """Optimal zgeqp3 workspace for an m x n matrix; LAPACK's query reads only the shape."""
+    work = _ZGEQP3(np.zeros((m, n), dtype=complex), lwork=-1)[-2]
+    return int(work[0].real)
+
+
+# Stacked kernels private to the package, so that tracers wrapping the
+# public functions leave them alone. Each makes, item by item, the BLAS call
+# its one-vector form makes (numpy's matmul runs a stack of 1 x n by n x 1
+# products as one dot each, and 1 x n by n x n as one gemv), so every result
+# is byte-equal to a loop over the rows.
+
+
+def _dots(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Y[..., k, :] @ W[..., k, :] for every row k of a stack."""
+    return np.matmul(Y[..., None, :], W[..., :, None])[..., 0, 0]
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a stack of complex rows, summed as np.linalg.norm sums one row."""
+    re, im = V.real, V.imag
+    return np.sqrt(_dots(re, re) + _dots(im, im))
+
+
+def _bilinear(Y: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Y[k] @ Ms[j] @ W[k] for every row k and matrix j of the stack Ms, as a (k, j) array."""
+    return np.matmul(np.matmul(Y[:, None, None, :], Ms), W[:, None, :, None])[:, :, 0, 0]
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, equal to Python's scalar abs.
+
+    np.abs on a complex array may take a SIMD loop that rounds differently;
+    hypot is what the scalar abs computes.
     """
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return np.hypot(z.real, z.imag)
 
 
-def generalized_eig(gep: GenEigProblem) -> list:
-    """All eigenvalue triples of a square pencil.
+def generalized_eig(gep: GenEigProblem) -> EigPairs:
+    """All eigenpairs of a square pencil.
 
     Each QZ pair (alpha, beta) is judged against ||A||_F and ||B||_F at one
     tolerance, QZ_ZERO_TOL * n * eps: a pair with both entries that small
     raises SingularPencil (QZ's sign of a singular pencil, Moler & Stewart
-    1973), and a pair with only beta that small is infinite (lam=None). Left
+    1973), and a pair with only beta that small is infinite. Left
     eigenvectors are returned in the transpose convention. The guard is not a
     regularity test: a singular pencil whose QZ pairs all stay away from
     (0, 0) passes it, and QZ's eigenvalues of it are meaningless, so a caller
@@ -131,17 +182,24 @@ def generalized_eig(gep: GenEigProblem) -> list:
     byte-equal to scipy.linalg.eig's followed by a per-vector
     np.linalg.norm normalization. So each set is normalized twice: by the
     BLAS nrm2 of each vector, as scipy.linalg.eig does, then by the
-    np.linalg.norm sum of squares, each pass one whole-matrix division. The
-    second pass moves the last bits, and roots read from the vectors by
-    Rayleigh quotients move with them (by about eps kappa at an
-    ill-conditioned eigenvalue), so merging the passes waits for a
-    correctness check that tolerates rounding (ROADMAP item 2(a)).
+    np.linalg.norm sum of squares of each row (_row_norms), each pass one
+    whole-matrix division. The second pass moves the last bits, and roots
+    read from the vectors by Rayleigh quotients move with them (by about
+    eps kappa at an ill-conditioned eigenvalue), so merging the passes waits
+    for a correctness check that tolerates rounding (ROADMAP item 2(a)).
     Non-finite input raises ValueError and a QZ failure LinAlgError, with
     scipy's messages.
     """
     n = gep.dim
     if n == 0:
-        return []
+        empty = np.empty((0, 0), dtype=complex)
+        return EigPairs(
+            lam=np.empty(0, dtype=complex),
+            infinite=np.empty(0, dtype=bool),
+            beta_ratio=np.empty(0),
+            right=empty,
+            left=empty,
+        )
     if not (np.isfinite(gep.A).all() and np.isfinite(gep.B).all()):
         raise ValueError("array must not contain infs or NaNs")
     alpha, beta, vl, vr, _, info = _ZGGEV(
@@ -172,15 +230,19 @@ def generalized_eig(gep: GenEigProblem) -> list:
     for V in (right, left):
         V /= np.array([_NRM2(v) for v in V])[:, None]
     left = left.conj()
-    for V in (right, left):
-        V /= np.array([_vector_norm(v) for v in V])[:, None]
-        V.flags.writeable = False
-    out = []
-    for j in range(n):
-        ratio = float(abs(beta[j]) / (abs(alpha[j]) + abs(beta[j])))
-        lam = None if infinite[j] else complex(alpha[j] / beta[j])
-        out.append(EigTriple(lam=lam, right=right[j], left=left[j], beta_ratio=ratio))
-    return out
+    norms = _row_norms(np.stack((right, left)))
+    right /= norms[0][:, None]
+    left /= norms[1][:, None]
+    abs_alpha, abs_beta = _magnitude(alpha), _magnitude(beta)
+    lam = alpha / np.where(infinite, 1.0, beta)
+    lam[infinite] = np.inf
+    return EigPairs(
+        lam=lam,
+        infinite=infinite,
+        beta_ratio=abs_beta / (abs_alpha + abs_beta),
+        right=right,
+        left=left,
+    )
 
 
 @dataclass(frozen=True)
@@ -352,8 +414,8 @@ def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(d)
-    n = np.linalg.norm(v)
+    n = math.sqrt(v.dot(v))
     while n == 0:
         v = rng.standard_normal(d)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))
     return v / n

@@ -22,6 +22,10 @@ from .conditioning import BASIS_COND_MAX, BasisSingular, kappa_eig, kappa_uni
 from .macaulay import NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
+    _bilinear,
+    _dots,
+    _magnitude,
+    _row_norms,
     companion_roots,
     generalized_eig,
     kron,
@@ -187,18 +191,16 @@ def solve_normal_form(
         raise BasisSingular(f"basis rows condition {sel.cond:.3e}")
     N = sel.nullspace
     NB = N[sel.indices, :]
-    mats = [np.linalg.solve(NB.T, N[mhat.index.up[i, sel.indices], :].T) for i in range(s.d)]
+    mats = np.array([np.linalg.solve(NB.T, N[mhat.index.up[i, sel.indices], :].T) for i in range(s.d)])
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
     gep = GenEigProblem(A=Mt, B=np.eye(mhat.bezout, dtype=complex))
-    roots = []
-    sub_kappa = []
-    for t in generalized_eig(gep):
-        w = t.right
-        wc = w.conj()
-        ww = wc @ w
-        roots.append(np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)]))
-        sub_kappa.append(kappa_eig(gep, t))
+    pairs = generalized_eig(gep)
+    W = pairs.right
+    Wc = W.conj()
+    X = _bilinear(Wc, mats, W) / _dots(Wc, W)[:, None]
+    roots = list(X)
+    sub_kappa = kappa_eig(gep, pairs).tolist()
     diagnostics = {
         "basis": [list(m) for m in sel.monomials],
         "driver": u.tolist(),
@@ -211,22 +213,28 @@ def solve_normal_form(
 # Macaulay resultant solver
 
 
-def _root_from_vector(v: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Read coordinates off an eigenvector indexed by the Macaulay columns.
+def _roots_from_vectors(V: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Read coordinates off eigenvectors, the rows of V, indexed by the Macaulay columns.
 
-    Normalizes by the constant entry (column 0); falls back to least squares
-    over all ratios v[x_i * m] / v[m] with deg(m) <= 1 (columns 0..d) when
-    that entry is negligible. ``up`` is the MacaulayIndex shift map.
+    Normalizes each vector by its constant entry (column 0). A vector whose
+    constant entry is below 1e-8 of its norm falls back, on its own, to
+    _least_squares_root. ``up`` is the MacaulayIndex shift map.
     """
-    d = up.shape[0]
-    scale = float(np.linalg.norm(v))
-    if scale == 0.0:
+    scale = _row_norms(V)
+    if (scale == 0.0).any():
         raise EigenvectorDegenerate("zero eigenvector")
+    lead = V[:, 0]
+    direct = _magnitude(lead) >= 1e-8 * scale
+    X = V[:, up[:, 0]] / np.where(direct, lead, 1.0)[:, None]
+    for k in np.flatnonzero(~direct):
+        X[k] = _least_squares_root(V[k], up)
+    return X
+
+
+def _least_squares_root(v: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Coordinates by least squares over all ratios v[x_i * m] / v[m] with deg(m) <= 1 (columns 0..d)."""
+    d = up.shape[0]
     x = np.empty(d, dtype=complex)
-    if abs(v[0]) >= 1e-8 * scale:
-        for i in range(d):
-            x[i] = v[up[i, 0]] / v[0]
-        return x
     for i in range(d):
         num = 0j
         den = 0.0
@@ -264,30 +272,29 @@ def solve_macaulay_resultant(
     pencil = macaulay_pencil(s, rng)
     r = pencil.mhat.bezout
     gep = pencil.gep
-    finite = generalized_eig(gep)
-    if len(finite) > r:
-        finite.sort(key=lambda t: -t.beta_ratio)
-        if finite[r].beta_ratio > 1e-6 * finite[r - 1].beta_ratio:
-            raise NullityMismatch(f"no beta-ratio gap after the largest {r} of {len(finite)} eigenvalues")
-        del finite[r:]
-    infinite = sum(t.is_infinite for t in finite)
+    pairs = generalized_eig(gep)
+    if len(pairs) > r:
+        order = np.argsort(-pairs.beta_ratio, kind="stable")
+        ratio = pairs.beta_ratio[order]
+        if ratio[r] > 1e-6 * ratio[r - 1]:
+            raise NullityMismatch(f"no beta-ratio gap after the largest {r} of {len(pairs)} eigenvalues")
+        pairs = pairs.take(order[:r])
+    infinite = np.count_nonzero(pairs.infinite)
     if infinite:
         raise NullityMismatch(f"{infinite} of the {r} kept eigenvalues are infinite")
     if pencil.Z is None:
-        vectors = [t.right for t in finite]
+        V = pairs.right
     else:
-        vectors = [pencil.Z @ t.right for t in finite]
-    roots = []
-    sub_kappa = []
-    for t, v in zip(finite, vectors):
-        roots.append(_root_from_vector(v, pencil.mhat.index.up))
-        sub_kappa.append(kappa_eig(gep, t))
+        # One gemv per vector, as pencil.Z @ v makes it.
+        V = np.matmul(pencil.Z, pairs.right[:, :, None])[:, :, 0]
+    roots = list(_roots_from_vectors(V, pencil.mhat.index.up))
+    sub_kappa = kappa_eig(gep, pairs).tolist()
     diagnostics = {
         "kept_h_monomials": [list(m) for m in pencil.kept_h_monomials],
         "alpha": pencil.alpha,
         "beta": pencil.beta,
         "sigma_min_hat": pencil.mhat.factor.sigma_min,
-        "eigenvalues": [t.lam for t in finite],
+        "eigenvalues": pairs.lam.tolist(),
         "square": pencil.Z is None,
     }
     return _report(s, "macaulay", roots, sub_kappa, polish, diagnostics)
@@ -414,22 +421,17 @@ def solve_mep_operator_determinants(s: PolySystem, polish: bool = False) -> Root
     sv = np.linalg.svd(D0, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= max(D0.shape) * np.finfo(float).eps * sv[0]:
         raise SingularDelta0("Delta_0 numerically singular")
-    gep1 = GenEigProblem(A=deltas[1], B=D0)
-    roots = []
-    sub_kappa = []
-    kappa_vectors = []
-    for t in generalized_eig(gep1):
-        if t.is_infinite:
-            continue
-        y, w = t.left, t.right
-        denom = y @ D0 @ w
-        if abs(denom) == 0.0:
-            raise EigenvectorDegenerate("y^T Delta_0 w = 0")
-        x = np.array([(y @ deltas[1 + j] @ w) / denom for j in range(mep.d)])
-        roots.append(x)
-        per_coord = [(1.0 + abs(x[j])) / abs(denom) for j in range(mep.d)]
-        kappa_vectors.append(per_coord)
-        sub_kappa.append(max(per_coord))
+    pairs = generalized_eig(GenEigProblem(A=deltas[1], B=D0))
+    finite = ~pairs.infinite
+    Q = _bilinear(pairs.left[finite], np.array(deltas), pairs.right[finite])
+    denom = _magnitude(Q[:, 0])
+    if (denom == 0.0).any():
+        raise EigenvectorDegenerate("y^T Delta_0 w = 0")
+    X = Q[:, 1:] / Q[:, :1]
+    per_coord = (1.0 + _magnitude(X)) / denom[:, None]
+    roots = list(X)
+    kappa_vectors = per_coord.tolist()
+    sub_kappa = per_coord.max(axis=1).tolist()
     diagnostics = {"delta_dim": int(D0.shape[0]), "kappa_per_coordinate": kappa_vectors}
     return _report(s, "mep", roots, sub_kappa, polish, diagnostics)
 

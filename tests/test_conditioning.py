@@ -42,7 +42,7 @@ from polylab import (
 )
 from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, basis_values, poly_det
 from polylab.macaulay import linear_poly
-from polylab.numkernel import EigTriple, laplace_expansion, sigma_min
+from polylab.numkernel import EigPairs, laplace_expansion, sigma_min
 
 
 def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
@@ -107,7 +107,8 @@ def test_kappa_eig_on_diagonal_pencil():
     gep = GenEigProblem(
         A=np.diag([2.0, 3.0]).astype(complex), B=np.eye(2, dtype=complex),
     )
-    got = {round(t.lam.real): kappa_eig(gep, t) for t in generalized_eig(gep)}
+    pairs = generalized_eig(gep)
+    got = dict(zip(np.round(pairs.lam.real).astype(int).tolist(), kappa_eig(gep, pairs)))
     # normal pencil: kappa is 1 + |lambda|
     assert got[2] == pytest.approx(3.0, rel=1e-12)
     assert got[3] == pytest.approx(4.0, rel=1e-12)
@@ -117,14 +118,21 @@ def test_kappa_eig_scores_infinite_and_defective_eigenvalues_inf():
     gep = GenEigProblem(
         A=np.eye(2, dtype=complex), B=np.diag([1.0, 0.0]).astype(complex),
     )
-    bad = [t for t in generalized_eig(gep) if t.is_infinite][0]
-    assert kappa_eig(gep, bad) == math.inf
+    pairs = generalized_eig(gep)
+    assert kappa_eig(gep, pairs)[pairs.infinite].tolist() == [math.inf]
     # Jordan block: the right vector e_1 and left vector e_2 give y^T B x = 0.
     jordan = GenEigProblem(
         A=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), B=np.eye(2, dtype=complex),
     )
     e1, e2 = np.eye(2, dtype=complex)
-    assert kappa_eig(jordan, EigTriple(lam=1.0 + 0j, right=e1, left=e2)) == math.inf
+    pairs = EigPairs(
+        lam=np.array([1.0 + 0j]),
+        infinite=np.array([False]),
+        beta_ratio=np.array([0.5]),
+        right=e1[None],
+        left=e2[None],
+    )
+    assert kappa_eig(jordan, pairs).tolist() == [math.inf]
 
 
 def test_scaled_singular_vectors_reproduce_jacobian():
@@ -159,10 +167,10 @@ def test_mep_condition_formula_matches_direct_eigen_computation():
         deltas = operator_determinants(mep)
         i = trial % d
         gep = GenEigProblem(A=deltas[1 + i], B=deltas[0])
-        trips = [t for t in generalized_eig(gep) if not t.is_infinite]
-        best = min(trips, key=lambda t: abs(t.lam - xstar[i]))
-        assert abs(best.lam - xstar[i]) <= 1e-6
-        direct = kappa_eig(gep, best)
+        pairs = generalized_eig(gep)
+        best = int(np.argmin(np.abs(pairs.lam - xstar[i])))
+        assert abs(pairs.lam[best] - xstar[i]) <= 1e-6
+        direct = kappa_eig(gep, pairs)[best]
         formula = kappa_eig_mep_formula(mep, s, xstar, i)
         assert formula == pytest.approx(direct, rel=1e-6)
 
@@ -365,10 +373,10 @@ def test_multiplication_eigenvalue_conditioning_matches_direct():
         gep = GenEigProblem(
             A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex),
         )
-        trips = [t for t in generalized_eig(gep) if not t.is_infinite]
-        best = min(trips, key=lambda t: abs(t.lam - xstar[i]))
-        assert abs(best.lam - xstar[i]) <= 1e-6
-        direct = kappa_eig(gep, best)
+        pairs = generalized_eig(gep)
+        best = int(np.argmin(np.abs(pairs.lam - xstar[i])))
+        assert abs(pairs.lam[best] - xstar[i]) <= 1e-6
+        direct = kappa_eig(gep, pairs)[best]
         formula = kappa_eig_ms_formula(s, xstar, sel, i)
         assert formula == pytest.approx(direct, rel=1e-6)
 
@@ -382,10 +390,10 @@ def test_macaulay_bound_sits_below_measured_conditioning():
         halpha = linear_poly(2, pen.alpha)
         hbeta = linear_poly(2, pen.beta)
         lam_star = complex(halpha.eval(xstar)) / complex(hbeta.eval(xstar))
-        trips = [t for t in generalized_eig(pen.gep) if not t.is_infinite]
-        best = min(trips, key=lambda t: abs(t.lam - lam_star))
-        assert abs(best.lam - lam_star) <= 1e-6 * (1 + abs(lam_star))
-        measured = kappa_eig(pen.gep, best)
+        pairs = generalized_eig(pen.gep)
+        best = int(np.argmin(np.abs(pairs.lam - lam_star)))
+        assert abs(pairs.lam[best] - lam_star) <= 1e-6 * (1 + abs(lam_star))
+        measured = kappa_eig(pen.gep, pairs)[best]
         bound = kappa_eig_macaulay_bound(s, xstar, pen.basis, hbeta)
         assert bound <= measured * (1 + 1e-6)
 

@@ -1,5 +1,6 @@
 """Benchmark system generators and their planted roots."""
 
+import math
 import re
 
 import numpy as np
@@ -293,3 +294,29 @@ def test_true_root_error_sees_a_perturbation():
     )
     err = true_root_error(rep, s.true_roots[1])
     assert 1e-4 <= err <= 1e-2
+
+
+def _true_root_error_loop(roots, truth) -> float:
+    """Reference: the nearest root by a per-root np.linalg.norm, as min() keeps it."""
+    truth = np.asarray(truth, dtype=complex)
+    best = math.inf
+    for r in roots:
+        best = min(best, float(np.linalg.norm(np.asarray(r, dtype=complex) - truth)))
+    return best
+
+
+def test_true_root_error_equals_the_per_root_norm_loop():
+    rng = np.random.default_rng(71)
+    for d in (1, 2, 3, 5):
+        roots = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(7)]
+        truth = rng.standard_normal(d) * 1e-3
+        for got_truth in (truth, [truth]):
+            want = _true_root_error_loop(roots, got_truth)
+            assert true_root_error(roots, got_truth) == want
+        # a NaN root is skipped, wherever it sits
+        nan_root = np.full(d, np.nan, dtype=complex)
+        for pos in (0, 3, 7):
+            with_nan = roots[:pos] + [nan_root] + roots[pos:]
+            assert true_root_error(with_nan, truth) == _true_root_error_loop(with_nan, truth)
+    assert true_root_error([], np.zeros(2)) == math.inf
+    assert true_root_error([np.full(2, np.nan)], np.zeros(2)) == math.inf

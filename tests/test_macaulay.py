@@ -27,7 +27,7 @@ from polylab import (
     solve_macaulay_resultant,
 )
 from polylab.macaulay import _h_rows
-from polylab.numkernel import SvdFactor
+from polylab.numkernel import _ZGEQP3, SvdFactor, _zgeqp3_lwork
 
 
 def two_quadratics(rng):
@@ -82,8 +82,30 @@ def test_choose_basis_reads_the_null_space():
     assert np.linalg.norm(mhat.mat @ sel.nullspace, 2) <= 1e-10 * np.linalg.norm(mhat.mat, 2)
     assert np.allclose(sel.nullspace.conj().T @ sel.nullspace, np.eye(r), atol=1e-12)
     assert [mhat.col_labels[k] for k in sel.indices] == sel.monomials
-    assert sel.cond == pytest.approx(np.linalg.cond(sel.nullspace[sel.indices, :]))
+    assert sel.cond == np.linalg.cond(sel.nullspace[sel.indices, :])
     assert sel.cond < 1e6
+
+
+# (r, candidates) of choose_basis's QR at d = 2, 3, 4 and 5, and a shape
+# whose min(m, n) passes zgeqp3's crossover to blocked code (128 by default),
+# where the workspace size decides the block size.
+@pytest.mark.parametrize("shape", [(4, 6), (8, 20), (16, 70), (32, 252), (160, 200)])
+def test_the_direct_pivoted_qr_equals_scipys(shape):
+    m, n = shape
+    rng = np.random.default_rng(m)
+    # orthonormal columns, as choose_basis's null space rows have, plus a
+    # copy with two equal candidates so that pivoting sees a tie
+    Q = np.linalg.qr(rng.standard_normal((n + 3, m)) + 1j * rng.standard_normal((n + 3, m)))[0]
+    tied = Q[:n].copy()
+    tied[5] = tied[2]
+    for C in (Q[:n], tied):
+        R, piv = scipy.linalg.qr(C.T, mode="r", pivoting=True)
+        qr, jpvt, _, _, info = _ZGEQP3(C.copy().T, lwork=_zgeqp3_lwork(m, n), overwrite_a=True)
+        assert info == 0
+        assert (jpvt - 1).tobytes() == piv.tobytes()
+        assert np.diag(qr).tobytes() == np.diag(R).tobytes()
+    fresh = _ZGEQP3(Q[:n].T, lwork=-1)[-2][0].real.astype(np.int_)
+    assert _zgeqp3_lwork(m, n) == fresh
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -137,10 +159,8 @@ def test_pencil_finite_spectrum_is_h_ratio_at_the_roots():
         (complex(halpha.eval(np.asarray(r))) / complex(hbeta.eval(np.asarray(r))) for r in s.true_roots),
         key=lambda z: (z.real, z.imag),
     )
-    got = sorted(
-        (t.lam for t in generalized_eig(pen.gep) if not t.is_infinite),
-        key=lambda z: (z.real, z.imag),
-    )
+    pairs = generalized_eig(pen.gep)
+    got = np.sort_complex(pairs.lam[~pairs.infinite])
     assert len(got) == bezout_count(s)
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-8
 
@@ -163,7 +183,7 @@ def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
         (complex(halpha.eval(np.asarray(x))) / complex(hbeta.eval(np.asarray(x))) for x in s.true_roots),
         key=lambda z: (z.real, z.imag),
     )
-    got = sorted((t.lam for t in generalized_eig(pen.gep)), key=lambda z: (z.real, z.imag))
+    got = np.sort_complex(generalized_eig(pen.gep).lam)
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-8
 
 

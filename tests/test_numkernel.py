@@ -1,5 +1,6 @@
 """Dense linear algebra wrappers: companion, pencils, null spaces."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from polylab import (
     null_space,
     sigma_min,
 )
-from polylab.numkernel import _ZGGEV, QZ_ZERO_TOL, _zggev_lwork, kron
+from polylab.numkernel import _ZGGEV, QZ_ZERO_TOL, _magnitude, _zggev_lwork, kron, random_unit_vector
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -62,7 +63,7 @@ def test_generalized_eig_diagonal_pencil():
     A = np.diag([2.0, 6.0]).astype(complex)
     B = np.diag([1.0, 2.0]).astype(complex)
     gep = GenEigProblem(A=A, B=B)
-    lams = sorted(t.lam.real for t in generalized_eig(gep))
+    lams = sorted(generalized_eig(gep).lam.real)
     assert lams == pytest.approx([2.0, 3.0], abs=1e-13)
 
 
@@ -73,36 +74,35 @@ def test_generalized_eig_residuals_small():
         B = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         gep = GenEigProblem(A=A, B=B)
         scale = np.linalg.norm(A, 2) + np.linalg.norm(B, 2)
-        for t in generalized_eig(gep):
-            if t.is_infinite:
-                continue
-            M = A - t.lam * B
-            assert np.linalg.norm(M @ t.right) <= 1e-10 * scale * (1 + abs(t.lam))
+        pairs = generalized_eig(gep)
+        assert not pairs.infinite.any()
+        for lam, right, left in zip(pairs.lam, pairs.right, pairs.left):
+            M = A - lam * B
+            assert np.linalg.norm(M @ right) <= 1e-10 * scale * (1 + abs(lam))
             # left vectors use the plain transpose convention
-            assert np.linalg.norm(t.left.T @ M) <= 1e-10 * scale * (1 + abs(t.lam))
+            assert np.linalg.norm(left @ M) <= 1e-10 * scale * (1 + abs(lam))
 
 
 def test_generalized_eig_flags_infinite_for_singular_b():
     A = np.eye(2, dtype=complex)
     B = np.diag([1.0, 0.0]).astype(complex)
     gep = GenEigProblem(A=A, B=B)
-    trips = generalized_eig(gep)
-    assert sum(t.is_infinite for t in trips) == 1
-    finite = [t for t in trips if not t.is_infinite]
-    assert finite[0].lam == pytest.approx(1.0)
+    pairs = generalized_eig(gep)
+    assert np.count_nonzero(pairs.infinite) == 1
+    assert pairs.lam[pairs.infinite][0] == np.inf
+    assert pairs.lam[~pairs.infinite][0] == pytest.approx(1.0)
 
 
 def test_beta_ratio_separates_finite_from_infinite():
     A = np.diag([1.0, 1.0, 3.0]).astype(complex)
     B = np.diag([1.0, 0.0, 1.0]).astype(complex)
     gep = GenEigProblem(A=A, B=B)
-    for t in generalized_eig(gep):
-        assert 0.0 <= t.beta_ratio <= 1.0
-        if t.is_infinite:
-            assert t.beta_ratio <= 1e-12
-        else:
-            # |beta|/(|alpha|+|beta|) collapses to 1/(1+|lam|)
-            assert t.beta_ratio == pytest.approx(1.0 / (1.0 + abs(t.lam)))
+    pairs = generalized_eig(gep)
+    assert ((0.0 <= pairs.beta_ratio) & (pairs.beta_ratio <= 1.0)).all()
+    assert (pairs.beta_ratio[pairs.infinite] <= 1e-12).all()
+    # |beta|/(|alpha|+|beta|) collapses to 1/(1+|lam|)
+    finite = ~pairs.infinite
+    assert pairs.beta_ratio[finite] == pytest.approx(1.0 / (1.0 + np.abs(pairs.lam[finite])))
 
 
 def _bit_test_pencils():
@@ -141,23 +141,32 @@ def test_generalized_eig_matches_scipy_eig_bit_for_bit():
         got = generalized_eig(gep)
         ref = _scipy_eig_reference(gep)
         assert len(got) == len(ref) == gep.dim
-        for t, (lam, ratio, right, left) in zip(got, ref):
-            assert t.lam == lam
-            assert t.beta_ratio == ratio
-            assert t.right.tobytes() == right.tobytes()
-            assert t.left.tobytes() == left.tobytes()
-            infinite += t.is_infinite
+        for k, (lam, ratio, right, left) in enumerate(ref):
+            assert got.infinite[k] == (lam is None)
+            if lam is None:
+                assert got.lam[k] == np.inf
+                infinite += 1
+            else:
+                assert got.lam[k].tobytes() == np.complex128(lam).tobytes()
+            assert got.beta_ratio[k].tobytes() == np.float64(ratio).tobytes()
+            assert got.right[k].tobytes() == right.tobytes()
+            assert got.left[k].tobytes() == left.tobytes()
     assert infinite >= 1
 
 
 def test_kappa_eig_matches_the_norm_formula_bit_for_bit():
     for gep in _bit_test_pencils():
-        for t in generalized_eig(gep):
-            if t.is_infinite:
+        pairs = generalized_eig(gep)
+        kappas = kappa_eig(gep, pairs)
+        assert kappas.shape == (len(pairs),)
+        for k in range(len(pairs)):
+            if pairs.infinite[k]:
+                assert kappas[k] == math.inf
                 continue
-            num = float(np.linalg.norm(t.left) * np.linalg.norm(t.right))
-            expected = num / abs(t.left @ gep.B @ t.right) * (1.0 + abs(t.lam))
-            assert kappa_eig(gep, t) == expected
+            y, x, lam = pairs.left[k], pairs.right[k], complex(pairs.lam[k])
+            num = float(np.linalg.norm(y) * np.linalg.norm(x))
+            expected = num / abs(y @ gep.B @ x) * (1.0 + abs(lam))
+            assert kappas[k].tobytes() == np.float64(expected).tobytes()
 
 
 def _with_common_null_vector(A, B, v, side):
@@ -198,7 +207,10 @@ def test_generalized_eig_rejects_non_finite_input():
 
 
 def test_generalized_eig_of_an_empty_pencil_is_empty():
-    assert generalized_eig(GenEigProblem(A=np.zeros((0, 0)), B=np.zeros((0, 0)))) == []
+    gep = GenEigProblem(A=np.zeros((0, 0)), B=np.zeros((0, 0)))
+    pairs = generalized_eig(gep)
+    assert len(pairs) == 0 and pairs.right.shape == pairs.left.shape == (0, 0)
+    assert kappa_eig(gep, pairs).shape == (0,)
 
 
 def test_cached_workspace_equals_a_fresh_query():
@@ -213,16 +225,41 @@ def test_cached_workspace_equals_a_fresh_query():
 def test_eigenvectors_are_read_only_rows():
     rng = np.random.default_rng(30)
     gep = GenEigProblem(A=rng.standard_normal((4, 4)), B=rng.standard_normal((4, 4)))
-    trips = generalized_eig(gep)
-    before = [t.left.copy() for t in trips]
-    for t in trips:
-        assert not t.right.flags.writeable and not t.left.flags.writeable
-        assert t.right.flags.c_contiguous and t.left.flags.c_contiguous
+    pairs = generalized_eig(gep)
+    before = pairs.left.copy()
+    for V in (pairs.right, pairs.left):
+        assert all(v.flags.c_contiguous for v in V)
+    for kept in (pairs, pairs.take(np.array([2, 0])), pairs.take(pairs.beta_ratio > 0)):
+        assert not kept.right.flags.writeable and not kept.left.flags.writeable
     with pytest.raises(ValueError):
-        trips[0].right[0] = 0.0
+        pairs.right[0, 0] = 0.0
     with pytest.raises(ValueError):
-        trips[1].left *= 2.0
-    assert all(np.array_equal(t.left, b) for t, b in zip(trips, before))
+        pairs.left[1] *= 2.0
+    assert np.array_equal(pairs.left, before)
+
+
+def test_take_keeps_the_pairs_in_the_given_order():
+    rng = np.random.default_rng(33)
+    gep = GenEigProblem(A=rng.standard_normal((5, 5)), B=rng.standard_normal((5, 5)))
+    pairs = generalized_eig(gep)
+    kept = pairs.take(np.array([3, 1]))
+    assert len(kept) == 2
+    for j, k in enumerate((3, 1)):
+        assert kept.lam[j] == pairs.lam[k] and kept.beta_ratio[j] == pairs.beta_ratio[k]
+        assert kept.right[j].tobytes() == pairs.right[k].tobytes()
+        assert kept.left[j].tobytes() == pairs.left[k].tobytes()
+    assert kappa_eig(gep, kept).tobytes() == kappa_eig(gep, pairs)[[3, 1]].tobytes()
+
+
+def test_magnitude_equals_the_scalar_abs():
+    # np.abs on a complex array may take a SIMD loop that rounds differently
+    # from Python's abs; the vectorized read-outs rely on this equality.
+    rng = np.random.default_rng(34)
+    n = 10**5
+    re, im = (rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n) for _ in range(2))
+    z = re + 1j * im
+    want = np.array([abs(complex(v)) for v in z])
+    assert _magnitude(z).tobytes() == want.tobytes()
 
 
 def test_null_space_recovers_known_kernel():
@@ -304,3 +341,11 @@ def test_sigma_min_matches_svd():
     for _ in range(5):
         M = rng.standard_normal((7, 4))
         assert sigma_min(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[-1], rel=1e-12)
+
+
+def test_random_unit_vector_divides_by_the_numpy_norm():
+    for d in (1, 2, 3, 7):
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            v = ref.standard_normal(d)
+            assert random_unit_vector(d, rng).tobytes() == (v / np.linalg.norm(v)).tobytes()

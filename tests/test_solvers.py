@@ -2,13 +2,17 @@
 determinants, and the two closed-form univariate reductions."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylab import (
     FamilySpec,
+    GenEigProblem,
     MultiParamEig,
     MultiPoly,
     NullityMismatch,
@@ -18,9 +22,11 @@ from polylab import (
     bezout_count,
     block_operator_determinant,
     choose_basis,
+    generalized_eig,
     generate,
     hausdorff_distance,
     macaulay_hat,
+    macaulay_pencil,
     mep_from_system,
     newton_polish,
     normal_form,
@@ -37,8 +43,14 @@ from polylab import (
 from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
+from polylab.numkernel import random_unit_vector
 from polylab.polycore import CompiledPolys
-from polylab.solvers import _check_determinantal, _determinantal_probes, _quadratic_representation
+from polylab.solvers import (
+    EigenvectorDegenerate,
+    _check_determinantal,
+    _determinantal_probes,
+    _quadratic_representation,
+)
 
 
 def cyclic_truth(d, sigma, shift=0.0):
@@ -481,19 +493,19 @@ def test_a_macaulay_solve_draws_its_divisors_once():
         assert rng.standard_normal() == fresh.standard_normal()
 
 
-def _cutoff_and_straggler_rule(trips, r):
-    """Reference finite set of a Macaulay pencil's QZ triples, or the failure class.
+def _cutoff_and_straggler_rule(pairs, r):
+    """Reference finite set of a Macaulay pencil's QZ pairs, or the failure class.
 
     An absolute cutoff |beta| <= 1e-12 (|alpha| + |beta|) marks a pair
     infinite; a square pencil's remaining pairs are sorted by beta ratio and
     stragglers six orders below the r-th are cut; any count but r fails.
     """
-    finite = [t for t in trips if t.beta_ratio > 1e-12]
-    if len(trips) > r:
-        finite.sort(key=lambda t: -t.beta_ratio)
-        if len(finite) > r and finite[r].beta_ratio <= 1e-6 * finite[r - 1].beta_ratio:
+    finite = [(ratio, lam) for ratio, lam in zip(pairs.beta_ratio, pairs.lam.tolist()) if ratio > 1e-12]
+    if len(pairs) > r:
+        finite.sort(key=lambda t: -t[0])
+        if len(finite) > r and finite[r][0] <= 1e-6 * finite[r - 1][0]:
             finite = finite[:r]
-    return [t.lam for t in finite] if len(finite) == r else "NullityMismatch"
+    return [lam for _, lam in finite] if len(finite) == r else "NullityMismatch"
 
 
 def test_the_bezout_rule_keeps_the_cutoff_and_straggler_rules_eigenvalues(monkeypatch):
@@ -540,3 +552,150 @@ def test_nullity_mismatch_is_one_class_exported_everywhere():
     assert polylab.solvers.NullityMismatch is polylab.macaulay.NullityMismatch
     assert polylab.NullityMismatch is polylab.macaulay.NullityMismatch
     assert polylab.macaulay.NullityMismatch in bench.SOLVER_FAILURES
+
+
+# ---------------------------------------------------------------------------
+# the stacked eigenpair read-outs against per-pair loops
+
+
+def _kappa_eig_loop(gep, pairs, k):
+    if pairs.infinite[k]:
+        return math.inf
+    y, x = pairs.left[k], pairs.right[k]
+    denom = abs(y @ gep.B @ x)
+    if denom == 0.0:
+        return math.inf
+    num = float(np.linalg.norm(y)) * float(np.linalg.norm(x))
+    return num / denom * (1.0 + abs(complex(pairs.lam[k])))
+
+
+def _nf_loop(s):
+    mhat = macaulay_hat(s, rho(s))
+    sel = choose_basis(mhat)
+    N = sel.nullspace
+    NB = N[sel.indices, :]
+    mats = [np.linalg.solve(NB.T, N[mhat.index.up[i, sel.indices], :].T) for i in range(s.d)]
+    u = random_unit_vector(s.d, np.random.default_rng(1))
+    gep = GenEigProblem(A=sum(u[i] * mats[i] for i in range(s.d)), B=np.eye(mhat.bezout, dtype=complex))
+    pairs = generalized_eig(gep)
+    roots, kappas = [], []
+    for k in range(len(pairs)):
+        w = pairs.right[k]
+        wc = w.conj()
+        ww = wc @ w
+        roots.append(np.array([(wc @ mats[i] @ w) / ww for i in range(s.d)]))
+        kappas.append(_kappa_eig_loop(gep, pairs, k))
+    return roots, kappas, {}
+
+
+def _root_from_vector_loop(v, up):
+    d = up.shape[0]
+    scale = float(np.linalg.norm(v))
+    if scale == 0.0:
+        raise EigenvectorDegenerate("zero eigenvector")
+    x = np.empty(d, dtype=complex)
+    if abs(v[0]) >= 1e-8 * scale:
+        for i in range(d):
+            x[i] = v[up[i, 0]] / v[0]
+        return x
+    for i in range(d):
+        num = 0j
+        den = 0.0
+        for k_from in range(d + 1):
+            if up[i, k_from] >= 0:
+                num += np.conj(v[k_from]) * v[up[i, k_from]]
+                den += abs(v[k_from]) ** 2
+        if den == 0.0:
+            raise EigenvectorDegenerate("no usable low-degree entries")
+        x[i] = num / den
+    return x
+
+
+def _macaulay_loop(s):
+    pencil = macaulay_pencil(s, np.random.default_rng(1))
+    r = pencil.mhat.bezout
+    pairs = generalized_eig(pencil.gep)
+    kept = list(range(len(pairs)))
+    if len(kept) > r:
+        kept.sort(key=lambda k: -pairs.beta_ratio[k])
+        if pairs.beta_ratio[kept[r]] > 1e-6 * pairs.beta_ratio[kept[r - 1]]:
+            raise NullityMismatch("no beta-ratio gap")
+        del kept[r:]
+    if any(pairs.infinite[k] for k in kept):
+        raise NullityMismatch("a kept eigenvalue is infinite")
+    roots, kappas = [], []
+    for k in kept:
+        v = pairs.right[k] if pencil.Z is None else pencil.Z @ pairs.right[k]
+        roots.append(_root_from_vector_loop(v, pencil.mhat.index.up))
+        kappas.append(_kappa_eig_loop(pencil.gep, pairs, k))
+    return roots, kappas, {"infinite": bool(pairs.infinite.any()), "square": pencil.Z is None}
+
+
+def _mep_loop(s):
+    mep = mep_from_system(s)
+    deltas = operator_determinants(mep)
+    D0 = deltas[0]
+    sv = np.linalg.svd(D0, compute_uv=False)
+    if sv[0] == 0 or sv[-1] <= max(D0.shape) * np.finfo(float).eps * sv[0]:
+        raise SingularDelta0("Delta_0 numerically singular")
+    pairs = generalized_eig(GenEigProblem(A=deltas[1], B=D0))
+    roots, kappas, per_coordinate = [], [], []
+    for k in np.flatnonzero(~pairs.infinite):
+        y, w = pairs.left[k], pairs.right[k]
+        denom = y @ D0 @ w
+        if abs(denom) == 0.0:
+            raise EigenvectorDegenerate("y^T Delta_0 w = 0")
+        x = np.array([(y @ deltas[1 + j] @ w) / denom for j in range(mep.d)])
+        roots.append(x)
+        per_coord = [(1.0 + abs(x[j])) / abs(denom) for j in range(mep.d)]
+        per_coordinate.append(per_coord)
+        kappas.append(max(per_coord))
+    return roots, kappas, {"kappa_per_coordinate": per_coordinate}
+
+
+_LOOPS = {"nf": _nf_loop, "macaulay": _macaulay_loop, "mep": _mep_loop}
+
+
+def _outcome(fn, s):
+    """(roots bytes, kappa bytes, per-coordinate kappa bytes), or the failure class."""
+    try:
+        got = fn(s)
+    except bench.SOLVER_FAILURES as exc:
+        return type(exc).__name__, None
+    if isinstance(got, tuple):
+        roots, kappas, extra = got
+    else:
+        roots, kappas, extra = got.roots, got.subproblem_kappa, got.diagnostics
+    per_coordinate = extra.get("kappa_per_coordinate")
+    return (
+        [np.asarray(x).tobytes() for x in roots],
+        np.array(kappas, dtype=float).tobytes(),
+        None if per_coordinate is None else np.array(per_coordinate, dtype=float).tobytes(),
+    ), extra
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_stacked_read_outs_equal_per_pair_loops(data):
+    # Random systems of d single-square quadratics (the shape mep accepts)
+    # with a planted root; a root scale of 1e5 drives the Macaulay read-out
+    # into its least-squares fallback. At d = 2 the Macaulay pencil is
+    # square and carries infinite pairs.
+    d = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * data.draw(st.sampled_from([0.5, 1e5]))
+    polys = []
+    for i in range(d):
+        terms = {tuple(2 * (j == i) for j in range(d)): 1.0 + 0j}
+        for j in range(d):
+            terms[tuple(int(j == k) for k in range(d))] = complex(*rng.standard_normal(2))
+        p = MultiPoly(d, terms)
+        terms[(0,) * d] = -p.eval(xstar)
+        polys.append(MultiPoly(d, terms))
+    s = PolySystem(d, polys, true_roots=[xstar], family_tag="")
+    for method, loop in _LOOPS.items():
+        want, info = _outcome(loop, s)
+        got, _ = _outcome(lambda s: solve(s, method), s)
+        assert got == want, method
+        if method == "macaulay" and d == 2 and not isinstance(want, str):
+            assert info["square"] and info["infinite"]
