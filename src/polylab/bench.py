@@ -16,7 +16,7 @@ import numpy as np
 from . import conditioning
 from .conditioning import theory_digits
 from .families import FamilySpec, generate, true_root_error
-from .macaulay import NullityMismatch, RankDeficientBasis
+from .macaulay import BasisSingular, NullityMismatch, RankDeficientBasis
 from .numkernel import SingularPencil
 from .solvers import (
     EigenvectorDegenerate,
@@ -34,7 +34,7 @@ SOLVER_FAILURES = (
     UnsupportedShape,
     SingularPencil,
     RankDeficientBasis,
-    conditioning.BasisSingular,
+    BasisSingular,
     conditioning.SingularJacobian,
     conditioning.MultipleRoot,
     np.linalg.LinAlgError,
@@ -107,28 +107,35 @@ def _broadcast_shift(shift, d: int):
     return tuple(shift)
 
 
-def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
+def _family_spec(spec: SweepSpec, x) -> FamilySpec:
+    """The family instance every trial of ``spec`` at axis value x reads its parameters from.
+
+    ValueError when such a trial could not run: a dimension that is not an
+    integer, a family parameter missing or out of range, or a shift whose
+    length is neither 1 nor d.
+    """
     params = _resolve_params(spec, x)
-    d = params["d"]
-    shift = _broadcast_shift(spec.shift, d)
+    return FamilySpec(
+        family=spec.family,
+        d=params["d"],
+        sigma=params.get("sigma"),
+        c=params.get("c"),
+        seed=spec.seed,
+        shift=_broadcast_shift(spec.shift, params["d"]),
+    )
+
+
+def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
+    fspec = _family_spec(spec, x)
+    d, shift = fspec.d, fspec.shift
     if spec.method == "gb":
-        _, report = solve_gb_elimination_example(
-            d, params["sigma"], shift=shift[0] if shift else 0.0
-        )
+        _, report = solve_gb_elimination_example(d, fspec.sigma, shift=shift[0] if shift else 0.0)
         return float(report.diagnostics["error"])
     if spec.method == "rur":
         u = np.abs(rng.standard_normal(d))
         u /= np.linalg.norm(u)
-        _, report = solve_rur_example(d, params["c"], u, shift=shift)
+        _, report = solve_rur_example(d, fspec.c, u, shift=shift)
         return float(report.diagnostics["error"])
-    fspec = FamilySpec(
-        family=spec.family,
-        d=d,
-        sigma=params.get("sigma"),
-        c=params.get("c"),
-        seed=spec.seed,
-        shift=shift,
-    )
     s = generate(fspec, rng=rng)
     target = np.array(shift, dtype=complex) if shift else np.zeros(d, dtype=complex)
     report = solve(s, spec.method, rng=rng, polish=spec.polish)

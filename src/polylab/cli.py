@@ -198,17 +198,8 @@ def _custom_spec(args) -> bench.SweepSpec:
         seed=args.seed if args.seed is not None else 1,
         polish=args.polish,
     )
-    # Every trial at x generates from this FamilySpec, which checks the
-    # family's parameters and the shift length.
     for x in spec.values:
-        params = bench._resolve_params(spec, x)
-        FamilySpec(
-            family=spec.family,
-            d=params["d"],
-            sigma=params.get("sigma"),
-            c=params.get("c"),
-            shift=bench._broadcast_shift(spec.shift, params["d"]),
-        )
+        bench._family_spec(spec, x)
     return spec
 
 

@@ -19,7 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .macaulay import BasisSelection
+# BasisSingular is raised by _solve_basis and kept importable from here.
+from .macaulay import BasisSelection, BasisSingular, _solve_basis
 from .numkernel import EigPairs, GenEigProblem, _bilinear, _magnitude, _row_norms
 from .polycore import (
     SUPPORT_CACHE_SIZE,
@@ -37,14 +38,6 @@ class SingularJacobian(Exception):
 class MultipleRoot(Exception):
     """The univariate derivative vanishes at the root."""
 
-
-class BasisSingular(Exception):
-    """The basis rows of the null space are numerically singular."""
-
-
-# Largest condition number of the basis rows N_B of a Macaulay null space
-# that the normal form solver and normal_form accept.
-BASIS_COND_MAX = 1e12
 
 # Largest sigma_min / sigma_max of W_i(x*) that mep_root_vectors accepts as
 # singular, i.e. x* as a joint eigenvalue.
@@ -354,12 +347,6 @@ def _coefficient_vector(f: MultiPoly, index: Mapping) -> np.ndarray:
     return fvec
 
 
-def _solve_basis(fvec: np.ndarray, N: np.ndarray, NB: np.ndarray, cond: float) -> np.ndarray:
-    if cond > BASIS_COND_MAX:
-        raise BasisSingular("basis rows of the null space are numerically singular")
-    return np.linalg.solve(NB.T, N.T @ fvec)
-
-
 def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     """Coefficients of f's residue class over the quotient basis.
 
@@ -367,7 +354,9 @@ def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     Macaulay columns: the full monomial block in grlex order, read from the
     shared index. The vector c solves N_B^T c = N^T f, matching the values
     every null space functional takes on f and on its basis representation.
-    Basis rows N_B conditioned worse than BASIS_COND_MAX raise BasisSingular.
+    Basis rows N_B conditioned worse than macaulay.BASIS_COND_MAX raise
+    BasisSingular. N is any such null space; the solvers and the
+    closed-form kappas read the columns from their BasisSelection instead.
     """
     index = _full_block_positions(N.shape[0], f.nvars)
     fvec = _coefficient_vector(f, index)
@@ -376,7 +365,7 @@ def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
     except KeyError as e:
         raise ValueError(f"basis monomial {e} not among row monomials") from e
     NB = N[b_idx, :]
-    return _solve_basis(fvec, N, NB, np.linalg.cond(NB))
+    return _solve_basis(NB, np.linalg.cond(NB), N.T @ fvec)
 
 
 def basis_values(basis, x) -> np.ndarray:
@@ -402,10 +391,8 @@ def basis_values(basis, x) -> np.ndarray:
 def _det_q_in_basis(s: PolySystem, root: RootPoint, sel: BasisSelection) -> np.ndarray:
     """[det Q]_B over the selection's basis; its basis rows' condition number is ``sel.cond``."""
     N = sel.nullspace
-    fvec = _coefficient_vector(
-        lagrange_interpolant(q_factorization(s, root)), _full_block_positions(N.shape[0], s.d)
-    )
-    return _solve_basis(fvec, N, N[sel.indices, :], sel.cond)
+    fvec = _coefficient_vector(lagrange_interpolant(q_factorization(s, root)), sel.index.columns)
+    return _solve_basis(N[sel.indices, :], sel.cond, N.T @ fvec)
 
 
 def _abs_det_jacobian(root: RootPoint) -> float:
@@ -450,7 +437,7 @@ def kappa_eig_macaulay_bound(s: PolySystem, xstar, sel: BasisSelection, h: Multi
     hval = abs(h.eval(root.x))
     if detJ == 0.0 or hval == 0.0:
         raise SingularJacobian("det(J) * h vanishes at the root")
-    V = basis_values(_full_block_positions(sel.nullspace.shape[0], s.d), root.x)
+    V = basis_values(sel.index.col_labels, root.x)
     return float(np.linalg.norm(c)) * float(np.linalg.norm(V)) / (detJ * hval)
 
 

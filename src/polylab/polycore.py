@@ -426,12 +426,19 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _power_table(X: np.ndarray, top: int) -> np.ndarray:
     """Pairs of X**e for e = 1..top, shape (2, n, d, top), for complex X (n, d).
 
-    Follows numpy's complex power for integer exponents (x, x*x, x*(x*x),
-    then binary powering), so every entry equals the scalar ``x**e``.
+    Follows numpy's complex power for integer exponents as _cpow does (x,
+    x*x, x*(x*x), binary powering below 100, the C library's cpow from 100
+    on, which numpy's array power also calls), so every entry equals the
+    scalar ``x**e``.
     """
     x = np.stack([X.real, X.imag])
     powers = [x]
     for e in range(2, top + 1):
+        if e >= 100:
+            with np.errstate(all="ignore"):
+                z = np.power(X, e)
+            powers.append(np.stack([z.real, z.imag]))
+            continue
         if e <= 3:
             powers.append(_cmul(x, powers[-1]))
             continue

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conditioning
-from .conditioning import BASIS_COND_MAX, BasisSingular, kappa_eig, kappa_uni
-from .macaulay import NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
+from .conditioning import kappa_eig, kappa_uni
+from .macaulay import NullityMismatch, _solve_basis, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
     _bilinear,
@@ -176,25 +176,26 @@ def solve_normal_form(
 
     The multiplication matrices M_{x_i} on the quotient come from the basis
     choose_basis reads off the degree-rho Macaulay null space N: M_{x_i}
-    solves N_B^T M = N_{x_i B}^T. Their eigenvalues are the i-th coordinates
-    of the roots, and they commute up to rounding. A basis submatrix N_B
-    conditioned worse than BASIS_COND_MAX raises BasisSingular. One driver
-    matrix M_t with t = sum u_i x_i (random unit u) supplies the
-    eigenvectors; every coordinate is then a Rayleigh quotient against
-    M_{x_i}. The polish flag runs two Newton steps per root; benchmarks
+    solves N_B^T M = N_{x_i B}^T, all d of them from one LU of N_B^T (see
+    macaulay._solve_basis, which raises BasisSingular on an ill-conditioned
+    N_B). Their eigenvalues are the i-th coordinates of the roots, and they
+    commute up to rounding. One driver matrix M_t with t = sum u_i x_i
+    (random unit u) supplies the eigenvectors; every coordinate is then a
+    Rayleigh quotient against M_{x_i}. The polish flag runs two Newton steps per root; benchmarks
     leave it off to expose the raw eigenproblem accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat)
-    if sel.cond > BASIS_COND_MAX:
-        raise BasisSingular(f"basis rows condition {sel.cond:.3e}")
-    N = sel.nullspace
-    NB = N[sel.indices, :]
-    mats = np.array([np.linalg.solve(NB.T, N[mhat.index.up[i, sel.indices], :].T) for i in range(s.d)])
+    N, r = sel.nullspace, mhat.bezout
+    # Column block i of the right-hand side is N_{x_i B}^T. M_{x_i} is copied
+    # out contiguous, as a solve of its own returns it, so the read-out
+    # below hands BLAS the same operands.
+    C = _solve_basis(N[sel.indices, :], sel.cond, N[mhat.index.up[:, sel.indices].reshape(-1), :].T)
+    mats = np.ascontiguousarray(C.reshape(r, s.d, r).transpose(1, 0, 2))
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
-    gep = GenEigProblem(A=Mt, B=np.eye(mhat.bezout, dtype=complex))
+    gep = GenEigProblem(A=Mt, B=np.eye(r, dtype=complex))
     pairs = generalized_eig(gep)
     W = pairs.right
     Wc = W.conj()
@@ -290,7 +291,7 @@ def solve_macaulay_resultant(
     roots = list(_roots_from_vectors(V, pencil.mhat.index.up))
     sub_kappa = kappa_eig(gep, pairs).tolist()
     diagnostics = {
-        "kept_h_monomials": [list(m) for m in pencil.kept_h_monomials],
+        "kept_h_monomials": [list(m) for m in pencil.basis.monomials],
         "alpha": pencil.alpha,
         "beta": pencil.beta,
         "sigma_min_hat": pencil.mhat.factor.sigma_min,

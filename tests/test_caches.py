@@ -65,8 +65,8 @@ def assert_matches_reference(s, degree) -> None:
     mhat = macaulay_hat(s, degree)
     mat, labels, cols = reference_macaulay(s, degree)
     assert bits_equal(mhat.mat, mat)
-    assert mhat.row_labels == labels
-    assert mhat.col_labels == cols
+    assert mhat.index.row_labels == tuple(labels)
+    assert mhat.index.col_labels == tuple(cols)
 
 
 def reference_translate(p, t) -> MultiPoly:
@@ -168,7 +168,7 @@ def test_random_sparse_supports_match_the_reference(data):
         assert layouts[0] is layouts[1]
 
 
-def test_cached_arrays_are_read_only_and_label_lists_are_copies():
+def test_cached_arrays_are_read_only_and_labels_are_the_index_tuples():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
     c = s.compiled
     mhat = macaulay_hat(s, rho(s))
@@ -180,14 +180,22 @@ def test_cached_arrays_are_read_only_and_label_lists_are_copies():
         c.coeffs[0, 0] = 1.0
     with pytest.raises(TypeError):
         polycore.monomial_positions(rho(s), 2)[(9, 9)] = 0
-    mhat.row_labels[0] = ("h", (9, 9))
-    mhat.row_labels.append(("h", (0, 0)))
-    mhat.col_labels.reverse()
+    # A matrix's labels are its shared index's: tuples and a read-only map,
+    # so no caller can corrupt them for the next matrix.
+    with pytest.raises(TypeError):
+        index.row_labels[0] = ("h", (9, 9))
+    with pytest.raises(AttributeError):
+        index.col_labels.reverse()
+    with pytest.raises(TypeError):
+        index.columns[(9, 9)] = 0
+    with pytest.raises(AttributeError):
+        index.row_labels = ()
     monomials_up_to(rho(s), 2).append((9, 9))
     again = macaulay_hat(s, rho(s))
+    assert again.index is index
     mat, labels, cols = reference_macaulay(s, rho(s))
-    assert again.row_labels == labels
-    assert again.col_labels == cols == monomials_up_to(rho(s), 2)
+    assert index.row_labels == tuple(labels)
+    assert index.col_labels == tuple(cols) == tuple(monomials_up_to(rho(s), 2))
     assert bits_equal(again.mat, mat)
 
 

@@ -28,6 +28,7 @@ from polylab import (
 )
 from polylab.macaulay import _h_rows
 from polylab.numkernel import _ZGEQP3, SvdFactor, _zgeqp3_lwork
+from polylab.polycore import monomial_positions
 
 
 def two_quadratics(rng):
@@ -45,10 +46,10 @@ def test_hat_matrix_shape_for_two_bivariate_quadratics():
     s = two_quadratics(rng)
     mhat = macaulay_hat(s, rho(s))
     # multipliers of degree <= 1 for each quadratic, columns up to degree 3
-    assert mhat.degree == 3
+    assert mhat.index.degree == 3
     assert mhat.mat.shape == (6, 10)
-    assert len(mhat.row_labels) == 6
-    assert len(mhat.col_labels) == 10
+    assert len(mhat.index.row_labels) == 6
+    assert len(mhat.index.col_labels) == 10
 
 
 def test_hat_rows_encode_monomial_multiples():
@@ -57,8 +58,8 @@ def test_hat_rows_encode_monomial_multiples():
     mhat = macaulay_hat(s, rho(s))
     for _ in range(5):
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        colvals = np.array([x[0] ** m[0] * x[1] ** m[1] for m in mhat.col_labels])
-        for (i, mult), row in zip(mhat.row_labels, mhat.mat):
+        colvals = np.array([x[0] ** m[0] * x[1] ** m[1] for m in mhat.index.col_labels])
+        for (i, mult), row in zip(mhat.index.row_labels, mhat.mat):
             want = s.polys[i].eval(x) * x[0] ** mult[0] * x[1] ** mult[1]
             assert abs(row @ colvals - want) <= 1e-10 * (1 + abs(want))
 
@@ -77,11 +78,15 @@ def test_choose_basis_reads_the_null_space():
     r = bezout_count(s)
     sel = choose_basis(mhat)
     assert len(sel.monomials) == r
-    assert all(sum(m) <= mhat.degree - 1 for m in sel.monomials)
+    assert all(sum(m) <= mhat.index.degree - 1 for m in sel.monomials)
     # the null space annihilates the matrix and has orthonormal columns
     assert np.linalg.norm(mhat.mat @ sel.nullspace, 2) <= 1e-10 * np.linalg.norm(mhat.mat, 2)
     assert np.allclose(sel.nullspace.conj().T @ sel.nullspace, np.eye(r), atol=1e-12)
-    assert [mhat.col_labels[k] for k in sel.indices] == sel.monomials
+    assert [mhat.index.col_labels[k] for k in sel.indices] == sel.monomials
+    # the selection's column map is the shared grlex map of the Macaulay degree
+    assert sel.index is mhat.index
+    assert sel.index.columns is monomial_positions(rho(s), 2)
+    assert sel.index.col_labels == tuple(sel.index.columns)
     assert sel.cond == np.linalg.cond(sel.nullspace[sel.indices, :])
     assert sel.cond < 1e6
 
@@ -124,7 +129,7 @@ def test_pencil_is_square_with_h_rows_for_the_basis():
     assert pen.gep.A.shape == (10, 10)
     assert n_poly_rows == 6
     assert pen.Z is None
-    assert len(pen.kept_h_monomials) == 4
+    assert len(pen.basis.monomials) == 4
     # polynomial rows carry no lambda part
     assert np.linalg.norm(pen.gep.B[:n_poly_rows], 2) == 0.0
     assert np.allclose(pen.gep.A[:n_poly_rows], macaulay_hat(s, rho(s)).mat)
@@ -136,10 +141,10 @@ def test_pencil_h_rows_match_the_linear_polynomials():
     pen = macaulay_pencil(s, np.random.default_rng(8))
     halpha = linear_poly(2, pen.alpha)
     hbeta = linear_poly(2, pen.beta)
-    cols = pen.mhat.col_labels
+    cols = pen.mhat.index.col_labels
     A2 = pen.gep.A[pen.mhat.mat.shape[0] :]
     B2 = pen.gep.B[pen.mhat.mat.shape[0] :]
-    for k, m in enumerate(pen.kept_h_monomials):
+    for k, m in enumerate(pen.basis.monomials):
         for x in (np.array([0.3, -0.7]), np.array([1.1, 0.4])):
             colvals = np.array([x[0] ** c[0] * x[1] ** c[1] for c in cols])
             mval = x[0] ** m[0] * x[1] ** m[1]
@@ -171,7 +176,7 @@ def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
     s = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=rng)
     pen = macaulay_pencil(s, np.random.default_rng(10))
     r = bezout_count(s)
-    assert pen.mhat.mat.shape[0] + r > len(pen.mhat.col_labels)
+    assert pen.mhat.mat.shape[0] + r > len(pen.mhat.index.col_labels)
     assert pen.Z is pen.basis.nullspace
     assert pen.gep.A.shape == (r, r)
     up = pen.mhat.index.up

@@ -12,7 +12,6 @@ from polylab import (
     NullSpaceGapWarning,
     SingularPencil,
     UniPoly,
-    block_operator_determinant,
     companion_matrix,
     companion_roots,
     generalized_eig,
@@ -20,7 +19,21 @@ from polylab import (
     null_space,
     sigma_min,
 )
-from polylab.numkernel import _ZGGEV, QZ_ZERO_TOL, _magnitude, _zggev_lwork, kron, random_unit_vector
+from polylab.numkernel import (
+    _ZGGEV,
+    QZ_ZERO_TOL,
+    _magnitude,
+    _zggev_lwork,
+    kron,
+    laplace_expansion,
+    random_unit_vector,
+)
+
+
+def kron_determinant(blocks) -> np.ndarray:
+    """Block determinant with Kronecker products, expanded as operator_determinants expands Delta_0."""
+    grid = [[np.asarray(M, dtype=complex) for M in row] for row in blocks]
+    return laplace_expansion(grid, kron, np.ones((1, 1), dtype=complex), {})
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -287,10 +300,10 @@ def test_null_space_silent_on_clean_gap():
         null_space(M, 1)
 
 
-def test_block_operator_determinant_two_by_two_formula():
+def test_laplace_expansion_kron_two_by_two_formula():
     rng = np.random.default_rng(24)
     V = [[rng.standard_normal((2, 2)) for _ in range(2)] for _ in range(2)]
-    got = block_operator_determinant([[V[0][0], V[0][1]], [V[1][0], V[1][1]]])
+    got = kron_determinant([[V[0][0], V[0][1]], [V[1][0], V[1][1]]])
     want = np.kron(V[0][0], V[1][1]) - np.kron(V[0][1], V[1][0])
     assert np.allclose(got, want, atol=1e-12)
 
@@ -312,27 +325,27 @@ def test_kron_is_bit_equal_to_numpy_kron():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_block_operator_determinant_scalar_blocks():
+def test_laplace_expansion_kron_scalar_blocks():
     blocks = [[np.array([[2.0]]), np.array([[3.0]])], [np.array([[1.0]]), np.array([[4.0]])]]
-    got = block_operator_determinant(blocks)
+    got = kron_determinant(blocks)
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(5.0)
 
 
-def test_block_operator_determinant_zero_row_annihilates():
+def test_laplace_expansion_kron_zero_row_annihilates():
     # every expansion term picks one factor from the zero row
     rng = np.random.default_rng(25)
     row = [rng.standard_normal((2, 2)) for _ in range(2)]
     zero = [np.zeros((2, 2)), np.zeros((2, 2))]
-    got = block_operator_determinant([row, zero])
+    got = kron_determinant([row, zero])
     assert np.linalg.norm(got, 2) <= 1e-12
 
 
-def test_block_operator_determinant_scalar_repeated_rows_vanish():
+def test_laplace_expansion_kron_scalar_repeated_rows_vanish():
     # 1x1 blocks commute, so the alternating sum cancels exactly
     rng = np.random.default_rng(27)
     row = [rng.standard_normal((1, 1)) for _ in range(2)]
-    got = block_operator_determinant([row, row])
+    got = kron_determinant([row, row])
     assert np.linalg.norm(got, 2) <= 1e-14
 
 

@@ -264,6 +264,25 @@ def test_compiled_values_and_jacobians_are_bit_equal_to_the_scalar_path(shifted)
             assert np.array_equal(jacobian(s, x), jac)
 
 
+@pytest.mark.parametrize("degree", [99, 100, 120])
+def test_compiled_powers_round_as_the_scalar_power_at_high_degree(degree):
+    # numpy's scalar power switches from binary powering to the C library's
+    # cpow at exponent 100; the compiled power table must switch with it.
+    s = PolySystem(
+        2,
+        [
+            MultiPoly(2, {(degree, 0): 1.0, (1, 0): 0.5, (0, 1): -0.3j}),
+            MultiPoly(2, {(degree - 1, 1): 0.7 + 0.2j, (0, degree): 1.0, (0, 0): -1.0}),
+        ],
+    )
+    rng = np.random.default_rng(degree)
+    X = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
+    values, J = s.evaluate(X)
+    for x, v, jac in zip(X, values, J):
+        assert np.array_equal(v, [p.eval(x) for p in s.polys])
+        assert np.array_equal(jac, scalar_jacobian(s, x))
+
+
 def _solve_nf(s):
     return solve_normal_form(s, rng=np.random.default_rng(2))
 

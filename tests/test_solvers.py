@@ -20,7 +20,6 @@ from polylab import (
     SingularDelta0,
     UnsupportedShape,
     bezout_count,
-    block_operator_determinant,
     choose_basis,
     generalized_eig,
     generate,
@@ -43,7 +42,7 @@ from polylab import (
 from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
-from polylab.numkernel import random_unit_vector
+from polylab.numkernel import kron, laplace_expansion, random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
     EigenvectorDegenerate,
@@ -298,7 +297,7 @@ def test_operator_determinants_share_one_expansion():
         idx = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
         for k, delta in enumerate(operator_determinants(mep)):
             grid = [[W_i[0] if j == k else W_i[j] for j in range(1, d + 1)] for W_i in mep.W]
-            assert np.array_equal(delta, block_operator_determinant(grid))
+            assert np.array_equal(delta, laplace_expansion(grid, kron, np.ones((1, 1), dtype=complex), {}))
             entries = np.stack(
                 [
                     np.stack([G[idx[i][:, None], idx[i][None, :]] for G in row], axis=-1)
@@ -699,3 +698,31 @@ def test_stacked_read_outs_equal_per_pair_loops(data):
         assert got == want, method
         if method == "macaulay" and d == 2 and not isinstance(want, str):
             assert info["square"] and info["infinite"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_nf_solves_n_b_once_for_every_coordinate(monkeypatch, d):
+    # solve_normal_form factors N_B^T once for all d right-hand sides; each
+    # M_{x_i} must be byte-equal to its own np.linalg.solve, up to the
+    # 32 x 32 N_B at d = 5, and so must the roots and kappas _nf_loop reads.
+    import polylab.solvers
+
+    s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(0.3, -0.2, 0.1, 0.25, -0.15)[:d]))
+    calls = []
+    original = polylab.solvers._solve_basis
+
+    def recording(NB, cond, R):
+        calls.append(original(NB, cond, R))
+        return calls[-1]
+
+    monkeypatch.setattr(polylab.solvers, "_solve_basis", recording)
+    got, _ = _outcome(lambda s: solve(s, "nf"), s)
+    assert got == _outcome(_nf_loop, s)[0]
+    mhat = macaulay_hat(s, rho(s))
+    sel = choose_basis(mhat)
+    N, r = sel.nullspace, 2**d
+    (C,) = calls
+    assert C.shape == (r, d * r)
+    for i in range(d):
+        want = np.linalg.solve(N[sel.indices, :].T, N[mhat.index.up[i, sel.indices], :].T)
+        assert C[:, i * r : (i + 1) * r].tobytes() == want.tobytes()
