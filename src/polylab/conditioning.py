@@ -4,8 +4,8 @@ Covers the absolute root condition number, its univariate specialization,
 the generalized-eigenvalue condition number, the singular-vector matrix B0
 tying a multiparameter eigenproblem to the Jacobian, closed-form condition
 formulas for the eigenvalue subproblems of each solver, Lagrange
-interpolants from matrix factorizations of the system, normal forms over a
-quotient basis, and the predicted digits-of-accuracy lines used by the
+interpolants from matrix factorizations of the system, their normal forms
+over a quotient basis, and the predicted digits-of-accuracy lines used by the
 benchmark plots.
 """
 
@@ -27,7 +27,6 @@ from .polycore import (
     MultiPoly,
     PolySystem,
     _cpow,
-    monomial_positions,
 )
 
 
@@ -329,15 +328,6 @@ def lagrange_interpolant(qf: QFactorization) -> MultiPoly:
 # normal forms over a quotient basis
 
 
-def _full_block_positions(n_rows: int, d: int) -> Mapping:
-    deg = 0
-    while math.comb(deg + d, d) < n_rows:
-        deg += 1
-    if math.comb(deg + d, d) != n_rows:
-        raise ValueError(f"{n_rows} rows is not a full monomial block in {d} variables")
-    return monomial_positions(deg, d)
-
-
 def _coefficient_vector(f: MultiPoly, index: Mapping) -> np.ndarray:
     fvec = np.zeros(len(index), dtype=complex)
     for m, c in f.terms.items():
@@ -347,25 +337,16 @@ def _coefficient_vector(f: MultiPoly, index: Mapping) -> np.ndarray:
     return fvec
 
 
-def normal_form(f: MultiPoly, basis: list, N: np.ndarray) -> np.ndarray:
-    """Coefficients of f's residue class over the quotient basis.
+def _in_basis(f: MultiPoly, sel: BasisSelection) -> np.ndarray:
+    """[f]_B: the coefficients of f's residue class over the selection's quotient basis.
 
-    N is a null-space matrix of the Macaulay matrix, so its rows follow the
-    Macaulay columns: the full monomial block in grlex order, read from the
-    shared index. The vector c solves N_B^T c = N^T f, matching the values
-    every null space functional takes on f and on its basis representation.
-    Basis rows N_B conditioned worse than macaulay.BASIS_COND_MAX raise
-    BasisSingular. N is any such null space; the solvers and the
-    closed-form kappas read the columns from their BasisSelection instead.
+    The vector c solves N_B^T c = N^T f (macaulay._solve_basis) for the
+    selection's null space N, whose rows follow the Macaulay columns,
+    matching the values every null space functional takes on f and on its
+    basis representation; the basis rows' condition number is ``sel.cond``.
     """
-    index = _full_block_positions(N.shape[0], f.nvars)
-    fvec = _coefficient_vector(f, index)
-    try:
-        b_idx = [index[m] for m in basis]
-    except KeyError as e:
-        raise ValueError(f"basis monomial {e} not among row monomials") from e
-    NB = N[b_idx, :]
-    return _solve_basis(NB, np.linalg.cond(NB), N.T @ fvec)
+    N = sel.nullspace
+    return _solve_basis(N[sel.indices, :], sel.cond, N.T @ _coefficient_vector(f, sel.index.columns))
 
 
 def basis_values(basis, x) -> np.ndarray:
@@ -388,13 +369,6 @@ def basis_values(basis, x) -> np.ndarray:
     return np.array(values)
 
 
-def _det_q_in_basis(s: PolySystem, root: RootPoint, sel: BasisSelection) -> np.ndarray:
-    """[det Q]_B over the selection's basis; its basis rows' condition number is ``sel.cond``."""
-    N = sel.nullspace
-    fvec = _coefficient_vector(lagrange_interpolant(q_factorization(s, root)), sel.index.columns)
-    return _solve_basis(N[sel.indices, :], sel.cond, N.T @ fvec)
-
-
 def _abs_det_jacobian(root: RootPoint) -> float:
     detJ = abs(np.linalg.det(root.jacobian))
     if detJ == 0.0:
@@ -412,7 +386,7 @@ def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> f
     matrix; x* is a point or its RootPoint.
     """
     root = root_point(s, xstar)
-    c = _det_q_in_basis(s, root, sel)
+    c = _in_basis(lagrange_interpolant(q_factorization(s, root)), sel)
     detJ = _abs_det_jacobian(root)
     return (
         float(np.linalg.norm(c))
@@ -432,7 +406,7 @@ def kappa_eig_macaulay_bound(s: PolySystem, xstar, sel: BasisSelection, h: Multi
     is a point or its RootPoint.
     """
     root = root_point(s, xstar)
-    c = _det_q_in_basis(s, root, sel)
+    c = _in_basis(lagrange_interpolant(q_factorization(s, root)), sel)
     detJ = abs(np.linalg.det(root.jacobian))
     hval = abs(h.eval(root.x))
     if detJ == 0.0 or hval == 0.0:

@@ -126,7 +126,11 @@ class MacaulayMatrix:
 
     @functools.cached_property
     def factor(self) -> SvdFactor:
-        """The matrix's one SVD: nullity, null spaces and sigma_min all read it."""
+        """The matrix's one SVD: nullity, null spaces and sigma_min all read it.
+
+        U is never formed, and a row of V^H is back-transformed only when a
+        null space reads it (see SvdFactor); the values are np.linalg.svd's.
+        """
         return SvdFactor.of(self.mat)
 
 

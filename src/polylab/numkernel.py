@@ -14,10 +14,17 @@ scipy.linalg.eig followed by a per-vector np.linalg.norm normalization,
 which is why it keeps both normalization passes. The private stacked
 kernels (_dots, _row_norms, _bilinear, _magnitude) let callers read all
 eigenpairs at once with results byte-equal to a loop over the pairs.
+
+SvdFactor never forms U. On the tall matrices of zgesdd's path 6 it runs
+zgesdd's own steps (zgebrd, dbdsdc, zunmbr) from numpy's LAPACK build and
+back-transforms only the rows of V^H that a null space reads; its singular
+values and null spaces are byte-equal to np.linalg.svd's. Every other
+matrix goes to np.linalg.svd.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import warnings
@@ -247,27 +254,169 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
     )
 
 
+# numpy's own LAPACK, the build np.linalg.svd runs zgesdd from (scipy-openblas:
+# 64-bit integers). Every argument goes by reference, and after them one
+# hidden size_t length per character flag, as gfortran passes them; here
+# each routine's (argument count, flag count). SvdFactor runs zgesdd's steps
+# from it; None where numpy's build does not export them.
+_SVD_SIGNATURES = {
+    "zgesdd": (15, 1),
+    "zgebrd": (11, 0),
+    "dbdsdc": (14, 2),
+    "zunmbr": (14, 3),
+    "zunmlq": (13, 2),
+    "zlange": (6, 1),
+}
+
+
+def _load_svd_lapack():
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _SVD_SIGNATURES}
+    except (OSError, AttributeError):
+        return None, None
+    for name, (args, flags) in _SVD_SIGNATURES.items():
+        routines[name].argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * flags
+        routines[name].restype = ctypes.c_double if name == "zlange" else None
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.argtypes, threads.restype = [], ctypes.c_int
+    return routines, threads
+
+
+_SVD_LAPACK, _BLAS_THREADS = _load_svd_lapack()
+
+# OpenBLAS's kernels take the rows of a product in groups (of up to 16 rows
+# on the AVX-512 kernels measured) and a last, partial group by other code,
+# so the bits of a row depend on its position modulo the group size. V^H is
+# back-transformed from a row index that is a multiple of _ROW_GROUP, which
+# keeps every row at its zgesdd position modulo any group size dividing it.
+# With more than one thread, OpenBLAS also splits a product among threads
+# by its size, so then all n rows are transformed, as zgesdd transforms them.
+_ROW_GROUP = 64
+
+# zgesdd scales a matrix whose largest entry modulus lies outside
+# [sqrt(safmin) / eps, its inverse]; SvdFactor leaves those to np.linalg.svd.
+_SVD_SMALL = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_SVD_BIG = 1.0 / _SVD_SMALL
+
+
+def _lapack(name: str, *args) -> int:
+    """Call one of _SVD_LAPACK's routines and return its INFO, which follows ``args``.
+
+    A Python int goes by reference as a 64-bit integer, an array by address,
+    None as the null pointer of an unreferenced array, and bytes as a
+    character flag.
+    """
+    info = ctypes.c_int64(0)
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, bytes):
+            refs.append(a)
+            lengths.append(len(a))
+        elif isinstance(a, int):
+            refs.append(ctypes.byref(ctypes.c_int64(a)))
+        else:
+            refs.append(None if a is None else a.ctypes.data)
+    _SVD_LAPACK[name](*refs, ctypes.byref(info), *lengths)
+    return info.value
+
+
+def _max_modulus(A: np.ndarray) -> float:
+    """zlange('M'): the largest |a_ij| of a Fortran-ordered matrix, nan if one is nan."""
+    m, n = (ctypes.byref(ctypes.c_int64(k)) for k in A.shape)
+    return _SVD_LAPACK["zlange"](b"M", m, n, A.ctypes.data, m, None, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _zgesdd_lwork(m: int, n: int) -> int:
+    """numpy's zgesdd workspace for an m x n matrix, JOBZ='S'; LAPACK's query reads only the shape."""
+    work = np.zeros(1, dtype=complex)
+    _lapack("zgesdd", b"S", m, n, None, m, None, None, m, None, n, work, -1, None, None)
+    return int(work[0].real)
+
+
+@functools.lru_cache(maxsize=None)
+def _zunmbr_lwork(m: int, n: int, rows: int) -> int:
+    """Workspace for zunmbr('P', 'R', 'C') on ``rows`` rows of an m x n matrix's n x n V^H.
+
+    zunmbr hands it to zunmlq, whose block size is the largest that fits,
+    up to its optimum nb: nb entries per row plus a fixed tsize. zgesdd
+    hands zunmbr what is left of numpy's workspace after tauq and taup,
+    for all n rows. The size returned gives ``rows`` rows the block size
+    zgesdd's n rows get; a different one would change the bits.
+    """
+    q1, q2 = (_zunmlq_lwork(r, n) for r in (1, 2))
+    nb, tsize = q2 - q1, 2 * q1 - q2
+    given = _zgesdd_lwork(m, n) - 2 * n
+    if given < n * nb + tsize:
+        nb = max((given - tsize) // n, 1)  # below 2, zunmlq does not block
+    return rows * nb + tsize
+
+
+def _zunmlq_lwork(rows: int, n: int) -> int:
+    """zunmlq's optimal workspace for the call zunmbr('P', 'R', 'C') makes on ``rows`` rows."""
+    work = np.zeros(1, dtype=complex)
+    _lapack("zunmlq", b"R", b"N", rows, n - 1, n - 1, None, n, None, None, rows, work, -1)
+    return int(work[0].real)
+
+
 @dataclass(frozen=True)
 class SvdFactor:
     """One SVD of an m x n matrix, shared by its nullity, sigma_min and null spaces.
 
-    U is never kept: the SVD is economy-sized for a tall matrix and full for
-    a wide one, the least that still yields all n right singular vectors.
+    U is never formed, and a row of V^H only when null_space returns it.
     ``singular_values`` is padded with zeros to length n.
+
+    Where zgesdd takes its path 6, n <= m < floor(5n/3) (the tall Macaulay
+    matrices of quadratic systems, d = 4..6), ``of`` runs zgesdd's own steps from
+    numpy's LAPACK, minus U: zgebrd reduces the matrix to a real bidiagonal
+    B = Q^H M P, keeping its reflectors and taup as ``reflectors``, and
+    dbdsdc('U', 'I') yields B's singular values and V_B^H, kept as ``vh``.
+    null_space then forms V^H = V_B^H P^H by zgesdd's zunmbr('P', 'R', 'C')
+    with zgesdd's block size, for the rows it returns, from the multiple of
+    _ROW_GROUP below them (all n rows with more than one BLAS thread). The
+    zunmbr('Q') product that forms U is never run. So the singular values
+    and every null space are byte-equal to np.linalg.svd's.
+
+    Every other shape (the wide d <= 3 Macaulay matrices take zgesdd's
+    paths 5t/6t), a matrix zgesdd would rescale or that is not finite, and
+    a numpy build without the routines go to np.linalg.svd, with ``vh`` its
+    V^H and ``reflectors`` None.
     """
 
     shape: tuple
     singular_values: np.ndarray
-    V: np.ndarray
+    vh: np.ndarray
+    reflectors: tuple | None = None
 
     @staticmethod
     def of(M) -> "SvdFactor":
         M = np.asarray(M, dtype=complex)
         m, n = M.shape
+        if _SVD_LAPACK is not None and n <= m < int(n * 5.0 / 3.0):
+            A = np.array(M, order="F")
+            anrm = _max_modulus(A)
+            if anrm == 0 or _SVD_SMALL <= anrm <= _SVD_BIG:
+                return SvdFactor._bidiagonal(A)
         _, s, Vh = np.linalg.svd(M, full_matrices=m < n)
         padded = np.zeros(n)
         padded[: s.size] = s
-        return SvdFactor(shape=(m, n), singular_values=padded, V=Vh.conj().T)
+        return SvdFactor(shape=(m, n), singular_values=padded, vh=Vh)
+
+    @staticmethod
+    def _bidiagonal(A: np.ndarray) -> "SvdFactor":
+        """zgesdd's path 6 up to dbdsdc, on a Fortran-ordered copy that zgebrd overwrites."""
+        m, n = A.shape
+        lwork = _zgesdd_lwork(m, n) - 2 * n
+        s, e = np.empty(n), np.zeros(n)
+        tauq, taup = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        _lapack("zgebrd", m, n, A, m, s, e, tauq, taup, np.empty(lwork, dtype=complex), lwork)
+        u, vh = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+        rwork, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.int64)
+        if _lapack("dbdsdc", b"U", b"I", n, s, e, u, n, vh, n, None, None, rwork, iwork) > 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return SvdFactor(shape=(m, n), singular_values=s, vh=vh, reflectors=(A, taup))
 
     @property
     def nullity(self) -> int:
@@ -283,12 +432,27 @@ class SvdFactor:
         """Smallest singular value, counting only the min(m, n) spectrum."""
         return float(self.singular_values[min(self.shape) - 1])
 
+    def _vh_rows(self, start: int) -> np.ndarray:
+        """Rows start..n-1 of V^H."""
+        if self.reflectors is None:
+            return self.vh[start:]
+        (m, n), (A, taup) = self.shape, self.reflectors
+        one_thread = _BLAS_THREADS is not None and _BLAS_THREADS() == 1
+        first = start - start % _ROW_GROUP if one_thread else 0
+        rows = np.array(self.vh[first:], dtype=complex, order="F")
+        lwork = _zunmbr_lwork(m, n, n - first)
+        work = np.empty(lwork, dtype=complex)
+        _lapack("zunmbr", b"P", b"R", b"C", n - first, n, n, A, m, taup, rows, n - first, work, lwork)
+        return rows[start - first :]
+
     def null_space(self, nullity: int) -> np.ndarray:
         """Orthonormal basis (columns) for the nullity smallest right singular directions.
 
         The nullity is prescribed by the caller, not inferred from a
         threshold. A NullSpaceGapWarning fires when the singular value gap
-        separating the kept directions is below 1e2.
+        separating the kept directions is below 1e2. The columns are the
+        conjugated last rows of V^H, laid out as a column slice of
+        Vh.conj().T.
         """
         n = self.shape[1]
         if nullity < 1:
@@ -307,7 +471,7 @@ class SvdFactor:
                     NullSpaceGapWarning,
                     stacklevel=3,
                 )
-        return self.V[:, rank:]
+        return np.conjugate(self._vh_rows(rank), order="C").T
 
 
 def null_space(M, nullity: int) -> np.ndarray:

@@ -143,11 +143,13 @@ def _cpow(z: complex, n: int) -> complex:
 def _shift_plan(support: tuple) -> tuple:
     """MultiPoly.translate's expansion for the monomials ``support``, in dict order.
 
-    Returns (tops, plan): tops[i] is the highest exponent of x_i, and
-    plan[t] lists, for term t, each monomial of prod_i (x_i + t_i)^{e_i} in
-    the order a variable-by-variable expansion creates it (lexicographic in
-    the kept exponents k_i) with its steps (i, C(e_i, k_i), e_i - k_i). A
-    coefficient v takes each step as ``v = v * C * t_i**(e_i - k_i)``.
+    Returns (tops, plan, order): tops[i] is the highest exponent of x_i,
+    and plan[t] lists, for term t, each monomial of prod_i (x_i + t_i)^{e_i}
+    in the order a variable-by-variable expansion creates it (lexicographic
+    in the kept exponents k_i) with its steps (i, C(e_i, k_i), e_i - k_i).
+    A coefficient v takes each step as ``v = v * C * t_i**(e_i - k_i)``.
+    ``order`` is ``support`` in the order the plan first creates each
+    monomial: the keys of a translate by zero.
 
     The expansion also adds 0j to every partial coefficient and multiplies
     by C(e, e) = 1 and t_i**0 = 1 + 0j where k_i = e_i; the plan leaves
@@ -167,7 +169,9 @@ def _shift_plan(support: tuple) -> tuple:
             )
             expansion.append((key, steps))
         plan.append(tuple(expansion))
-    return tops, tuple(plan)
+    kept = set(support)
+    order = tuple(m for m in dict.fromkeys(k for expansion in plan for k, _ in expansion) if m in kept)
+    return tops, tuple(plan), order
 
 
 @dataclass(frozen=True)
@@ -333,12 +337,17 @@ class MultiPoly:
 
         Replays the support's cached _shift_plan with the powers of t
         computed once. Raises ValueError when a shifted coefficient is not
-        finite, as an overflowing power of t makes one.
+        finite, as an overflowing power of t makes one. For t = 0 every step
+        multiplies by a zero power, so the expansion would add only zeros
+        to each coefficient: the terms come back as they are, in the
+        expansion's key order.
         """
         t = np.asarray(t, dtype=complex)
         if t.shape != (self.nvars,):
             raise ValueError("translation vector has wrong length")
-        tops, plan = _shift_plan(tuple(self.terms))
+        tops, plan, order = _shift_plan(tuple(self.terms))
+        if not t.any():
+            return MultiPoly._of_terms(self.nvars, {m: self.terms[m] for m in order})
         powers = [[_cpow(z, n) for n in range(top + 1)] for z, top in zip(t.tolist(), tops)]
         out: dict = {}
         for c, expansion in zip(self.terms.values(), plan):

@@ -34,7 +34,6 @@ from polylab import (
     mep_root_vectors,
     mep_row_scaling,
     monomials_up_to,
-    normal_form,
     null_space,
     operator_determinants,
     q_factorization,
@@ -46,7 +45,8 @@ from polylab import (
     solve_rur_example,
 )
 from polylab.bench import FIGURES
-from polylab.conditioning import mep_operator
+from polylab.conditioning import _in_basis, mep_operator
+from polylab.macaulay import BasisSelection
 from polylab.solvers import MultiParamEig
 from polylab.verification import nullspace_perturbation_suite, subset_product_suite
 
@@ -96,7 +96,7 @@ def _multiplication_matrices(s):
     sel = choose_basis(macaulay_hat(s, rho(s)))
 
     def column(i, m):
-        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
@@ -239,7 +239,7 @@ def test_reduced_determinant_norm_bounds_and_examples():
         s = _rooted_system(2, xstar, rng, scale_up=True)
         mhat = macaulay_hat(s, rho(s))
         sel = choose_basis(mhat)
-        c = normal_form(lagrange_interpolant(q_factorization(s, xstar)), sel.monomials, sel.nullspace)
+        c = _in_basis(lagrange_interpolant(q_factorization(s, xstar)), sel)
         worst_margin = min(worst_margin, float(np.linalg.norm(c)) - mhat.factor.sigma_min)
 
     basis_2d = [(0, 0), (1, 0), (0, 1), (0, 2)]
@@ -247,8 +247,11 @@ def test_reduced_determinant_norm_bounds_and_examples():
     for k, sigma in enumerate((1e-1, 1e-2, 1e-3, 1e-4, 1e-5)):
         s = generate(FamilySpec(family="notdev2d", d=2, sigma=sigma, seed=k + 1))
         mhat = macaulay_hat(s, rho(s))
+        # The basis is fixed, not choose_basis's: a selection of its rows.
         N = null_space(mhat.mat, bezout_count(s))
-        c = normal_form(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))), basis_2d, N)
+        idx = np.array([mhat.index.columns[m] for m in basis_2d])
+        sel = BasisSelection(basis_2d, np.linalg.cond(N[idx]), N, idx, mhat.index)
+        c = _in_basis(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))), sel)
         ratios.append(float(np.linalg.norm(c)) / sigma)
     ratios_ok = all(0.1 <= r <= 10.0 for r in ratios)
 

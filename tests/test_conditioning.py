@@ -16,7 +16,6 @@ from polylab import (
     PolySystem,
     UniPoly,
     b0_matrix,
-    bezout_count,
     choose_basis,
     generalized_eig,
     generate,
@@ -34,14 +33,13 @@ from polylab import (
     mep_root_vectors,
     mep_row_scaling,
     monomials_up_to,
-    normal_form,
     null_space,
     q_factorization,
     rho,
     theory_digits,
 )
-from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, basis_values, poly_det
-from polylab.macaulay import linear_poly
+from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, _in_basis, basis_values, poly_det
+from polylab.macaulay import BasisSelection, linear_poly
 from polylab.numkernel import EigPairs, laplace_expansion, sigma_min
 
 
@@ -270,7 +268,7 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
     i = int(np.argmax(np.abs(xstar)))
     sel = choose_basis(macaulay_hat(s, rho(s)))
     want = (
-        np.linalg.norm(normal_form(ref, sel.monomials, sel.nullspace))
+        np.linalg.norm(_in_basis(ref, sel))
         * np.linalg.norm(reference_monomials(sel.monomials, xstar))
         / detJ
         * (1 + abs(xstar[i]))
@@ -279,7 +277,7 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
     pen = macaulay_pencil(s, rng)
     h = linear_poly(d, pen.beta)
     want = (
-        np.linalg.norm(normal_form(ref, pen.basis.monomials, pen.basis.nullspace))
+        np.linalg.norm(_in_basis(ref, pen.basis))
         * np.linalg.norm(reference_monomials(monomials_up_to(rho(s), d), xstar))
         / (detJ * abs(h.eval(xstar)))
     )
@@ -312,6 +310,13 @@ def _family_matrix_2d(s, sigma):
     return a11, a12, a21, a22
 
 
+def _fixed_selection(mhat, basis):
+    """The BasisSelection of the monomials ``basis``, not choose_basis's, over mhat's null space."""
+    N = null_space(mhat.mat, mhat.bezout)
+    idx = np.array([mhat.index.columns[m] for m in basis])
+    return BasisSelection(basis, np.linalg.cond(N[idx]), N, idx, mhat.index)
+
+
 def test_reduced_determinant_closed_form_bivariate():
     # [det Q]_B over {1, x, y, y^2} for the mixed bivariate family:
     # sigma^2 - sigma^2 a21 x + sigma^2 (a11 - a22) y + sigma a22 x
@@ -320,10 +325,9 @@ def test_reduced_determinant_closed_form_bivariate():
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=sigma, seed=11))
     a11, a12, a21, a22 = _family_matrix_2d(s, sigma)
     mhat = macaulay_hat(s, rho(s))
-    N = null_space(mhat.mat, bezout_count(s))
     basis = [(0, 0), (1, 0), (0, 1), (0, 2)]
     qf = q_factorization(s, np.zeros(2, dtype=complex))
-    c = normal_form(lagrange_interpolant(qf), basis, N)
+    c = _in_basis(lagrange_interpolant(qf), _fixed_selection(mhat, basis))
     want = {
         (0, 0): sigma**2,
         (1, 0): sigma * a22 - sigma**2 * a21,
@@ -357,7 +361,7 @@ def _multiplication_matrices(s):
     sel = choose_basis(macaulay_hat(s, rho(s)))
 
     def column(i, m):
-        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
@@ -407,7 +411,7 @@ def test_reduced_determinant_norm_dominates_hat_sigma_min():
         mhat = macaulay_hat(s, rho(s))
         sel = choose_basis(mhat)
         qf = q_factorization(s, xstar)
-        c = normal_form(lagrange_interpolant(qf), sel.monomials, sel.nullspace)
+        c = _in_basis(lagrange_interpolant(qf), sel)
         assert np.linalg.norm(c) >= mhat.factor.sigma_min - 1e-10
 
 
@@ -415,14 +419,10 @@ def test_normal_form_rejects_singular_basis_rows():
     rng = np.random.default_rng(70)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
     mhat = macaulay_hat(s, rho(s))
-    N = null_space(mhat.mat, bezout_count(s))
     # a repeated monomial makes the basis rows singular
+    sel = _fixed_selection(mhat, [(0, 0), (0, 0), (1, 0), (0, 1)])
     with pytest.raises(BasisSingular):
-        normal_form(
-            MultiPoly(2, {(0, 0): 1.0}),
-            [(0, 0), (0, 0), (1, 0), (0, 1)],
-            N,
-        )
+        _in_basis(MultiPoly(2, {(0, 0): 1.0}), sel)
 
 
 def test_condition_report_ratio_and_json():

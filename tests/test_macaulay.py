@@ -1,5 +1,7 @@
 """Macaulay matrices, quotient-basis selection, and the h-pencil."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from polylab import (
     FamilySpec,
     MultiPoly,
     NullityMismatch,
+    NullSpaceGapWarning,
     PolySystem,
     SingularPencil,
     bezout_count,
@@ -20,12 +23,12 @@ from polylab import (
     macaulay_hat,
     macaulay_pencil,
     monomials_up_to,
-    normal_form,
     null_space,
     rho,
     sigma_min,
     solve_macaulay_resultant,
 )
+from polylab.conditioning import _in_basis
 from polylab.macaulay import _h_rows
 from polylab.numkernel import _ZGEQP3, SvdFactor, _zgeqp3_lwork
 from polylab.polycore import monomial_positions
@@ -243,13 +246,34 @@ def test_shared_factor_matches_fresh_factorizations(d):
     assert np.max(angles) < 1e-10
 
 
+@pytest.mark.parametrize("d", [4, 5])
+def test_tall_factor_is_numpys_svd_bit_for_bit(blas_threads, d):
+    # The factor runs zgesdd's path 6 without U (see SvdFactor): its
+    # singular values and every null space are np.linalg.svd's bits, laid
+    # out as a column slice of Vh.conj().T.
+    spec = FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(1.0 / 3.0,) * d)
+    s = generate(spec, rng=np.random.default_rng(1))
+    mhat = macaulay_hat(s, rho(s))
+    m, n = mhat.mat.shape
+    assert n <= m < int(n * 5.0 / 3.0)
+    _, values, vh = np.linalg.svd(mhat.mat, full_matrices=False)
+    assert np.array_equal(mhat.factor.singular_values, values)
+    V = vh.conj().T
+    nullities = range(1, n + 1) if d == 4 else [1, 2, 3, 31, mhat.bezout, 33, 94, 95, 96, 97, 200, n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NullSpaceGapWarning)
+        for k in nullities:
+            N = mhat.factor.null_space(k)
+            assert np.array_equal(N, V[:, n - k :]) and N.strides == V[:, n - k :].strides
+
+
 def test_normal_form_annihilates_ideal_members():
     rng = np.random.default_rng(49)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat)
     for p in s.polys:
-        c = normal_form(p, sel.monomials, sel.nullspace)
+        c = _in_basis(p, sel)
         assert np.max(np.abs(c)) <= 1e-10 * s.coefficient_scale()
 
 
@@ -259,7 +283,7 @@ def test_normal_form_fixes_basis_monomials():
     mhat = macaulay_hat(s, rho(s))
     sel = choose_basis(mhat)
     for k, m in enumerate(sel.monomials):
-        c = normal_form(MultiPoly(2, {m: 1.0}), sel.monomials, sel.nullspace)
+        c = _in_basis(MultiPoly(2, {m: 1.0}), sel)
         e = np.zeros(len(sel.monomials))
         e[k] = 1.0
         assert np.max(np.abs(c - e)) <= 1e-10
@@ -272,4 +296,4 @@ def test_normal_form_rejects_over_degree_input():
     sel = choose_basis(mhat)
     too_big = MultiPoly(2, {(4, 0): 1.0})
     with pytest.raises(ValueError):
-        normal_form(too_big, sel.monomials, sel.nullspace)
+        _in_basis(too_big, sel)

@@ -6,6 +6,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import polylab.numkernel as numkernel
 
 from polylab import (
     GenEigProblem,
@@ -22,6 +26,7 @@ from polylab import (
 from polylab.numkernel import (
     _ZGGEV,
     QZ_ZERO_TOL,
+    SvdFactor,
     _magnitude,
     _zggev_lwork,
     kron,
@@ -298,6 +303,107 @@ def test_null_space_silent_on_clean_gap():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         null_space(M, 1)
+
+
+needs_kernel = pytest.mark.skipif(
+    numkernel._SVD_LAPACK is None, reason="numpy's LAPACK does not export zgesdd's routines"
+)
+
+
+def assert_svd_bits(M, nullities) -> SvdFactor:
+    """SvdFactor.of(M) against np.linalg.svd of M as complex: singular values and null spaces, bits and layout."""
+    M = np.asarray(M, dtype=complex)
+    m, n = M.shape
+    f = SvdFactor.of(M)
+    _, values, vh = np.linalg.svd(M, full_matrices=m < n)
+    assert np.array_equal(f.singular_values[: values.size], values)
+    V = vh.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NullSpaceGapWarning)
+        for k in nullities:
+            N = f.null_space(k)
+            assert np.array_equal(N, V[:, n - k :]) and N.strides == V[:, n - k :].strides
+    return f
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_svd_factor_is_numpys_svd_on_zgesdd_path_6(blas_threads, data):
+    # n <= m < floor(5n/3): zgesdd's path 6, which SvdFactor runs without U.
+    # Shapes this small run zunmbr unblocked or, mostly, with a block size
+    # cut to zgesdd's workspace; the Macaulay tests cover the full one.
+    n = data.draw(st.integers(2, 80), label="n")
+    square = data.draw(st.booleans(), label="square")
+    m = n if square else data.draw(st.integers(n, int(n * 5.0 / 3.0) - 1), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    M = rng.standard_normal((m, n)).astype(complex)
+    if data.draw(st.booleans(), label="complex"):
+        M += 1j * rng.standard_normal((m, n))
+    nullities = {1, n, data.draw(st.integers(1, n), label="k")}
+    assert assert_svd_bits(M, sorted(nullities)).reflectors is not None
+
+
+def test_svd_factor_leaves_other_matrices_to_numpy():
+    rng = np.random.default_rng(29)
+    M = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+    # zgesdd rescales these two before it reduces them.
+    for scaled in (1e-150 * M, 1e150 * M):
+        assert assert_svd_bits(scaled, [1, 4, 10]).reflectors is None
+    # Wide (zgesdd's paths 5t/6t) and much taller (paths 1-5) shapes.
+    for other in (M.T, M[:6], np.vstack([M, M])):
+        assert assert_svd_bits(other, [1, 4, other.shape[1]]).reflectors is None
+    # A zero matrix is not rescaled.
+    assert_svd_bits(np.zeros((6, 5)), [1, 5])
+
+
+@pytest.mark.parametrize("where", [(2, 3), slice(None)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_factor_takes_non_finite_input_as_numpy_does(bad, where):
+    # np.linalg.svd raises on some non-finite matrices and returns nan
+    # singular values on others; SvdFactor.of does the same.
+    M = np.random.default_rng(30).standard_normal((7, 6)).astype(complex)
+    M[where] = bad
+    try:
+        _, want, _ = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            SvdFactor.of(M)
+    else:
+        assert np.array_equal(SvdFactor.of(M).singular_values, want, equal_nan=True)
+
+
+@needs_kernel
+def test_svd_factor_raises_when_dbdsdc_does_not_converge(monkeypatch):
+    lapack = numkernel._lapack
+    monkeypatch.setattr(
+        numkernel, "_lapack", lambda name, *args: 1 if name == "dbdsdc" else lapack(name, *args)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        SvdFactor.of(np.eye(5))
+
+
+@needs_kernel
+@pytest.mark.parametrize("threads, first", [(1, 64), (2, 0)])
+def test_svd_factor_back_transforms_only_the_row_groups_a_null_space_reads(monkeypatch, threads, first):
+    # Rows 70..89 of V^H: one BLAS thread transforms them from row 64, the
+    # multiple of _ROW_GROUP below; more threads transform all 90 rows.
+    M = np.random.default_rng(31).standard_normal((100, 90)).astype(complex)
+    calls = []
+    lapack = numkernel._lapack
+
+    def spy(name, *args):
+        calls.append((name, args[:4]))
+        return lapack(name, *args)
+
+    monkeypatch.setattr(numkernel, "_lapack", spy)
+    monkeypatch.setattr(numkernel, "_BLAS_THREADS", lambda: threads)
+    f = SvdFactor.of(M)
+    assert "zunmbr" not in [name for name, _ in calls]  # U is never formed
+    calls.clear()
+    with pytest.warns(NullSpaceGapWarning):  # a random matrix has no null space
+        f.null_space(20)
+    assert [c for c in calls if c[0] == "zunmbr"] == [("zunmbr", (b"P", b"R", b"C", 90 - first))]
 
 
 def test_laplace_expansion_kron_two_by_two_formula():

@@ -28,7 +28,6 @@ from polylab import (
     macaulay_pencil,
     mep_from_system,
     newton_polish,
-    normal_form,
     operator_determinants,
     rho,
     solve,
@@ -41,7 +40,7 @@ from polylab import (
 )
 from polylab import bench
 from polylab.bench import FIGURES
-from polylab.conditioning import mep_operator
+from polylab.conditioning import _in_basis, mep_operator
 from polylab.numkernel import kron, laplace_expansion, random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
@@ -78,7 +77,7 @@ def _multiplication_matrices(s):
     sel = choose_basis(macaulay_hat(s, rho(s)))
 
     def column(i, m):
-        return normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel.monomials, sel.nullspace)
+        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
 
