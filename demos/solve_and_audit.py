@@ -21,7 +21,6 @@ from polylab import (
     kappa_root,
     macaulay_hat,
     mep_from_system,
-    rho,
     solve,
 )
 
@@ -46,7 +45,7 @@ origin = np.zeros(2, dtype=complex)
 kr = kappa_root(s, origin)
 print(f"\nkappa_root at the origin: {kr:.3e}")
 
-sel = choose_basis(macaulay_hat(s, rho(s)))
+sel = choose_basis(macaulay_hat(s))
 k_nf = kappa_eig_ms_formula(s, origin, sel, 0)
 k_mep = kappa_eig_mep_formula(mep_from_system(s), s, origin, 0)
 print(f"multiplication-matrix eigenvalue conditioning: {k_nf:.3e}")

@@ -77,22 +77,6 @@ class SweepRecord:
     n_trials: int
 
 
-def _resolve_params(spec: SweepSpec, x) -> dict:
-    if spec.axis == "d" and not float(x).is_integer():
-        raise ValueError(f"dimension {x} is not an integer")
-    d = int(x) if spec.axis == "d" else int(spec.d)
-    params = {"d": d}
-    if spec.axis == "sigma":
-        params["sigma"] = float(x)
-    elif spec.sigma is not None:
-        params["sigma"] = float(spec.sigma)
-    if spec.axis == "c":
-        params["c"] = float(x)
-    elif spec.c is not None:
-        params["c"] = float(spec.c)
-    return params
-
-
 def _broadcast_shift(shift, d: int):
     """Presets give one shift value; d-axis sweeps need it repeated per coordinate.
 
@@ -110,18 +94,26 @@ def _broadcast_shift(shift, d: int):
 def _family_spec(spec: SweepSpec, x) -> FamilySpec:
     """The family instance every trial of ``spec`` at axis value x reads its parameters from.
 
-    ValueError when such a trial could not run: a dimension that is not an
+    ValueError when such a trial could not run: gb or rur on a family other
+    than the one its closed form is derived for, a dimension that is not an
     integer, a family parameter missing or out of range, or a shift whose
     length is neither 1 nor d.
     """
-    params = _resolve_params(spec, x)
+    closed_form = {"gb": "cyclic_squares", "rur": "hypercube"}.get(spec.method, spec.family)
+    if spec.family != closed_form:
+        raise ValueError(f"method {spec.method} runs only on the {closed_form} family")
+    if spec.axis == "d" and not float(x).is_integer():
+        raise ValueError(f"dimension {x} is not an integer")
+    d = int(x) if spec.axis == "d" else int(spec.d)
+    sigma = x if spec.axis == "sigma" else spec.sigma
+    c = x if spec.axis == "c" else spec.c
     return FamilySpec(
         family=spec.family,
-        d=params["d"],
-        sigma=params.get("sigma"),
-        c=params.get("c"),
+        d=d,
+        sigma=None if sigma is None else float(sigma),
+        c=None if c is None else float(c),
         seed=spec.seed,
-        shift=_broadcast_shift(spec.shift, params["d"]),
+        shift=_broadcast_shift(spec.shift, d),
     )
 
 
@@ -153,7 +145,8 @@ def _one_trial_digits(spec: SweepSpec, idx: int, x, trial: int) -> float:
 
 def _point_record(spec: SweepSpec, idx: int, x) -> SweepRecord:
     digits = [_one_trial_digits(spec, idx, x, t) for t in range(spec.n_trials)]
-    params = _resolve_params(spec, x)
+    fspec = _family_spec(spec, x)
+    params = {"d": fspec.d, "sigma": fspec.sigma, "c": fspec.c}
     return SweepRecord(
         x=float(x),
         median_digits=float(np.median(digits)),

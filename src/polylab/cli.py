@@ -24,8 +24,8 @@ from .conditioning import (
     root_point,
 )
 from .families import FAMILIES, FamilySpec, generate
-from .macaulay import choose_basis, linear_poly, macaulay_hat, macaulay_pencil
-from .polycore import PolySystem, rho
+from .macaulay import choose_basis, macaulay_hat, macaulay_pencil
+from .polycore import PolySystem
 from .solvers import METHODS, UnsupportedShape, mep_from_system, solve
 
 
@@ -122,12 +122,11 @@ def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
     # |x_i| gives the maximum over i exactly.
     i = int(np.argmax(np.abs(root.x)))
     if method == "nf":
-        ks = kappa_eig_ms_formula(s, root, choose_basis(macaulay_hat(s, rho(s))), i)
+        ks = kappa_eig_ms_formula(s, root, choose_basis(macaulay_hat(s)), i)
     elif method == "mep":
         ks = kappa_eig_mep_formula(mep_from_system(s), s, root, i)
     else:
-        pencil = macaulay_pencil(s, np.random.default_rng(seed))
-        ks = kappa_eig_macaulay_bound(s, root, pencil.basis, linear_poly(s.d, pencil.beta))
+        ks = kappa_eig_macaulay_bound(s, root, macaulay_pencil(s, np.random.default_rng(seed)))
     return ConditionReport.make(kr, ks, method)
 
 
@@ -204,6 +203,8 @@ def _custom_spec(args) -> bench.SweepSpec:
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise BadInput(f"--trials {args.trials} is below 1")
     if args.custom:
         try:
             specs = [_custom_spec(args)]

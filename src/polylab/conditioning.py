@@ -3,10 +3,10 @@
 Covers the absolute root condition number, its univariate specialization,
 the generalized-eigenvalue condition number, the singular-vector matrix B0
 tying a multiparameter eigenproblem to the Jacobian, closed-form condition
-formulas for the eigenvalue subproblems of each solver, Lagrange
-interpolants from matrix factorizations of the system, their normal forms
-over a quotient basis, and the predicted digits-of-accuracy lines used by the
-benchmark plots.
+formulas for the eigenvalue subproblems of each solver (the nf and Macaulay
+ones over the normal forms of a quotient basis), Lagrange interpolants from
+matrix factorizations of the system, and the predicted digits-of-accuracy
+lines used by the benchmark plots.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-# BasisSingular is raised by _solve_basis and kept importable from here.
-from .macaulay import BasisSelection, BasisSingular, _solve_basis
+from .macaulay import BasisSelection, MacaulayPencil, linear_poly
 from .numkernel import EigPairs, GenEigProblem, _bilinear, _magnitude, _row_norms
 from .polycore import (
     SUPPORT_CACHE_SIZE,
@@ -325,28 +323,7 @@ def lagrange_interpolant(qf: QFactorization) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# normal forms over a quotient basis
-
-
-def _coefficient_vector(f: MultiPoly, index: Mapping) -> np.ndarray:
-    fvec = np.zeros(len(index), dtype=complex)
-    for m, c in f.terms.items():
-        if m not in index:
-            raise ValueError(f"monomial {m} exceeds the matrix degree")
-        fvec[index[m]] = c
-    return fvec
-
-
-def _in_basis(f: MultiPoly, sel: BasisSelection) -> np.ndarray:
-    """[f]_B: the coefficients of f's residue class over the selection's quotient basis.
-
-    The vector c solves N_B^T c = N^T f (macaulay._solve_basis) for the
-    selection's null space N, whose rows follow the Macaulay columns,
-    matching the values every null space functional takes on f and on its
-    basis representation; the basis rows' condition number is ``sel.cond``.
-    """
-    N = sel.nullspace
-    return _solve_basis(N[sel.indices, :], sel.cond, N.T @ _coefficient_vector(f, sel.index.columns))
+# closed-form kappas over a quotient basis
 
 
 def basis_values(basis, x) -> np.ndarray:
@@ -386,7 +363,7 @@ def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> f
     matrix; x* is a point or its RootPoint.
     """
     root = root_point(s, xstar)
-    c = _in_basis(lagrange_interpolant(q_factorization(s, root)), sel)
+    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
     detJ = _abs_det_jacobian(root)
     return (
         float(np.linalg.norm(c))
@@ -396,19 +373,20 @@ def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> f
     )
 
 
-def kappa_eig_macaulay_bound(s: PolySystem, xstar, sel: BasisSelection, h: MultiPoly) -> float:
+def kappa_eig_macaulay_bound(s: PolySystem, xstar, pencil: MacaulayPencil) -> float:
     """Lower bound on the Macaulay pencil eigenvalue condition number.
 
-    ||[det Q]_B||_2 * ||V(x*)||_2 / |det J(x*) * h(x*)| with V the vector of
-    all Macaulay column monomials (the rows of ``sel.nullspace``) and h the
+    ||[det Q]_B||_2 * ||V(x*)||_2 / |det J(x*) * h(x*)| with [det Q]_B the
+    normal form over the pencil's basis selection, V the vector of all
+    Macaulay column monomials and h = linear_poly(d, pencil.beta), the
     linear polynomial whose multiples populate the lambda side of the
-    pencil. ``sel`` is the pencil's basis selection (``pencil.basis``); x*
-    is a point or its RootPoint.
+    pencil. x* is a point or its RootPoint.
     """
     root = root_point(s, xstar)
-    c = _in_basis(lagrange_interpolant(q_factorization(s, root)), sel)
+    sel = pencil.basis
+    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
     detJ = abs(np.linalg.det(root.jacobian))
-    hval = abs(h.eval(root.x))
+    hval = abs(linear_poly(s.d, pencil.beta).eval(root.x))
     if detJ == 0.0 or hval == 0.0:
         raise SingularJacobian("det(J) * h vanishes at the root")
     V = basis_values(sel.index.col_labels, root.x)

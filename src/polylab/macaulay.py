@@ -45,7 +45,7 @@ class BasisSingular(Exception):
 
 
 # Largest condition number of the basis rows N_B of a Macaulay null space
-# that a reduction to the quotient basis accepts (see _solve_basis).
+# that a reduction to the quotient basis accepts (see BasisSelection._solve).
 BASIS_COND_MAX = 1e12
 
 
@@ -81,8 +81,6 @@ def _macaulay_index(layout: CompiledLayout, degree: int) -> MacaulayIndex:
     # The column of m * t comes from searching the sorted mixed-radix codes
     # of the column monomials.
     degs = layout.degrees
-    if degree < max(degs):
-        raise ValueError("degree must be at least the largest polynomial degree")
     d = layout.exps.shape[2]
     col_index = monomial_positions(degree, d)
     cols = tuple(col_index)
@@ -162,7 +160,9 @@ class BasisSelection:
 
     The rows of ``nullspace`` follow the columns of ``index``, the Macaulay
     matrix's index; ``indices`` are the basis monomials' positions among
-    them, and ``cond`` the condition number of those rows N_B.
+    them, and ``cond`` the condition number of those rows N_B. Every
+    reduction to the quotient basis goes through ``normal_form`` or
+    ``multiplication_matrices``.
     """
 
     monomials: list
@@ -171,32 +171,63 @@ class BasisSelection:
     indices: np.ndarray
     index: MacaulayIndex
 
+    def _solve(self, R: np.ndarray) -> np.ndarray:
+        """C solving N_B^T C = R, one LU of N_B^T for every column of R.
 
-def _solve_basis(NB: np.ndarray, cond: float, R: np.ndarray) -> np.ndarray:
-    """C solving N_B^T C = R, one LU of N_B^T for every column of R.
+        Every reduction to the quotient basis solves this system, with
+        R = N^T F for the coefficient columns F it reduces, and basis rows
+        conditioned worse than BASIS_COND_MAX raise BasisSingular.
+        """
+        if self.cond > BASIS_COND_MAX:
+            raise BasisSingular(f"basis rows of the null space are numerically singular: cond {self.cond:.3e}")
+        return np.linalg.solve(self.nullspace[self.indices, :].T, R)
 
-    N_B are the basis rows of a Macaulay null space N and ``cond`` their
-    condition number. Every reduction to the quotient basis solves this
-    system, with R = N^T F for the coefficient columns F it reduces, and
-    basis rows conditioned worse than BASIS_COND_MAX raise BasisSingular.
-    """
-    if cond > BASIS_COND_MAX:
-        raise BasisSingular(f"basis rows of the null space are numerically singular: cond {cond:.3e}")
-    return np.linalg.solve(NB.T, R)
+    def normal_form(self, f: MultiPoly) -> np.ndarray:
+        """[f]_B: the coefficients of f's residue class over the quotient basis.
+
+        The vector c solves N_B^T c = N^T f, matching the values every null
+        space functional takes on f and on its basis representation. A
+        monomial of f past the Macaulay degree raises ValueError.
+        """
+        columns = self.index.columns
+        fvec = np.zeros(len(columns), dtype=complex)
+        for m, c in f.terms.items():
+            if m not in columns:
+                raise ValueError(f"monomial {m} exceeds the matrix degree")
+            fvec[columns[m]] = c
+        return self._solve(self.nullspace.T @ fvec)
+
+    def multiplication_matrices(self) -> np.ndarray:
+        """M_{x_i} over the quotient basis for every i, stacked (d, r, r).
+
+        M_{x_i} solves N_B^T M = N_{x_i B}^T, all d of them from one LU of
+        N_B^T. Each is copied out contiguous, as a solve of its own returns
+        it, so a read-out hands BLAS the same operands.
+        """
+        N, up = self.nullspace, self.index.up
+        r, d = len(self.indices), up.shape[0]
+        # Column block i of the right-hand side is N_{x_i B}^T.
+        C = self._solve(N[up[:, self.indices].reshape(-1), :].T)
+        return np.ascontiguousarray(C.reshape(r, d, r).transpose(1, 0, 2))
 
 
-def macaulay_hat(s: PolySystem, degree: int) -> MacaulayMatrix:
-    """Rows m * p_i for all multipliers with deg(m) <= degree - deg(p_i).
+def macaulay_hat(s: PolySystem) -> MacaulayMatrix:
+    """The degree-rho(s) Macaulay matrix: rows m * p_i for deg(m) <= rho(s) - deg(p_i).
 
     The index maps depend only on the system's support and the degree, so
     they are built once per pair and shared (see ``MacaulayIndex``); a
-    matrix is one scatter of the compiled coefficients.
+    matrix is one scatter of the compiled coefficients. A system with a
+    zero or constant polynomial has Bezout count 0 and no quotient to read
+    (NullityMismatch).
     """
+    r = bezout_count(s)
+    if r == 0:
+        raise NullityMismatch("Bezout count 0: the system has a zero or constant polynomial")
     comp = s.compiled
-    index = _macaulay_index(comp.layout, degree)
+    index = _macaulay_index(comp.layout, rho(s))
     mat = np.zeros(index.shape, dtype=complex)
     mat.reshape(-1)[index.positions] = comp.coeffs.reshape(-1)[index.gather]
-    return MacaulayMatrix(mat=mat, index=index, bezout=bezout_count(s))
+    return MacaulayMatrix(mat=mat, index=index, bezout=r)
 
 
 def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
@@ -278,7 +309,7 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     the null space (see MacaulayPencil). alpha and beta are unit-scale
     complex Gaussians, drawn once: 4 (d + 1) standard normals from rng.
     """
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
     beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import kappa_eig, kappa_uni
-from .macaulay import NullityMismatch, _solve_basis, choose_basis, macaulay_hat, macaulay_pencil
+from .macaulay import NullityMismatch, choose_basis, macaulay_hat, macaulay_pencil
 from .numkernel import (
     GenEigProblem,
     _bilinear,
@@ -37,7 +37,6 @@ from .polycore import (
     MultiPoly,
     PolySystem,
     UniPoly,
-    rho,
 )
 from numpy.polynomial import polynomial as npoly
 
@@ -175,27 +174,22 @@ def solve_normal_form(
     """Roots via eigenvectors of a random combination of multiplication matrices.
 
     The multiplication matrices M_{x_i} on the quotient come from the basis
-    choose_basis reads off the degree-rho Macaulay null space N: M_{x_i}
-    solves N_B^T M = N_{x_i B}^T, all d of them from one LU of N_B^T (see
-    macaulay._solve_basis, which raises BasisSingular on an ill-conditioned
-    N_B). Their eigenvalues are the i-th coordinates of the roots, and they
-    commute up to rounding. One driver matrix M_t with t = sum u_i x_i
-    (random unit u) supplies the eigenvectors; every coordinate is then a
-    Rayleigh quotient against M_{x_i}. The polish flag runs two Newton steps per root; benchmarks
-    leave it off to expose the raw eigenproblem accuracy.
+    choose_basis reads off the degree-rho Macaulay null space, all d of them
+    from one LU of N_B^T (see BasisSelection.multiplication_matrices, which
+    raises BasisSingular on ill-conditioned basis rows N_B). Their
+    eigenvalues are the i-th coordinates of the roots, and they commute up
+    to rounding. One driver matrix M_t with t = sum u_i x_i (random unit u)
+    supplies the eigenvectors; every coordinate is then a Rayleigh quotient
+    against M_{x_i}. The polish flag runs two Newton steps per root;
+    benchmarks leave it off to expose the raw eigenproblem accuracy.
     """
     rng = rng if rng is not None else np.random.default_rng(1)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
-    N, r = sel.nullspace, mhat.bezout
-    # Column block i of the right-hand side is N_{x_i B}^T. M_{x_i} is copied
-    # out contiguous, as a solve of its own returns it, so the read-out
-    # below hands BLAS the same operands.
-    C = _solve_basis(N[sel.indices, :], sel.cond, N[mhat.index.up[:, sel.indices].reshape(-1), :].T)
-    mats = np.ascontiguousarray(C.reshape(r, s.d, r).transpose(1, 0, 2))
+    mats = sel.multiplication_matrices()
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
-    gep = GenEigProblem(A=Mt, B=np.eye(r, dtype=complex))
+    gep = GenEigProblem(A=Mt, B=np.eye(mhat.bezout, dtype=complex))
     pairs = generalized_eig(gep)
     W = pairs.right
     Wc = W.conj()

@@ -24,7 +24,7 @@ from .conditioning import (
 from .families import FamilySpec, generate
 from .macaulay import macaulay_hat
 from .numkernel import null_space, sigma_min
-from .polycore import MultiPoly, PolySystem, bezout_count, jacobian, monomials_up_to, rho
+from .polycore import MultiPoly, PolySystem, jacobian, monomials_up_to
 from .solvers import METHODS, MultiParamEig, hausdorff_distance, mep_from_system, solve
 
 
@@ -225,8 +225,8 @@ def nullspace_perturbation_suite(seed: int = 1) -> VerificationResult:
     svals = np.array([2.0, 1.0, 0.5, 0.01, 0.0])
     base_sets.append(("random", U[:, :5] @ np.diag(svals) @ V.conj().T, 1))
     s_ill = generate(FamilySpec(family="notdev2d", d=2, sigma=1e-2, seed=seed))
-    mhat = macaulay_hat(s_ill, rho(s_ill))
-    base_sets.append(("mhat", mhat.mat, bezout_count(s_ill)))
+    mhat = macaulay_hat(s_ill)
+    base_sets.append(("mhat", mhat.mat, mhat.bezout))
     all_ok = True
     medians = {}
     for label, M, r in base_sets:

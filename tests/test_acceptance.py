@@ -37,7 +37,6 @@ from polylab import (
     null_space,
     operator_determinants,
     q_factorization,
-    rho,
     run_sweep,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
@@ -45,7 +44,7 @@ from polylab import (
     solve_rur_example,
 )
 from polylab.bench import FIGURES
-from polylab.conditioning import _in_basis, mep_operator
+from polylab.conditioning import mep_operator
 from polylab.macaulay import BasisSelection
 from polylab.solvers import MultiParamEig
 from polylab.verification import nullspace_perturbation_suite, subset_product_suite
@@ -93,10 +92,10 @@ def _rooted_system(d, xstar, rng, single_square=False, scale_up=False):
 
 def _multiplication_matrices(s):
     """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s, rho(s)))
+    sel = choose_basis(macaulay_hat(s))
 
     def column(i, m):
-        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
+        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
@@ -237,21 +236,21 @@ def test_reduced_determinant_norm_bounds_and_examples():
     for _ in range(50):
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
         s = _rooted_system(2, xstar, rng, scale_up=True)
-        mhat = macaulay_hat(s, rho(s))
+        mhat = macaulay_hat(s)
         sel = choose_basis(mhat)
-        c = _in_basis(lagrange_interpolant(q_factorization(s, xstar)), sel)
+        c = sel.normal_form(lagrange_interpolant(q_factorization(s, xstar)))
         worst_margin = min(worst_margin, float(np.linalg.norm(c)) - mhat.factor.sigma_min)
 
     basis_2d = [(0, 0), (1, 0), (0, 1), (0, 2)]
     ratios = []
     for k, sigma in enumerate((1e-1, 1e-2, 1e-3, 1e-4, 1e-5)):
         s = generate(FamilySpec(family="notdev2d", d=2, sigma=sigma, seed=k + 1))
-        mhat = macaulay_hat(s, rho(s))
+        mhat = macaulay_hat(s)
         # The basis is fixed, not choose_basis's: a selection of its rows.
         N = null_space(mhat.mat, bezout_count(s))
         idx = np.array([mhat.index.columns[m] for m in basis_2d])
         sel = BasisSelection(basis_2d, np.linalg.cond(N[idx]), N, idx, mhat.index)
-        c = _in_basis(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))), sel)
+        c = sel.normal_form(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))))
         ratios.append(float(np.linalg.norm(c)) / sigma)
     ratios_ok = all(0.1 <= r <= 10.0 for r in ratios)
 

@@ -107,6 +107,20 @@ def test_run_sweep_rejects_unknown_methods():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize(
+    "method, family, axis",
+    [("gb", "orthogonal", "sigma"), ("rur", "orthogonal", "sigma"), ("gb", "hypercube", "c"),
+     ("rur", "cyclic_squares", "sigma")],
+)
+def test_closed_form_methods_run_only_on_their_family(method, family, axis):
+    # gb's closed form is cyclic_squares' elimination polynomial and rur's
+    # the hypercube's: on any other family a trial would measure the wrong
+    # curve, or not run at all.
+    spec = SweepSpec(name="t", method=method, family=family, axis=axis, values=(1e-2,), d=2, n_trials=1)
+    with pytest.raises(ValueError, match=f"method {method} runs only on the"):
+        run_sweep(spec)
+
+
 def test_run_sweep_is_deterministic():
     spec = SweepSpec(
         name="t", method="nf", family="orthogonal", axis="sigma",

@@ -58,15 +58,26 @@ def reference_macaulay(s, degree) -> tuple:
     return mat, labels, cols
 
 
-def assert_matches_reference(s, degree) -> None:
+def assert_matches_reference(s, degree=None) -> None:
+    """Check the compiled form and the Macaulay matrix against the references.
+
+    With no ``degree`` the matrix is macaulay_hat's, at rho(s); at any other
+    degree it is macaulay_hat's scatter over ``_macaulay_index(layout, degree)``.
+    """
     c = s.compiled
     for got, want in zip((c.exps, c.coeffs, c.mask), reference_compiled(s.polys)):
         assert bits_equal(got, want)
-    mhat = macaulay_hat(s, degree)
-    mat, labels, cols = reference_macaulay(s, degree)
-    assert bits_equal(mhat.mat, mat)
-    assert mhat.index.row_labels == tuple(labels)
-    assert mhat.index.col_labels == tuple(cols)
+    if degree is None:
+        mhat = macaulay_hat(s)
+        degree, index, mat = rho(s), mhat.index, mhat.mat
+    else:
+        index = macaulay._macaulay_index(c.layout, degree)
+        mat = np.zeros(index.shape, dtype=complex)
+        mat.reshape(-1)[index.positions] = c.coeffs.reshape(-1)[index.gather]
+    want, labels, cols = reference_macaulay(s, degree)
+    assert bits_equal(mat, want)
+    assert index.row_labels == tuple(labels)
+    assert index.col_labels == tuple(cols)
 
 
 def reference_translate(p, t) -> MultiPoly:
@@ -115,33 +126,33 @@ def family_pairs(shifted: bool):
 def test_a_second_system_with_the_same_support_builds_no_structure(monkeypatch):
     spec = dict(family="orthogonal", d=3, sigma=1e-2, shift=(0.2, 0.3, 0.4))
     first = generate(FamilySpec(seed=1, **spec))
-    macaulay_hat(first, rho(first))
+    macaulay_hat(first)
     sorts = []
     sort = MonomialOrder.sort
     monkeypatch.setattr(MonomialOrder, "sort", lambda self, ms: sorts.append(1) or sort(self, ms))
     second = generate(FamilySpec(seed=2, **spec))
-    mhat = macaulay_hat(second, rho(second))
+    mhat = macaulay_hat(second)
     assert [tuple(p.terms) for p in second.polys] == [tuple(p.terms) for p in first.polys]
     assert sorts == []
     assert second.compiled.layout is first.compiled.layout
-    assert mhat.index is macaulay_hat(first, rho(first)).index
+    assert mhat.index is macaulay_hat(first).index
 
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_cached_structure_is_bit_equal_to_a_fresh_assembly(shifted):
     rng = np.random.default_rng(31)
     for first, second in family_pairs(shifted):
-        macaulay_hat(first, rho(first))
-        assert_matches_reference(second, rho(second))
+        macaulay_hat(first)
+        assert_matches_reference(second)
         X = rng.standard_normal((3, second.d)) + 1j * rng.standard_normal((3, second.d))
         values, J = second.evaluate(X)
-        cached = macaulay_hat(second, rho(second)).mat
+        cached = macaulay_hat(second).mat
         clear_caches()
         fresh = PolySystem(second.d, second.polys)
         fresh_values, fresh_J = fresh.evaluate(X)
         assert bits_equal(values, fresh_values)
         assert bits_equal(J, fresh_J)
-        assert bits_equal(macaulay_hat(fresh, rho(fresh)).mat, cached)
+        assert bits_equal(macaulay_hat(fresh).mat, cached)
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,7 +182,7 @@ def test_random_sparse_supports_match_the_reference(data):
 def test_cached_arrays_are_read_only_and_labels_are_the_index_tuples():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
     c = s.compiled
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     layout, index = c.layout, mhat.index
     for a in (c.exps, c.coeffs, c.mask, layout.place, layout.index, layout.used,
               index.positions, index.gather, index.up, index.candidates):
@@ -191,7 +202,7 @@ def test_cached_arrays_are_read_only_and_labels_are_the_index_tuples():
     with pytest.raises(AttributeError):
         index.row_labels = ()
     monomials_up_to(rho(s), 2).append((9, 9))
-    again = macaulay_hat(s, rho(s))
+    again = macaulay_hat(s)
     assert again.index is index
     mat, labels, cols = reference_macaulay(s, rho(s))
     assert index.row_labels == tuple(labels)

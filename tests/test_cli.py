@@ -8,18 +8,17 @@ import pytest
 
 from polylab import (
     FamilySpec,
+    MultiPoly,
     PolySystem,
     choose_basis,
     generate,
     kappa_eig_macaulay_bound,
     kappa_eig_mep_formula,
     kappa_eig_ms_formula,
-    linear_poly,
     macaulay_hat,
     macaulay_pencil,
     mep_from_system,
     read_csv,
-    rho,
 )
 from polylab.cli import _audit_one, main
 
@@ -151,7 +150,7 @@ SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
 GEN = ["gen", "--family", "orthogonal", "--d", "2"]
 
 
-BROKEN_KINDS = ("missing", "not-a-system", "nan-coefficient", "rank-deficient")
+BROKEN_KINDS = ("missing", "not-a-system", "nan-coefficient", "rank-deficient", "constant")
 
 
 def broken_system(kind, path):
@@ -159,10 +158,14 @@ def broken_system(kind, path):
 
     The file is missing, not a system, or has a NaN coefficient; a
     rank-deficient system is fig 5's sigma = 1 notdev3d system, on which nf
-    and macaulay raise RankDeficientBasis.
+    and macaulay raise RankDeficientBasis, and a constant one is x^2 = 0,
+    5 = 0, whose Bezout count is 0.
     """
     if kind == "rank-deficient":
         run_cli(["gen", "--family", "notdev3d", "--d", "3", "--sigma", "1", "--out", str(path)])
+    elif kind == "constant":
+        polys = [MultiPoly(2, {(2, 0): 1.0}), MultiPoly(2, {(0, 0): 5.0})]
+        path.write_text(json.dumps(PolySystem(2, polys, true_roots=[], family_tag="").to_json_dict()))
     elif kind == "not-a-system":
         path.write_text('{"polys": 3}')
     elif kind == "nan-coefficient":
@@ -203,6 +206,16 @@ def broken_system(kind, path):
         ("rank-deficient", ["solve", "--method", "nf"], "method nf failed: RankDeficientBasis"),
         ("rank-deficient", ["solve", "--method", "macaulay"], "method macaulay failed: RankDeficientBasis"),
         ("rank-deficient", ["audit", "--method", "nf"], "method nf failed: RankDeficientBasis"),
+        ("constant", ["solve", "--method", "nf"], "method nf failed: NullityMismatch: Bezout count 0"),
+        ("constant", ["solve", "--method", "macaulay"], "method macaulay failed: NullityMismatch"),
+        (None, ["sweep", "--custom", "--method", "gb", "--family", "orthogonal", "--axis", "sigma",
+                "--values", "1e-2", "--d", "2", "--trials", "1"], "gb runs only on the cyclic_squares family"),
+        (None, ["sweep", "--custom", "--method", "rur", "--family", "orthogonal", "--axis", "sigma",
+                "--values", "1e-2", "--d", "2", "--trials", "1"], "rur runs only on the hypercube family"),
+        (None, ["sweep", "--custom", "--method", "gb", "--family", "hypercube", "--axis", "c",
+                "--values", "10", "--d", "2", "--trials", "1"], "gb runs only on the cyclic_squares family"),
+        (None, ["sweep", "--figure", "1c", "--trials", "0"], "--trials 0 is below 1"),
+        (None, ["sweep", "--figure", "1c", "--trials", "-2"], "--trials -2 is below 1"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -333,14 +346,12 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
     shift = (0.3, -0.7, 0.5, -0.1)[:d]
     s = generate(FamilySpec(family=family, d=d, sigma=1e-2, shift=shift))
     x = np.array(s.true_roots[0])
-    sel = choose_basis(macaulay_hat(s, rho(s)))
+    sel = choose_basis(macaulay_hat(s))
     want = {"nf": max(kappa_eig_ms_formula(s, x, sel, i) for i in range(d))}
     if not family.startswith("notdev"):
         mep = mep_from_system(s)
         want["mep"] = max(kappa_eig_mep_formula(mep, s, x, i) for i in range(d))
     for method, kappa in want.items():
         assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
-    pencil = macaulay_pencil(s, np.random.default_rng(5))
-    h = linear_poly(d, pencil.beta)
-    fresh = kappa_eig_macaulay_bound(s, x, choose_basis(macaulay_hat(s, rho(s))), h)
+    fresh = kappa_eig_macaulay_bound(s, x, macaulay_pencil(s, np.random.default_rng(5)))
     assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)

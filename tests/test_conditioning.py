@@ -38,8 +38,8 @@ from polylab import (
     rho,
     theory_digits,
 )
-from polylab.conditioning import BasisSingular, MultipleRoot, SingularJacobian, _in_basis, basis_values, poly_det
-from polylab.macaulay import BasisSelection, linear_poly
+from polylab.conditioning import MultipleRoot, SingularJacobian, basis_values, poly_det
+from polylab.macaulay import BasisSelection, BasisSingular, linear_poly
 from polylab.numkernel import EigPairs, laplace_expansion, sigma_min
 
 
@@ -266,9 +266,9 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
     ref = reference_det_q(qf)
     detJ = abs(np.linalg.det(jacobian(s, xstar)))
     i = int(np.argmax(np.abs(xstar)))
-    sel = choose_basis(macaulay_hat(s, rho(s)))
+    sel = choose_basis(macaulay_hat(s))
     want = (
-        np.linalg.norm(_in_basis(ref, sel))
+        np.linalg.norm(sel.normal_form(ref))
         * np.linalg.norm(reference_monomials(sel.monomials, xstar))
         / detJ
         * (1 + abs(xstar[i]))
@@ -277,11 +277,11 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
     pen = macaulay_pencil(s, rng)
     h = linear_poly(d, pen.beta)
     want = (
-        np.linalg.norm(_in_basis(ref, pen.basis))
+        np.linalg.norm(pen.basis.normal_form(ref))
         * np.linalg.norm(reference_monomials(monomials_up_to(rho(s), d), xstar))
         / (detJ * abs(h.eval(xstar)))
     )
-    assert kappa_eig_macaulay_bound(s, xstar, pen.basis, h) == pytest.approx(want, rel=1e-12)
+    assert kappa_eig_macaulay_bound(s, xstar, pen) == pytest.approx(want, rel=1e-12)
 
 
 def test_basis_values_are_numpy_scalar_products_bit_for_bit():
@@ -324,10 +324,10 @@ def test_reduced_determinant_closed_form_bivariate():
     sigma = 1e-2
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=sigma, seed=11))
     a11, a12, a21, a22 = _family_matrix_2d(s, sigma)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     basis = [(0, 0), (1, 0), (0, 1), (0, 2)]
     qf = q_factorization(s, np.zeros(2, dtype=complex))
-    c = _in_basis(lagrange_interpolant(qf), _fixed_selection(mhat, basis))
+    c = _fixed_selection(mhat, basis).normal_form(lagrange_interpolant(qf))
     want = {
         (0, 0): sigma**2,
         (1, 0): sigma * a22 - sigma**2 * a21,
@@ -358,10 +358,10 @@ def test_reduced_determinant_closed_form_trivariate():
 
 def _multiplication_matrices(s):
     """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s, rho(s)))
+    sel = choose_basis(macaulay_hat(s))
 
     def column(i, m):
-        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
+        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
@@ -398,7 +398,7 @@ def test_macaulay_bound_sits_below_measured_conditioning():
         best = int(np.argmin(np.abs(pairs.lam - lam_star)))
         assert abs(pairs.lam[best] - lam_star) <= 1e-6 * (1 + abs(lam_star))
         measured = kappa_eig(pen.gep, pairs)[best]
-        bound = kappa_eig_macaulay_bound(s, xstar, pen.basis, hbeta)
+        bound = kappa_eig_macaulay_bound(s, xstar, pen)
         assert bound <= measured * (1 + 1e-6)
 
 
@@ -408,21 +408,21 @@ def test_reduced_determinant_norm_dominates_hat_sigma_min():
     for _ in range(8):
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
         s = rand_quad_with_root(2, xstar, rng, scale_up=True)
-        mhat = macaulay_hat(s, rho(s))
+        mhat = macaulay_hat(s)
         sel = choose_basis(mhat)
         qf = q_factorization(s, xstar)
-        c = _in_basis(lagrange_interpolant(qf), sel)
+        c = sel.normal_form(lagrange_interpolant(qf))
         assert np.linalg.norm(c) >= mhat.factor.sigma_min - 1e-10
 
 
 def test_normal_form_rejects_singular_basis_rows():
     rng = np.random.default_rng(70)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     # a repeated monomial makes the basis rows singular
     sel = _fixed_selection(mhat, [(0, 0), (0, 0), (1, 0), (0, 1)])
     with pytest.raises(BasisSingular):
-        _in_basis(MultiPoly(2, {(0, 0): 1.0}), sel)
+        sel.normal_form(MultiPoly(2, {(0, 0): 1.0}))
 
 
 def test_condition_report_ratio_and_json():

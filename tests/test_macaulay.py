@@ -27,8 +27,8 @@ from polylab import (
     rho,
     sigma_min,
     solve_macaulay_resultant,
+    solve_normal_form,
 )
-from polylab.conditioning import _in_basis
 from polylab.macaulay import _h_rows
 from polylab.numkernel import _ZGEQP3, SvdFactor, _zgeqp3_lwork
 from polylab.polycore import monomial_positions
@@ -47,7 +47,7 @@ def two_quadratics(rng):
 def test_hat_matrix_shape_for_two_bivariate_quadratics():
     rng = np.random.default_rng(41)
     s = two_quadratics(rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     # multipliers of degree <= 1 for each quadratic, columns up to degree 3
     assert mhat.index.degree == 3
     assert mhat.mat.shape == (6, 10)
@@ -58,7 +58,7 @@ def test_hat_matrix_shape_for_two_bivariate_quadratics():
 def test_hat_rows_encode_monomial_multiples():
     rng = np.random.default_rng(42)
     s = two_quadratics(rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     for _ in range(5):
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         colvals = np.array([x[0] ** m[0] * x[1] ** m[1] for m in mhat.index.col_labels])
@@ -67,17 +67,32 @@ def test_hat_rows_encode_monomial_multiples():
             assert abs(row @ colvals - want) <= 1e-10 * (1 + abs(want))
 
 
-def test_hat_rejects_degree_below_system_degree():
-    rng = np.random.default_rng(43)
-    s = two_quadratics(rng)
-    with pytest.raises(ValueError):
-        macaulay_hat(s, 1)
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [{(2, 0): 1.0}, {}],
+        [{(2, 0): 1.0}, {(0, 0): 5.0}],
+        [{(2, 0, 0): 1.0}, {(0, 2, 0): 1.0}, {(0, 0, 0): 5.0}],
+    ],
+    ids=["zero", "constant-d2", "constant-d3"],
+)
+def test_hat_rejects_a_bezout_count_of_zero(polys):
+    # A zero or constant polynomial leaves no quotient to read: the solvers
+    # report a NullityMismatch instead of failing inside rho or the index.
+    d = len(polys)
+    s = PolySystem(d, [MultiPoly(d, terms) for terms in polys], true_roots=[], family_tag="")
+    assert bezout_count(s) == 0
+    with pytest.raises(NullityMismatch, match="Bezout count 0"):
+        macaulay_hat(s)
+    for solve in (solve_normal_form, solve_macaulay_resultant):
+        with pytest.raises(NullityMismatch):
+            solve(s)
 
 
 def test_choose_basis_reads_the_null_space():
     rng = np.random.default_rng(44)
     s = two_quadratics(rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     r = bezout_count(s)
     sel = choose_basis(mhat)
     assert len(sel.monomials) == r
@@ -121,7 +136,7 @@ def test_the_macaulay_matrix_carries_the_bezout_count(family):
     d = 3 if family == "notdev3d" else 2
     scale = {"c": 2.0} if family == "hypercube" else {"sigma": 0.5}
     s = generate(FamilySpec(family=family, d=d, **scale), rng=np.random.default_rng(46))
-    assert macaulay_hat(s, rho(s)).bezout == bezout_count(s)
+    assert macaulay_hat(s).bezout == bezout_count(s)
 
 
 def test_pencil_is_square_with_h_rows_for_the_basis():
@@ -135,7 +150,7 @@ def test_pencil_is_square_with_h_rows_for_the_basis():
     assert len(pen.basis.monomials) == 4
     # polynomial rows carry no lambda part
     assert np.linalg.norm(pen.gep.B[:n_poly_rows], 2) == 0.0
-    assert np.allclose(pen.gep.A[:n_poly_rows], macaulay_hat(s, rho(s)).mat)
+    assert np.allclose(pen.gep.A[:n_poly_rows], macaulay_hat(s).mat)
 
 
 def test_pencil_h_rows_match_the_linear_polynomials():
@@ -234,7 +249,7 @@ def test_a_pencil_that_never_passes_its_probe_raises_singular_pencil(d):
 @pytest.mark.parametrize("d", [2, 4])  # wide, then tall Macaulay matrix
 def test_shared_factor_matches_fresh_factorizations(d):
     s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2), rng=np.random.default_rng(53))
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     M = mhat.mat
     r = bezout_count(s)
     assert (M.shape[0] < M.shape[1]) == (d == 2)
@@ -253,7 +268,7 @@ def test_tall_factor_is_numpys_svd_bit_for_bit(blas_threads, d):
     # out as a column slice of Vh.conj().T.
     spec = FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(1.0 / 3.0,) * d)
     s = generate(spec, rng=np.random.default_rng(1))
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     m, n = mhat.mat.shape
     assert n <= m < int(n * 5.0 / 3.0)
     _, values, vh = np.linalg.svd(mhat.mat, full_matrices=False)
@@ -270,20 +285,20 @@ def test_tall_factor_is_numpys_svd_bit_for_bit(blas_threads, d):
 def test_normal_form_annihilates_ideal_members():
     rng = np.random.default_rng(49)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     for p in s.polys:
-        c = _in_basis(p, sel)
+        c = sel.normal_form(p)
         assert np.max(np.abs(c)) <= 1e-10 * s.coefficient_scale()
 
 
 def test_normal_form_fixes_basis_monomials():
     rng = np.random.default_rng(50)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     for k, m in enumerate(sel.monomials):
-        c = _in_basis(MultiPoly(2, {m: 1.0}), sel)
+        c = sel.normal_form(MultiPoly(2, {m: 1.0}))
         e = np.zeros(len(sel.monomials))
         e[k] = 1.0
         assert np.max(np.abs(c - e)) <= 1e-10
@@ -292,8 +307,8 @@ def test_normal_form_fixes_basis_monomials():
 def test_normal_form_rejects_over_degree_input():
     rng = np.random.default_rng(51)
     s = generate(FamilySpec(family="notdev2d", d=2, sigma=0.1), rng=rng)
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     too_big = MultiPoly(2, {(4, 0): 1.0})
     with pytest.raises(ValueError):
-        _in_basis(too_big, sel)
+        sel.normal_form(too_big)

@@ -29,7 +29,6 @@ from polylab import (
     mep_from_system,
     newton_polish,
     operator_determinants,
-    rho,
     solve,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
@@ -40,7 +39,8 @@ from polylab import (
 )
 from polylab import bench
 from polylab.bench import FIGURES
-from polylab.conditioning import _in_basis, mep_operator
+from polylab.conditioning import mep_operator
+from polylab.macaulay import BasisSelection
 from polylab.numkernel import kron, laplace_expansion, random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
@@ -74,10 +74,10 @@ def test_newton_polish_contracts_toward_the_root():
 
 def _multiplication_matrices(s):
     """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s, rho(s)))
+    sel = choose_basis(macaulay_hat(s))
 
     def column(i, m):
-        return _in_basis(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}), sel)
+        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
 
     return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
 
@@ -568,7 +568,7 @@ def _kappa_eig_loop(gep, pairs, k):
 
 
 def _nf_loop(s):
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     N = sel.nullspace
     NB = N[sel.indices, :]
@@ -672,16 +672,9 @@ def _outcome(fn, s):
     ), extra
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_stacked_read_outs_equal_per_pair_loops(data):
-    # Random systems of d single-square quadratics (the shape mep accepts)
-    # with a planted root; a root scale of 1e5 drives the Macaulay read-out
-    # into its least-squares fallback. At d = 2 the Macaulay pencil is
-    # square and carries infinite pairs.
-    d = data.draw(st.integers(2, 4))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * data.draw(st.sampled_from([0.5, 1e5]))
+def _single_square_system(d, rng, scale):
+    """d quadratics x_i^2 + sum_j a_ij x_j + c_i (the shape mep accepts) with a planted root of the given scale."""
+    xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * scale
     polys = []
     for i in range(d):
         terms = {tuple(2 * (j == i) for j in range(d)): 1.0 + 0j}
@@ -690,7 +683,19 @@ def test_stacked_read_outs_equal_per_pair_loops(data):
         p = MultiPoly(d, terms)
         terms[(0,) * d] = -p.eval(xstar)
         polys.append(MultiPoly(d, terms))
-    s = PolySystem(d, polys, true_roots=[xstar], family_tag="")
+    return PolySystem(d, polys, true_roots=[xstar], family_tag="")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_stacked_read_outs_equal_per_pair_loops(data):
+    # Random systems of d single-square quadratics with a planted root; a
+    # root scale of 1e5 drives the Macaulay read-out into its least-squares
+    # fallback. At d = 2 the Macaulay pencil is square and carries infinite
+    # pairs.
+    d = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = _single_square_system(d, rng, data.draw(st.sampled_from([0.5, 1e5])))
     for method, loop in _LOOPS.items():
         want, info = _outcome(loop, s)
         got, _ = _outcome(lambda s: solve(s, method), s)
@@ -704,20 +709,18 @@ def test_nf_solves_n_b_once_for_every_coordinate(monkeypatch, d):
     # solve_normal_form factors N_B^T once for all d right-hand sides; each
     # M_{x_i} must be byte-equal to its own np.linalg.solve, up to the
     # 32 x 32 N_B at d = 5, and so must the roots and kappas _nf_loop reads.
-    import polylab.solvers
-
     s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(0.3, -0.2, 0.1, 0.25, -0.15)[:d]))
     calls = []
-    original = polylab.solvers._solve_basis
+    original = BasisSelection._solve
 
-    def recording(NB, cond, R):
-        calls.append(original(NB, cond, R))
+    def recording(self, R):
+        calls.append(original(self, R))
         return calls[-1]
 
-    monkeypatch.setattr(polylab.solvers, "_solve_basis", recording)
+    monkeypatch.setattr(BasisSelection, "_solve", recording)
     got, _ = _outcome(lambda s: solve(s, "nf"), s)
     assert got == _outcome(_nf_loop, s)[0]
-    mhat = macaulay_hat(s, rho(s))
+    mhat = macaulay_hat(s)
     sel = choose_basis(mhat)
     N, r = sel.nullspace, 2**d
     (C,) = calls
@@ -725,3 +728,47 @@ def test_nf_solves_n_b_once_for_every_coordinate(monkeypatch, d):
     for i in range(d):
         want = np.linalg.solve(N[sel.indices, :].T, N[mhat.index.up[i, sel.indices], :].T)
         assert C[:, i * r : (i + 1) * r].tobytes() == want.tobytes()
+
+
+# At root scale 1e5 the polynomial coefficients span ten decades and the
+# monomial vector fifteen. nf's null space then carries errors its
+# eigenproblem's kappa does not see (on every d = 3 draw and about one d = 2
+# draw in six), and the Macaulay read-out returns roots with residuals near
+# 1e16 on every draw while its kappa stays near 1e4. Both are faults of
+# those solvers; the marks go when they are mended.
+_SCALE_FAULT = pytest.mark.xfail(
+    strict=True, reason="the root-scale 1e5 error exceeds what subproblem_kappa predicts"
+)
+
+
+@pytest.mark.parametrize(
+    "method, scale",
+    [("nf", 0.5), ("macaulay", 0.5), ("mep", 0.5), ("mep", 1e5),
+     pytest.param("nf", 1e5, marks=_SCALE_FAULT), pytest.param("macaulay", 1e5, marks=_SCALE_FAULT)],
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_root_sets_survive_permuted_variables_and_scaled_equations(method, scale, data):
+    # The roots of a system do not depend on the order of its variables or
+    # on a nonzero factor per equation. Each solve's error is at most about
+    # eps * subproblem_kappa * max(1, |x|) to first order; the factor 1e4
+    # covers what the build and read-out add at root scale 0.5, where the
+    # ratio stayed below 2e2 over 200 draws of each method.
+    d = data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = _single_square_system(d, rng, scale)
+    perm = rng.permutation(d)
+    factors = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    permuted = [MultiPoly(d, {tuple(m[k] for k in perm): c for m, c in p.terms.items()}) for p in s.polys]
+    scaled = [MultiPoly(d, {m: c * a for m, c in p.terms.items()}) for p, a in zip(s.polys, factors)]
+    base = solve(s, method)
+    X = np.array(base.roots)
+    assert X.shape == (2**d, d)
+    for polys, unpermute in ((permuted, perm), (scaled, np.arange(d))):
+        other = solve(PolySystem(d, polys, true_roots=[], family_tag=""), method)
+        Y = np.empty_like(X)
+        Y[:, unpermute] = np.array(other.roots)
+        dist = np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+        kappa = max(base.subproblem_kappa + other.subproblem_kappa)
+        tol = 1e4 * np.finfo(float).eps * kappa * max(1.0, float(np.abs(X).max()))
+        assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= tol
