@@ -67,6 +67,10 @@ class SweepSpec:
     seed: int = 1
     polish: bool = False
 
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials {self.n_trials} is below 1")
+
 
 @dataclass(frozen=True)
 class SweepRecord:

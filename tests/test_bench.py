@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ def test_with_overrides_touches_only_trials_and_seed():
     assert out.n_trials == 3 and out.seed == 9
     assert out.method == spec.method and out.values == spec.values
     assert with_overrides(spec) == spec
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_a_sweep_needs_at_least_one_trial(n_trials):
+    # Without the check a sweep of no trials would take the median of an
+    # empty list: a RuntimeWarning and a NaN row.
+    with pytest.raises(ValueError, match="below 1"):
+        replace(FIGURES["1c"], n_trials=n_trials)
+    with pytest.raises(ValueError, match="below 1"):
+        with_overrides(FIGURES["1c"], n_trials=n_trials)
+    assert replace(FIGURES["1c"], n_trials=1).n_trials == 1
 
 
 def test_figure_registry_is_complete_and_consistent():

@@ -48,6 +48,7 @@ from polylab.solvers import (
     _check_determinantal,
     _determinantal_probes,
     _quadratic_representation,
+    _roots_from_vectors,
 )
 
 
@@ -586,27 +587,13 @@ def _nf_loop(s):
     return roots, kappas, {}
 
 
-def _root_from_vector_loop(v, up):
-    d = up.shape[0]
-    scale = float(np.linalg.norm(v))
-    if scale == 0.0:
-        raise EigenvectorDegenerate("zero eigenvector")
-    x = np.empty(d, dtype=complex)
-    if abs(v[0]) >= 1e-8 * scale:
-        for i in range(d):
-            x[i] = v[up[i, 0]] / v[0]
-        return x
-    for i in range(d):
-        num = 0j
-        den = 0.0
-        for k_from in range(d + 1):
-            if up[i, k_from] >= 0:
-                num += np.conj(v[k_from]) * v[up[i, k_from]]
-                den += abs(v[k_from]) ** 2
-        if den == 0.0:
-            raise EigenvectorDegenerate("no usable low-degree entries")
-        x[i] = num / den
-    return x
+def _root_from_vector_loop(v, index):
+    mag2 = {k: v[k].real * v[k].real + v[k].imag * v[k].imag for k in index.candidates}
+    # max keeps the first of equal entries, as argmax does.
+    m = max(mag2, key=mag2.get)
+    if mag2[m] == 0.0:
+        raise EigenvectorDegenerate("eigenvector is zero below the top degree")
+    return np.array([v[index.up[i, m]] / v[m] for i in range(index.up.shape[0])])
 
 
 def _macaulay_loop(s):
@@ -624,7 +611,7 @@ def _macaulay_loop(s):
     roots, kappas = [], []
     for k in kept:
         v = pairs.right[k] if pencil.Z is None else pencil.Z @ pairs.right[k]
-        roots.append(_root_from_vector_loop(v, pencil.mhat.index.up))
+        roots.append(_root_from_vector_loop(v, pencil.mhat.index))
         kappas.append(_kappa_eig_loop(pencil.gep, pairs, k))
     return roots, kappas, {"infinite": bool(pairs.infinite.any()), "square": pencil.Z is None}
 
@@ -689,10 +676,10 @@ def _single_square_system(d, rng, scale):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_stacked_read_outs_equal_per_pair_loops(data):
-    # Random systems of d single-square quadratics with a planted root; a
-    # root scale of 1e5 drives the Macaulay read-out into its least-squares
-    # fallback. At d = 2 the Macaulay pencil is square and carries infinite
-    # pairs.
+    # Random systems of d single-square quadratics with a planted root; at
+    # root scale 1e5 the Macaulay read-out reads its vectors away from the
+    # constant entry. At d = 2 the Macaulay pencil is square and carries
+    # infinite pairs.
     d = data.draw(st.integers(2, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     s = _single_square_system(d, rng, data.draw(st.sampled_from([0.5, 1e5])))
@@ -702,6 +689,64 @@ def test_stacked_read_outs_equal_per_pair_loops(data):
         assert got == want, method
         if method == "macaulay" and d == 2 and not isinstance(want, str):
             assert info["square"] and info["infinite"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_roots_in_the_unit_polydisc_are_read_at_the_constant_entry(d):
+    # The monomial vector of a root with every |x_i| <= 1 is largest at the
+    # constant monomial, and a tie goes to it, so the read-out is the
+    # column-0 ratio byte for byte. Coordinates 1, -1, 1j and -1j make
+    # exact ties; the vectors carry a random complex scale.
+    index = macaulay_hat(generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2))).index
+    rng = np.random.default_rng(d)
+    n = 300
+    X = rng.uniform(0.0, 0.99, (n, d)) * np.exp(2j * np.pi * rng.uniform(size=(n, d)))
+    unit = rng.uniform(size=(n, d)) < 0.5
+    X[unit] = rng.choice(np.array([1, -1, 1j, -1j]), size=np.count_nonzero(unit))
+    V = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) * np.ones((n, len(index.col_labels)))
+    for k, m in enumerate(index.col_labels):
+        for i, e in enumerate(m):
+            for _ in range(e):
+                V[:, k] *= X[:, i]
+    got = _roots_from_vectors(V, index)
+    assert got.tobytes() == (V[:, index.up[:, 0]] / V[:, :1]).tobytes()
+    assert np.allclose(got, X, rtol=1e-14, atol=0.0)
+
+
+def _relative_backward_error(s, x):
+    """||p(x)|| / sum of |c| |x^m| over every term of every polynomial."""
+    values, _ = s.evaluate([x])
+    weight = sum(abs(c) * np.prod(np.abs(x) ** np.array(m)) for p in s.polys for m, c in p.terms.items())
+    return float(np.linalg.norm(values[0])) / weight
+
+
+@pytest.mark.parametrize("sigma", [1e-8, 1e-6, 1e-4])
+def test_fig_4b_far_roots_have_small_backward_errors(sigma):
+    # notdev2d has a root near |y| = 1/sigma. Its eigenvector's degree <= 1
+    # entries sit near rounding level, so it is read at its largest entry
+    # below the top degree. The first 20 seed-1 trials of fig 4b that solve
+    # must each return that root with a small relative backward error. The
+    # three roots near the shift form a near-multiple cluster, read at the
+    # constant entry by any rule; their backward errors reach 0.5 at
+    # sigma = 1e-8 and are not checked here.
+    spec = FIGURES["4b"]
+    idx = spec.values.index(sigma)
+    fspec = bench._family_spec(spec, sigma)
+    errors = []
+    for trial in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, idx, trial]))
+        s = generate(fspec, rng=rng)
+        try:
+            report = solve(s, "macaulay", rng=rng)
+        except NullityMismatch:
+            continue
+        far = [x for x in report.roots if np.abs(x).max() > 1.0]
+        assert len(far) == 1
+        errors.append(_relative_backward_error(s, far[0]))
+        if len(errors) == 20:
+            break
+    assert len(errors) == 20
+    assert max(errors) <= 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -733,9 +778,12 @@ def test_nf_solves_n_b_once_for_every_coordinate(monkeypatch, d):
 # At root scale 1e5 the polynomial coefficients span ten decades and the
 # monomial vector fifteen. nf's null space then carries errors its
 # eigenproblem's kappa does not see (on every d = 3 draw and about one d = 2
-# draw in six), and the Macaulay read-out returns roots with residuals near
-# 1e16 on every draw while its kappa stays near 1e4. Both are faults of
-# those solvers; the marks go when they are mended.
+# draw in six). The Macaulay solver misses the roots by about their own
+# size on every draw while its kappa stays near 1e4, and not through its
+# read-out: its eigenvectors are already far from the roots' monomial
+# vectors (sine of the angle 7e-3 or more), which swamps every entry below
+# the top degree. Both faults sit upstream, in the unbalanced pencil or
+# null space; the marks go when they are mended.
 _SCALE_FAULT = pytest.mark.xfail(
     strict=True, reason="the root-scale 1e5 error exceeds what subproblem_kappa predicts"
 )
