@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .numkernel import _ZGEQP3, GenEigProblem, SvdFactor, _zgeqp3_lwork
+from .numkernel import GenEigProblem, SvdFactor, _zgeqp3
 from .polycore import (
     CompiledLayout,
     MultiPoly,
@@ -250,11 +250,10 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
         raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
     N = mhat.factor.null_space(r)
     cand = mhat.index.candidates
-    # scipy.linalg.qr(C.T, mode="r", pivoting=True) minus its finiteness
-    # check: N comes from the SVD of a finite matrix (MultiPoly rejects
-    # non-finite coefficients). The fancy-indexed copy is ours to overwrite.
-    CT = N[cand, :].T
-    qr, jpvt, _, _, info = _ZGEQP3(CT, lwork=_zgeqp3_lwork(*CT.shape), overwrite_a=True)
+    # zgeqp3 of C^T, as scipy.linalg.qr(C.T, mode="r", pivoting=True) runs
+    # it, minus its finiteness check: N comes from the SVD of a finite matrix
+    # (MultiPoly rejects non-finite coefficients).
+    qr, jpvt, info = _zgeqp3(N[cand, :].T)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
     diag = np.abs(np.diag(qr))

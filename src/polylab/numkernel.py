@@ -7,19 +7,25 @@ determinants over Kronecker products, polynomial determinants),
 companion-matrix rootfinding, and seeded random matrix generators. Matrices
 are plain complex ndarrays.
 
-generalized_eig calls LAPACK's zggev directly, once per pencil, with its
-workspace size cached per dimension, and returns every eigenpair of the
-pencil as one EigPairs of arrays. Its outputs are byte-equal to
-scipy.linalg.eig followed by a per-vector np.linalg.norm normalization,
-which is why it keeps both normalization passes. The private stacked
-kernels (_dots, _row_norms, _bilinear, _magnitude) let callers read all
-eigenpairs at once with results byte-equal to a loop over the pairs.
+Every LAPACK and BLAS routine called here by name comes from numpy's own
+build (scipy-openblas), through ctypes, so one OpenBLAS and one thread
+setting serve all of them; scipy's f2py wrappers stand in, imported on
+first use, only on a numpy build that does not export those routines.
+
+generalized_eig calls zggev directly, once per pencil, with its workspace
+size cached per dimension, and returns every eigenpair of the pencil as
+one EigPairs of arrays. Its outputs are byte-equal to scipy.linalg.eig
+followed by a per-vector np.linalg.norm normalization, wherever numpy's
+and scipy's OpenBLAS agree, which is why it keeps both normalization
+passes. The private stacked kernels (_dots,
+_row_norms, _bilinear, _magnitude) let callers read all eigenpairs at once
+with results byte-equal to a loop over the pairs.
 
 SvdFactor never forms U. On the tall matrices of zgesdd's path 6 it runs
-zgesdd's own steps (zgebrd, dbdsdc, zunmbr) from numpy's LAPACK build and
-back-transforms only the rows of V^H that a null space reads; its singular
-values and null spaces are byte-equal to np.linalg.svd's. Every other
-matrix goes to np.linalg.svd.
+zgesdd's own steps (zgebrd, dbdsdc, zunmbr) and back-transforms only the
+rows of V^H that a null space reads; its singular values and null spaces
+are byte-equal to np.linalg.svd's. Every other matrix goes to
+np.linalg.svd.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .polycore import UniPoly
 
@@ -115,29 +120,186 @@ def sigma_min(M) -> float:
     return float(s[-1])
 
 
-# LAPACK's complex QZ driver, and the BLAS 2-norm that scipy.linalg.norm calls
-# on a complex vector.
-_ZGGEV = scipy.linalg.get_lapack_funcs("ggev", dtype=np.complex128)
-_NRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128, ilp64="preferred")
+# numpy's own LAPACK and BLAS, the build np.linalg runs from (scipy-openblas:
+# 64-bit integers), so that QZ, the pivoted QR, the eigenvector norms and
+# SvdFactor's steps of zgesdd run in one OpenBLAS, whose thread count
+# _BLAS_THREADS reads. Each routine's arguments, all by reference, one letter
+# each: "f" a character flag, "i" a 64-bit integer, "p" an array (its
+# address, or None for an array the call does not reference). After them
+# gfortran passes one hidden size_t length per flag. dznrm2 and zlange are
+# functions returning a double; the rest are subroutines.
+_LAPACK_SIGNATURES = {
+    "zggev": "ffipipipppipipipi",
+    "zgeqp3": "iipipppipi",
+    "dznrm2": "ipi",
+    "zgesdd": "fiipippipipippi",
+    "zgebrd": "iipipppppii",
+    "dbdsdc": "ffipppipippppi",
+    "zunmbr": "fffiiipippipii",
+    "zunmlq": "ffiiipippipii",
+    "zlange": "fiipip",
+}
+_ARG_TYPES = {"f": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "p": ctypes.c_void_p}
+
+
+def _load_lapack():
+    """The routines of _LAPACK_SIGNATURES and OpenBLAS's thread-count getter, from numpy's build.
+
+    (None, None) where numpy's build does not export them (the Accelerate
+    macOS arm64 wheels, conda builds): zggev, zgeqp3 and nrm2 then come from
+    scipy's f2py wrappers (_scipy_routine), and SvdFactor from np.linalg.svd.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _LAPACK_SIGNATURES}
+    except (OSError, AttributeError):
+        return None, None
+    for name, signature in _LAPACK_SIGNATURES.items():
+        flags = [ctypes.c_size_t] * signature.count("f")
+        routines[name].argtypes = [_ARG_TYPES[c] for c in signature] + flags
+        routines[name].restype = ctypes.c_double if name in ("dznrm2", "zlange") else None
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.argtypes, threads.restype = [], ctypes.c_int
+    return routines, threads
+
+
+_LAPACK, _BLAS_THREADS = _load_lapack()
+
+
+def _lapack(name: str, *args) -> int:
+    """Call one of _LAPACK's subroutines and return its INFO, which follows ``args``.
+
+    A Python int goes as a 64-bit integer, an array by address, None as the
+    null pointer of an unreferenced array, and bytes as a character flag.
+    """
+    info = ctypes.c_int64(0)
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, bytes):
+            refs.append(a)
+            lengths.append(len(a))
+        elif isinstance(a, int):
+            refs.append(ctypes.c_int64(a))
+        else:
+            refs.append(None if a is None else a.ctypes.data)
+    _LAPACK[name](*refs, info, *lengths)
+    return info.value
+
+
+@functools.lru_cache(maxsize=None)
+def _int_args(*values: int) -> tuple:
+    """``values`` as 64-bit integer arguments of _LAPACK's routines, which only read them."""
+    return tuple(ctypes.c_int64(v) for v in values)
+
+
+def _buffer(size: int) -> tuple:
+    """A zeroed complex array of ``size`` entries for one LAPACK call, and its address.
+
+    The memory is a ctypes array that numpy views: reading its address
+    costs a fraction of what ndarray.ctypes.data costs, which keeps a small
+    call near the cost of scipy's f2py wrapper.
+    """
+    raw = (ctypes.c_double * (2 * size))()
+    return np.frombuffer(raw, dtype=complex), ctypes.addressof(raw)
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_routine(name: str):
+    """scipy's f2py wrapper of the complex LAPACK routine or BLAS nrm2 ``name``.
+
+    Only a numpy build without _LAPACK calls these, so scipy.linalg is
+    imported on first use.
+    """
+    import scipy.linalg
+
+    if name == "nrm2":
+        return scipy.linalg.get_blas_funcs(name, dtype=np.complex128, ilp64="preferred")
+    return scipy.linalg.get_lapack_funcs(name, dtype=np.complex128)
 
 
 @functools.lru_cache(maxsize=None)
 def _zggev_lwork(n: int) -> int:
     """Optimal zggev workspace for an n x n pencil; LAPACK's query reads only n."""
-    z = np.zeros((n, n), dtype=complex)
-    work = _ZGGEV(z, z, lwork=-1)[-2]
+    if _LAPACK is None:
+        z = np.zeros((n, n), dtype=complex)
+        return int(_scipy_routine("ggev")(z, z, lwork=-1)[-2][0].real)
+    work = np.zeros(1, dtype=complex)
+    _lapack("zggev", b"V", b"V", n, None, n, None, n, None, None, None, n, None, n, work, -1, None)
     return int(work[0].real)
 
 
-# LAPACK's column-pivoted QR, as scipy.linalg.qr(pivoting=True) calls it.
-_ZGEQP3 = scipy.linalg.get_lapack_funcs("geqp3", dtype=np.complex128)
+def _zggev(A: np.ndarray, B: np.ndarray) -> tuple:
+    """zggev('V', 'V') on copies of the n x n A and B, then the BLAS nrm2 of each eigenvector.
+
+    Returns alpha, beta, INFO, V and norms: V[0, k] and V[1, k] are the k-th
+    right and left eigenvectors as zggev returns them (the columns of vr and
+    vl, as rows), and norms[i, k] is the nrm2 of V[i, k]. These are the
+    LAPACK and BLAS calls scipy.linalg.eig makes. One buffer holds the
+    copies, the outputs and the workspace.
+    """
+    n = A.shape[0]
+    lwork = _zggev_lwork(n)
+    if _LAPACK is None:
+        nrm2 = _scipy_routine("nrm2")
+        alpha, beta, vl, vr, _, info = _scipy_routine("ggev")(
+            A, B, compute_vl=1, compute_vr=1, lwork=lwork
+        )
+        V = np.stack((vr.T, vl.T))
+        return alpha, beta, info, V, np.array([[nrm2(v) for v in W] for W in V])
+    N, LW, ONE = _int_args(n, lwork, 1)
+    nn = n * n
+    # A, B, vr and vl, each the transpose of a C-ordered n x n block (so
+    # Fortran-ordered); then alpha, beta, rwork (8n reals) and work.
+    buf, a = _buffer(4 * nn + 6 * n + lwork)
+    blocks = buf[: 4 * nn].reshape(4, n, n)
+    blocks[0], blocks[1] = A.T, B.T
+    vr, vl, alpha = a + 32 * nn, a + 48 * nn, a + 64 * nn
+    beta, rwork, work = alpha + 16 * n, alpha + 32 * n, alpha + 96 * n
+    info = ctypes.c_int64(0)
+    _LAPACK["zggev"](
+        b"V", b"V", N, a, N, a + 16 * nn, N, alpha, beta, vl, N, vr, N, work, LW, rwork, info, 1, 1
+    )
+    nrm2 = _LAPACK["dznrm2"]
+    norms = np.array([nrm2(N, v, ONE) for v in range(vr, vr + 32 * nn, 16 * n)]).reshape(2, n)
+    return buf[4 * nn : 4 * nn + n], buf[4 * nn + n : 4 * nn + 2 * n], info.value, blocks[2:], norms
 
 
 @functools.lru_cache(maxsize=None)
 def _zgeqp3_lwork(m: int, n: int) -> int:
     """Optimal zgeqp3 workspace for an m x n matrix; LAPACK's query reads only the shape."""
-    work = _ZGEQP3(np.zeros((m, n), dtype=complex), lwork=-1)[-2]
+    if _LAPACK is None:
+        return int(_scipy_routine("geqp3")(np.zeros((m, n), dtype=complex), lwork=-1)[-2][0].real)
+    work = np.zeros(1, dtype=complex)
+    _lapack("zgeqp3", m, n, None, m, None, None, work, -1, None)
     return int(work[0].real)
+
+
+def _zgeqp3(A: np.ndarray) -> tuple:
+    """zgeqp3, LAPACK's column-pivoted QR, of a copy of the m x n A, as scipy.linalg.qr calls it.
+
+    Returns qr, jpvt and INFO: qr is zgeqp3's output matrix, R on and above
+    its diagonal, and jpvt holds the pivot columns, counted from 1. One
+    buffer holds the copy, the other outputs and the workspace.
+    """
+    m, n = A.shape
+    lwork = _zgeqp3_lwork(m, n)
+    if _LAPACK is None:
+        qr, jpvt, _, _, info = _scipy_routine("geqp3")(A, lwork=lwork)
+        return qr, jpvt, info
+    M, N, LW = _int_args(m, n, lwork)
+    mn, k = m * n, min(m, n)
+    # qr (Fortran-ordered), tau (k), work, rwork (2n reals) and jpvt (n 64-bit
+    # integers), zero: a zero jpvt entry leaves its column free to pivot.
+    buf, a = _buffer(mn + k + lwork + n + (n + 1) // 2)
+    qr = buf[:mn].reshape(n, m).T
+    qr[...] = A
+    tau, work = a + 16 * mn, a + 16 * (mn + k)
+    rwork, jpvt = work + 16 * lwork, work + 16 * (lwork + n)
+    info = ctypes.c_int64(0)
+    _LAPACK["zgeqp3"](M, N, a, M, jpvt, tau, work, LW, rwork, info)
+    start = 2 * (mn + k + lwork + n)
+    return qr, buf.view(np.int64)[start : start + n], info.value
 
 
 # Stacked kernels private to the package, so that tracers wrapping the
@@ -185,17 +347,19 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
     whose pencil can be singular rules that out itself (the Macaulay
     pencil's nullity check in choose_basis).
 
-    One zggev call computes both eigenvector sets, and the output is
+    One zggev call computes both eigenvector sets, and each set is
+    normalized twice: by the BLAS nrm2 of each vector, as scipy.linalg.eig
+    does, then by the np.linalg.norm sum of squares of each row
+    (_row_norms), each pass one whole-matrix division. zggev and nrm2 run
+    from numpy's OpenBLAS (see _zggev); where they return the bits scipy's
+    OpenBLAS returns, as on the builds the tests compare, the output is
     byte-equal to scipy.linalg.eig's followed by a per-vector
-    np.linalg.norm normalization. So each set is normalized twice: by the
-    BLAS nrm2 of each vector, as scipy.linalg.eig does, then by the
-    np.linalg.norm sum of squares of each row (_row_norms), each pass one
-    whole-matrix division. The second pass moves the last bits, and roots
-    read from the vectors by Rayleigh quotients move with them (by about
-    eps kappa at an ill-conditioned eigenvalue: one pass moves 3 of the
-    6,309 seed-1 presets-small trials by more than a digit), so merging the
-    passes waits for a correctness check that tolerates rounding (ROADMAP
-    item 2(a)).
+    np.linalg.norm normalization. The second pass moves the last bits, and
+    roots read from the vectors by Rayleigh quotients move with them (by
+    about eps kappa at an ill-conditioned eigenvalue: one pass moves 3 of
+    the 6,309 seed-1 presets-small trials by more than a digit), so merging
+    the passes waits for a correctness check that tolerates rounding
+    (ROADMAP item 2(a)).
     Non-finite input raises ValueError and a QZ failure LinAlgError, with
     scipy's messages.
     """
@@ -211,9 +375,7 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
         )
     if not (np.isfinite(gep.A).all() and np.isfinite(gep.B).all()):
         raise ValueError("array must not contain infs or NaNs")
-    alpha, beta, vl, vr, _, info = _ZGGEV(
-        gep.A, gep.B, compute_vl=1, compute_vr=1, lwork=_zggev_lwork(n)
-    )
+    alpha, beta, info, V, norms = _zggev(gep.A, gep.B)
     if info < 0:
         raise ValueError(
             f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)"
@@ -230,18 +392,14 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
             f"a QZ pair has |alpha| <= {tol:.1e} ||A||_F and |beta| <= {tol:.1e} ||B||_F"
         )
     # scipy.linalg.norm's finiteness check on each vector.
-    if not (np.isfinite(vl).all() and np.isfinite(vr).all()):
+    if not np.isfinite(V).all():
         raise ValueError("array must not contain infs or NaNs")
-    # vl and vr are Fortran-ordered: the rows of their transposes are the
-    # eigenvectors, contiguous. LAPACK returns vl with vl^H A = lambda vl^H B;
-    # its conjugate is the transpose-convention left vector.
-    right, left = vr.T, vl.T
-    for V in (right, left):
-        V /= np.array([_NRM2(v) for v in V])[:, None]
-    left = left.conj()
-    norms = _row_norms(np.stack((right, left)))
-    right /= norms[0][:, None]
-    left /= norms[1][:, None]
+    # LAPACK returns vl with vl^H A = lambda vl^H B; its conjugate is the
+    # transpose-convention left vector.
+    V /= norms[:, :, None]
+    np.conjugate(V[1], out=V[1])
+    V /= _row_norms(V)[:, :, None]
+    right, left = V
     abs_alpha, abs_beta = _magnitude(alpha), _magnitude(beta)
     lam = alpha / np.where(infinite, 1.0, beta)
     lam[infinite] = np.inf
@@ -253,38 +411,6 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
         left=left,
     )
 
-
-# numpy's own LAPACK, the build np.linalg.svd runs zgesdd from (scipy-openblas:
-# 64-bit integers). Every argument goes by reference, and after them one
-# hidden size_t length per character flag, as gfortran passes them; here
-# each routine's (argument count, flag count). SvdFactor runs zgesdd's steps
-# from it; None where numpy's build does not export them.
-_SVD_SIGNATURES = {
-    "zgesdd": (15, 1),
-    "zgebrd": (11, 0),
-    "dbdsdc": (14, 2),
-    "zunmbr": (14, 3),
-    "zunmlq": (13, 2),
-    "zlange": (6, 1),
-}
-
-
-def _load_svd_lapack():
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _SVD_SIGNATURES}
-    except (OSError, AttributeError):
-        return None, None
-    for name, (args, flags) in _SVD_SIGNATURES.items():
-        routines[name].argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * flags
-        routines[name].restype = ctypes.c_double if name == "zlange" else None
-    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if threads is not None:
-        threads.argtypes, threads.restype = [], ctypes.c_int
-    return routines, threads
-
-
-_SVD_LAPACK, _BLAS_THREADS = _load_svd_lapack()
 
 # OpenBLAS's kernels take the rows of a product in groups (of up to 16 rows
 # on the AVX-512 kernels measured) and a last, partial group by other code,
@@ -301,31 +427,10 @@ _SVD_SMALL = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _SVD_BIG = 1.0 / _SVD_SMALL
 
 
-def _lapack(name: str, *args) -> int:
-    """Call one of _SVD_LAPACK's routines and return its INFO, which follows ``args``.
-
-    A Python int goes by reference as a 64-bit integer, an array by address,
-    None as the null pointer of an unreferenced array, and bytes as a
-    character flag.
-    """
-    info = ctypes.c_int64(0)
-    refs, lengths = [], []
-    for a in args:
-        if isinstance(a, bytes):
-            refs.append(a)
-            lengths.append(len(a))
-        elif isinstance(a, int):
-            refs.append(ctypes.byref(ctypes.c_int64(a)))
-        else:
-            refs.append(None if a is None else a.ctypes.data)
-    _SVD_LAPACK[name](*refs, ctypes.byref(info), *lengths)
-    return info.value
-
-
 def _max_modulus(A: np.ndarray) -> float:
     """zlange('M'): the largest |a_ij| of a Fortran-ordered matrix, nan if one is nan."""
-    m, n = (ctypes.byref(ctypes.c_int64(k)) for k in A.shape)
-    return _SVD_LAPACK["zlange"](b"M", m, n, A.ctypes.data, m, None, 1)
+    m, n = _int_args(*A.shape)
+    return _LAPACK["zlange"](b"M", m, n, A.ctypes.data, m, None, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +499,7 @@ class SvdFactor:
     def of(M) -> "SvdFactor":
         M = np.asarray(M, dtype=complex)
         m, n = M.shape
-        if _SVD_LAPACK is not None and n <= m < int(n * 5.0 / 3.0):
+        if _LAPACK is not None and n <= m < int(n * 5.0 / 3.0):
             A = np.array(M, order="F")
             anrm = _max_modulus(A)
             if anrm == 0 or _SVD_SMALL <= anrm <= _SVD_BIG:

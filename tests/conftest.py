@@ -5,6 +5,8 @@ import ctypes
 import numpy as np
 import pytest
 
+from polylab import numkernel
+
 
 @pytest.fixture(params=["one-blas-thread", "blas-threads-as-set"])
 def blas_threads(request):
@@ -28,3 +30,26 @@ def blas_threads(request):
         yield
     finally:
         put(before)
+
+
+@pytest.fixture
+def scipy_fallback(monkeypatch):
+    """A switch to what numkernel runs on a numpy build that exports no LAPACK.
+
+    Calling it sets numkernel._LAPACK to None, so that zggev, zgeqp3 and
+    nrm2 come from scipy's wrappers and SvdFactor from np.linalg.svd. The
+    workspace sizes cached from numpy's queries are dropped then and at
+    teardown, so that the fallback queries scipy's build for its own.
+    """
+    if numkernel._LAPACK is None:
+        pytest.skip("numpy's LAPACK does not export the routines; the fallback is the only path")
+    caches = (numkernel._zggev_lwork, numkernel._zgeqp3_lwork)
+
+    def switch():
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(numkernel, "_LAPACK", None)
+
+    yield switch
+    for cached in caches:
+        cached.cache_clear()

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polylab
 from polylab import (
     FamilySpec,
     MultiPoly,
@@ -18,6 +23,7 @@ from polylab import (
     macaulay_hat,
     macaulay_pencil,
     mep_from_system,
+    numkernel,
     read_csv,
 )
 from polylab.cli import _audit_one, main
@@ -35,6 +41,36 @@ def gen_file(tmp_path, name="sys.json", *extra):
     )
     assert code == 0
     return path
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from polylab.cli import main
+
+path = sys.argv[1]
+codes = [main(["gen", "--family", "permutation", "--d", "2", "--sigma", "0.01", "--out", path])]
+codes += [main(["solve", "--system", path, "--method", m]) for m in ("nf", "macaulay", "mep")]
+codes.append(main(["audit", "--system", path]))
+loaded = [name for name, module in sys.modules.items() if module and name.split(".")[0] == "scipy"]
+print(codes, loaded, file=sys.stderr)
+sys.exit(codes != [0] * 5 or bool(loaded))
+"""
+
+
+@pytest.mark.skipif(
+    numkernel._LAPACK is None, reason="numpy's build does not export the LAPACK routines"
+)
+def test_the_cli_runs_without_scipy(tmp_path):
+    # numpy's own LAPACK serves zggev, zgeqp3 and nrm2, so gen, solve and
+    # audit run, and load no scipy module, in a process where it is missing.
+    env = dict(os.environ, PYTHONPATH=str(Path(polylab.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "s.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_gen_writes_a_loadable_system(tmp_path):

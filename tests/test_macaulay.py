@@ -30,7 +30,7 @@ from polylab import (
     solve_normal_form,
 )
 from polylab.macaulay import _h_rows
-from polylab.numkernel import _ZGEQP3, SvdFactor, _zgeqp3_lwork
+from polylab.numkernel import SvdFactor, _zgeqp3, _zgeqp3_lwork
 from polylab.polycore import monomial_positions
 
 
@@ -112,7 +112,10 @@ def test_choose_basis_reads_the_null_space():
 # (r, candidates) of choose_basis's QR at d = 2, 3, 4 and 5, and a shape
 # whose min(m, n) passes zgeqp3's crossover to blocked code (128 by default),
 # where the workspace size decides the block size.
-@pytest.mark.parametrize("shape", [(4, 6), (8, 20), (16, 70), (32, 252), (160, 200)])
+_QR_SHAPES = [(4, 6), (8, 20), (16, 70), (32, 252), (160, 200)]
+
+
+@pytest.mark.parametrize("shape", _QR_SHAPES)
 def test_the_direct_pivoted_qr_equals_scipys(shape):
     m, n = shape
     rng = np.random.default_rng(m)
@@ -123,12 +126,41 @@ def test_the_direct_pivoted_qr_equals_scipys(shape):
     tied[5] = tied[2]
     for C in (Q[:n], tied):
         R, piv = scipy.linalg.qr(C.T, mode="r", pivoting=True)
-        qr, jpvt, _, _, info = _ZGEQP3(C.copy().T, lwork=_zgeqp3_lwork(m, n), overwrite_a=True)
+        qr, jpvt, info = _zgeqp3(C.T)
         assert info == 0
-        assert (jpvt - 1).tobytes() == piv.tobytes()
+        assert (jpvt - 1).astype(np.int32).tobytes() == piv.tobytes()
         assert np.diag(qr).tobytes() == np.diag(R).tobytes()
-    fresh = _ZGEQP3(Q[:n].T, lwork=-1)[-2][0].real.astype(np.int_)
+    geqp3 = scipy.linalg.get_lapack_funcs("geqp3", dtype=np.complex128)
+    fresh = geqp3(Q[:n].T, lwork=-1)[-2][0].real.astype(np.int_)
     assert _zgeqp3_lwork(m, n) == fresh
+
+
+def test_the_scipy_fallback_selects_the_basis_numpys_lapack_selects(scipy_fallback):
+    # The direct QR on the shapes above, and choose_basis on d = 2, 3 and 4
+    # systems (wide, wide and tall Macaulay matrices).
+    rng = np.random.default_rng(47)
+    matrices = [
+        rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)) for m, n in _QR_SHAPES
+    ]
+    systems = [
+        generate(FamilySpec(family=family, d=d, sigma=1e-2), rng=np.random.default_rng(d))
+        for family, d in (("orthogonal", 2), ("permutation", 2), ("notdev3d", 3), ("orthogonal", 4))
+    ]
+
+    def outputs():
+        qrs = [_zgeqp3(C.T) for C in matrices]
+        sels = [choose_basis(macaulay_hat(s)) for s in systems]
+        return (
+            [(qr.tobytes(), (jpvt - 1).astype(np.int32).tobytes(), info) for qr, jpvt, info in qrs],
+            [
+                (sel.monomials, sel.cond, sel.indices.tobytes(), sel.nullspace.tobytes())
+                for sel in sels
+            ],
+        )
+
+    want = outputs()
+    scipy_fallback()
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,5 +1,6 @@
 """Dense linear algebra wrappers: companion, pencils, null spaces."""
 
+import ctypes
 import math
 import warnings
 
@@ -24,7 +25,6 @@ from polylab import (
     sigma_min,
 )
 from polylab.numkernel import (
-    _ZGGEV,
     QZ_ZERO_TOL,
     SvdFactor,
     _magnitude,
@@ -172,6 +172,16 @@ def test_generalized_eig_matches_scipy_eig_bit_for_bit():
     assert infinite >= 1
 
 
+def test_the_scipy_fallback_is_byte_equal_to_numpys_lapack(scipy_fallback):
+    pencils = _bit_test_pencils()
+    want = [generalized_eig(gep) for gep in pencils]
+    scipy_fallback()
+    for gep, ref in zip(pencils, want):
+        got = generalized_eig(gep)
+        for field in ("lam", "infinite", "beta_ratio", "right", "left"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+
 def test_kappa_eig_matches_the_norm_formula_bit_for_bit():
     for gep in _bit_test_pencils():
         pairs = generalized_eig(gep)
@@ -233,10 +243,11 @@ def test_generalized_eig_of_an_empty_pencil_is_empty():
 
 def test_cached_workspace_equals_a_fresh_query():
     rng = np.random.default_rng(29)
+    ggev = scipy.linalg.get_lapack_funcs("ggev", dtype=np.complex128)
     for gep in _bit_test_pencils():
         n = gep.dim
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        fresh = _ZGGEV(A, A.T.copy(), lwork=-1)[-2][0].real.astype(np.int_)
+        fresh = ggev(A, A.T.copy(), lwork=-1)[-2][0].real.astype(np.int_)
         assert _zggev_lwork(n) == fresh
 
 
@@ -306,8 +317,37 @@ def test_null_space_silent_on_clean_gap():
 
 
 needs_kernel = pytest.mark.skipif(
-    numkernel._SVD_LAPACK is None, reason="numpy's LAPACK does not export zgesdd's routines"
+    numkernel._LAPACK is None, reason="numpy's build does not export the LAPACK routines"
 )
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [
+        ("dli_fname", ctypes.c_char_p),
+        ("dli_fbase", ctypes.c_void_p),
+        ("dli_sname", ctypes.c_char_p),
+        ("dli_saddr", ctypes.c_void_p),
+    ]
+
+
+def _library_of(function) -> bytes:
+    """The path of the shared library that defines a ctypes function, by dladdr."""
+    dladdr = ctypes.CDLL(None).dladdr
+    dladdr.argtypes = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)]
+    info = _DlInfo()
+    assert dladdr(ctypes.cast(function, ctypes.c_void_p), ctypes.byref(info))
+    return info.dli_fname
+
+
+@needs_kernel
+def test_every_routine_comes_from_the_blas_whose_threads_are_read():
+    # QZ, the pivoted QR and the eigenvector norms run in the one OpenBLAS
+    # that SvdFactor's thread check reads, not in scipy's copy.
+    lapack = numkernel._LAPACK
+    assert {"zggev", "zgeqp3", "dznrm2"} <= lapack.keys()
+    assert numkernel._BLAS_THREADS is not None
+    blas = _library_of(numkernel._BLAS_THREADS)
+    assert {name: _library_of(f) for name, f in lapack.items()} == dict.fromkeys(lapack, blas)
 
 
 def assert_svd_bits(M, nullities) -> SvdFactor:
