@@ -12,20 +12,22 @@ lines used by the benchmark plots.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .macaulay import BasisSelection, MacaulayPencil, linear_poly
-from .numkernel import EigPairs, GenEigProblem, _bilinear, _magnitude, _row_norms
-from .polycore import (
-    SUPPORT_CACHE_SIZE,
-    MultiPoly,
-    PolySystem,
-    _cpow,
+from .numkernel import (
+    EigPairs,
+    GenEigProblem,
+    _bilinear,
+    _cofactor_plan,
+    _expand,
+    _magnitude,
+    _row_norms,
 )
+from .polycore import MultiPoly, PolySystem, _cpow
 
 
 class SingularJacobian(Exception):
@@ -245,71 +247,12 @@ def q_factorization(s: PolySystem, xstar) -> QFactorization:
     return QFactorization(shifted=tuple(grid), shift=root.x)
 
 
-@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
-def _cofactor_plan(nvars: int, supports: tuple) -> tuple:
-    """numkernel.laplace_expansion of a polynomial grid, compiled for its supports.
-
-    ``supports[i][j]`` lists the monomials of entry (i, j) in dict order.
-    Returns (monomials, levels): one level per expansion row, the last row
-    first. The level of row k holds every minor on rows k..d-1, the one
-    without the columns in ``mask`` being the sum over the other columns j
-    of +-(entry (k, j)) * (the previous level's minor for mask | 1 << j),
-    with laplace_expansion's signs; before row d-1 stands the constant 1.
-    So the plan makes the expansion's d * 2^(d-1) polynomial products, not
-    the d! of Leibniz's formula. A level is (take, minor, sign, put, size):
-    scalar product n is entry coefficient take[n] (flat over the grid, row
-    by row, each entry in dict order) times previous-level coefficient
-    minor[n] times sign[n], added to coefficient put[n] of the level's
-    ``size``. The last level is the determinant, over ``monomials``.
-    """
-    d = len(supports)
-    starts = [0, *itertools.accumulate(len(sup) for row in supports for sup in row)]
-    prev = {(1 << d) - 1: (0, {(0,) * nvars: 0})}  # mask -> (offset, {monomial: position})
-    levels = []
-    for row in range(d - 1, -1, -1):
-        take, minor, sign, put = [], [], [], []
-        level = {}
-        size = 0
-        for mask in (m for m in range(1 << d) if bin(m).count("1") == row):
-            out: dict = {}
-            free = [j for j in range(d) if not mask & (1 << j)]
-            for pos, j in enumerate(free):
-                offset, child = prev[mask | (1 << j)]
-                start = starts[row * d + j]
-                for ta, ma in enumerate(supports[row][j]):
-                    for mb, tb in child.items():
-                        m = tuple(a + b for a, b in zip(ma, mb))
-                        take.append(start + ta)
-                        minor.append(offset + tb)
-                        sign.append(-1.0 if pos % 2 else 1.0)
-                        put.append(size + out.setdefault(m, len(out)))
-            level[mask] = (size, out)
-            size += len(out)
-        arrays = (np.array(take, dtype=np.intp), np.array(minor, dtype=np.intp),
-                  np.array(sign), np.array(put, dtype=np.intp))
-        for a in arrays:
-            a.setflags(write=False)
-        levels.append(arrays + (size,))
-        prev = level
-    return tuple(prev[0][1]), tuple(levels)
-
-
 def poly_det(grid) -> MultiPoly:
-    """Determinant of a square grid of polynomials, by its cached cofactor plan.
-
-    Each expansion row is one gather-multiply-scatter over the flat
-    coefficient arrays; see _cofactor_plan.
-    """
+    """Determinant of a square grid of polynomials, by its cached numkernel._cofactor_plan."""
     nvars = grid[0][0].nvars
-    monomials, levels = _cofactor_plan(nvars, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
+    exponents, levels = _cofactor_plan(nvars, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
     flat = np.array([c for row in grid for q in row for c in q.terms.values()], dtype=complex)
-    coeffs = np.ones(1, dtype=complex)
-    for take, minor, sign, put, size in levels:
-        prod = flat[take] * coeffs[minor]
-        coeffs = np.empty(size, dtype=complex)
-        coeffs.real = np.bincount(put, prod.real * sign, size)
-        coeffs.imag = np.bincount(put, prod.imag * sign, size)
-    return MultiPoly._of_terms(nvars, dict(zip(monomials, coeffs.tolist())))
+    return MultiPoly._of_terms(nvars, dict(zip(map(tuple, exponents.tolist()), _expand(levels, flat).tolist())))
 
 
 def lagrange_interpolant(qf: QFactorization) -> MultiPoly:

@@ -1,11 +1,10 @@
 """Dense complex linear algebra kernels shared by the solvers.
 
 Thin contracts over LAPACK-backed routines: SVD, generalized eigenproblems
-with left and right eigenvectors, fixed-nullity null spaces, the memoized
-cofactor expansion behind every grid determinant (block operator
-determinants over Kronecker products, polynomial determinants),
-companion-matrix rootfinding, and seeded random matrix generators. Matrices
-are plain complex ndarrays.
+with left and right eigenvectors, fixed-nullity null spaces, the one
+cofactor expansion, compiled per support (_cofactor_plan, behind det Q and
+the block determinants Delta_0..Delta_d), companion-matrix rootfinding,
+and seeded random matrix generators. Matrices are plain complex ndarrays.
 
 Every LAPACK and BLAS routine called here by name comes from numpy's own
 build (scipy-openblas), through ctypes, so one OpenBLAS and one thread
@@ -32,13 +31,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polycore import UniPoly
+from .polycore import SUPPORT_CACHE_SIZE, UniPoly
 
 # A QZ pair entry within QZ_ZERO_TOL * n * eps of the norm of its matrix
 # (alpha against ||A||_F, beta against ||B||_F) is zero at QZ's backward error.
@@ -584,48 +584,74 @@ def null_space(M, nullity: int) -> np.ndarray:
     return SvdFactor.of(M).null_space(nullity)
 
 
-def laplace_expansion(grid, mul, one, memo: dict):
-    """Determinant of a square grid over a ring, by memoized cofactor expansion.
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _cofactor_plan(nvars: int, supports: tuple) -> tuple:
+    """The memoized cofactor expansion of a square grid of polynomials, compiled for its supports.
 
-    Expands along the rows with the Leibniz signs. ``mul(entry, minor)``
-    multiplies, ``one`` is the determinant of the empty grid, and entries
-    support ``+`` and unary ``-``. ``memo[mask]`` holds the minor on rows
-    popcount(mask)..d-1 and the columns outside ``mask``, which keeps the
-    product count near d * 2^(d-1) instead of d! * d. Such a minor never
-    reads the columns in ``mask``, so its entry also serves any grid that
-    differs only in those columns.
+    ``supports[i][j]`` lists the monomials of entry (i, j) in dict order.
+    Returns (exponents, levels), one level per expansion row, the last row
+    first. The level of row k holds every minor on rows k..d-1: the one
+    without the columns in ``mask`` sums, over the other columns j in order
+    and with alternating signs, entry (k, j) times the previous level's
+    minor for mask | 1 << j (d 2^(d-1) polynomial products, not Leibniz's
+    d!). A level is (take, minor, sign, put, size): scalar product n is
+    entry coefficient take[n] (flat over the grid, row by row, each entry in
+    dict order) times previous-level coefficient minor[n] times sign[n],
+    added to coefficient put[n] of ``size``, minors in mask order and their
+    coefficients in order of first appearance. The last level is the
+    determinant, its coefficient m that of the monomial with exponents[m].
     """
-    d = len(grid)
+    d = len(supports)
+    counts = [len(sup) for row in supports for sup in row]
+    starts = [0, *itertools.accumulate(counts)]
+    exps = np.array([m for row in supports for sup in row for m in sup], dtype=np.int64).reshape(-1, nvars)
+    # A monomial packs into the integer whose digit k, in radix bound[k], is
+    # its exponent of x_k. No product of one entry per row reaches bound[k],
+    # so a product of monomials is a sum of integers.
+    bound = 1 + sum(exps[starts[r * d] : starts[r * d + d]].max(axis=0, initial=0) for r in range(d))
+    place = np.cumprod([1, *bound[:-1]])
+    span = math.prod(bound.tolist())
+    if span << d >= 1 << 63:
+        raise ValueError("the grid's exponents are too large to pack into 64-bit integers")
+    codes, minor_codes = exps @ place, np.zeros(1, dtype=np.int64)
+    minors = {(1 << d) - 1: (0, 1)}  # mask -> (offset, size) of its minor in the previous level
+    levels = []
+    for row in range(d - 1, -1, -1):
+        masks = [m for m in range(1 << d) if bin(m).count("1") == row]
+        # (mask rank, entry start, entry size, minor offset, minor size, sign)
+        # for each mask and free column, in expansion order.
+        pairs = [
+            (rank, starts[row * d + j], counts[row * d + j], *minors[mask | 1 << j], -1.0 if pos % 2 else 1.0)
+            for rank, mask in enumerate(masks)
+            for pos, j in enumerate(j for j in range(d) if not mask & 1 << j)
+        ]
+        rank, entry, n_entry, offset, n_minor, signs = (np.array(c) for c in zip(*pairs))
+        n = n_entry * n_minor
+        pair = np.repeat(np.arange(len(pairs)), n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        take, minor = entry[pair] + k // n_minor[pair], offset[pair] + k % n_minor[pair]
+        keys = rank[pair] * span + codes[take] + minor_codes[minor]
+        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        keys, put = keys[order], np.argsort(order)[inverse]
+        minor_codes, sizes = keys % span, np.bincount(keys // span, minlength=len(masks))
+        minors = dict(zip(masks, zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist())))
+        levels.append((take, minor, signs[pair], put, order.size))
+    exponents = minor_codes[:, None] // place % bound
+    for a in (exponents, *(a for level in levels for a in level[:4])):
+        a.setflags(write=False)
+    return exponents, tuple(levels)
 
-    def expand(row: int, used_mask: int):
-        if row == d:
-            return one
-        if used_mask in memo:
-            return memo[used_mask]
-        acc = None
-        pos = 0  # position of column j among columns still available
-        for j in range(d):
-            if used_mask & (1 << j):
-                continue
-            term = mul(grid[row][j], expand(row + 1, used_mask | (1 << j)))
-            if pos % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-            pos += 1
-        memo[used_mask] = acc
-        return acc
 
-    return expand(0, 0)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2-d arrays, bit-equal to np.kron.
-
-    The one multiply np.kron makes, on the same broadcast views, without its
-    general-rank shape handling.
-    """
-    (m, n), (p, q) = a.shape, b.shape
-    return np.multiply(a[:, None, :, None], b[None, :, None, :]).reshape(m * p, n * q)
+def _expand(levels, flat: np.ndarray) -> np.ndarray:
+    """A cofactor plan's last level from the flat entry coefficients, one gather-multiply-scatter per level."""
+    coeffs = np.ones(1, dtype=complex)
+    for take, minor, sign, put, size in levels:
+        prod = flat[take] * coeffs[minor]
+        coeffs = np.empty(size, dtype=complex)
+        coeffs.real = np.bincount(put, prod.real * sign, size)
+        coeffs.imag = np.bincount(put, prod.imag * sign, size)
+    return coeffs
 
 
 def companion_matrix(p: UniPoly) -> np.ndarray:

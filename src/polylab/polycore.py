@@ -26,10 +26,10 @@ Monomial = tuple
 COEFF_FLOOR = 1e-300
 
 # Entries kept by the structure caches: monomial blocks per (degree, d), and
-# compiled layouts per support (the exact term set of each polynomial of a
-# system, in its dict order). Every trial of a sweep point shares one
-# support, so these hold the working set of a sweep; the bounds keep a
-# process that meets many supports from growing without limit.
+# per support (each polynomial's terms in dict order, or a mep's block sizes
+# and nonzero pattern) compiled layouts and Taylor-shift, cofactor and Delta
+# plans. A sweep point's trials mostly share one support, so these hold its
+# working set; the bounds keep a process that meets many from growing.
 MONOMIAL_CACHE_SIZE = 64
 SUPPORT_CACHE_SIZE = 256
 

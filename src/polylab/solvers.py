@@ -11,6 +11,7 @@ one of the three multivariate solvers by name.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,15 +24,16 @@ from .macaulay import MacaulayIndex, NullityMismatch, choose_basis, macaulay_hat
 from .numkernel import (
     GenEigProblem,
     _bilinear,
+    _cofactor_plan,
     _dots,
+    _expand,
     _magnitude,
     companion_roots,
     generalized_eig,
-    kron,
-    laplace_expansion,
     random_unit_vector,
 )
 from .polycore import (
+    SUPPORT_CACHE_SIZE,
     CompiledPolys,
     MultiPoly,
     PolySystem,
@@ -370,22 +372,50 @@ def mep_from_system(s: PolySystem) -> MultiParamEig:
     return MultiParamEig(d=s.d, W=reps)
 
 
+@functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
+def _delta_plans(sizes: tuple, nonzero: bytes) -> tuple:
+    """Cofactor plans of Delta_0..Delta_d for blocks of ``sizes`` whose nonzero entries ``nonzero`` flags.
+
+    Entry (a, b) of a block of W_i is the monomial x_{2i}^a x_{2i+1}^b, so
+    a product of one entry per row names its Kronecker row and column in
+    the mixed radix of ``sizes``. Each plan reads the nonzero entries
+    straight from operator_determinants' flat layout and puts Delta_k in
+    row-major order; numkernel._cofactor_plan's own cache is left to det Q.
+    """
+    d, n = len(sizes), math.prod(sizes)
+    strides = [math.prod(sizes[i + 1 :]) for i in range(d)]
+    weights = np.array([w for s in strides for w in (s * n, s)])  # exponents -> row-major position
+    nonzero, blocks, at = np.frombuffer(nonzero, dtype=bool), [], 0
+    for i, m in enumerate(sizes):
+        cells = [(0,) * 2 * i + c + (0,) * 2 * (d - i - 1) for c in itertools.product(range(m), repeat=2)]
+        starts = range(at, at + (d + 1) * m * m, m * m)
+        blocks.append([[(c, p) for p, c in enumerate(cells, start) if nonzero[p]] for start in starts])
+        at += (d + 1) * m * m
+    plans = []
+    for k in range(d + 1):
+        grid = [[W_i[0 if j == k else j] for j in range(1, d + 1)] for W_i in blocks]
+        supports = tuple(tuple(tuple(c for c, _ in entry) for entry in row) for row in grid)
+        exponents, levels = _cofactor_plan.__wrapped__(2 * d, supports)
+        gather = np.array([p for row in grid for entry in row for _, p in entry], dtype=np.intp)
+        *plan, (take, minor, sign, put, _) = levels
+        plan.append((take, minor, sign, (exponents @ weights)[put], n * n))
+        plans.append(tuple((gather[t], *rest) for t, *rest in plan))
+        for a in (a for level in plans[-1] for a in level[:4]):
+            a.setflags(write=False)
+    return tuple(plans)
+
+
 def operator_determinants(mep: MultiParamEig) -> list:
     """[Delta_0, Delta_1, ..., Delta_d] block operator determinants.
 
     Delta_0 uses the coefficient blocks V_ij; Delta_k swaps column k for the
-    constant blocks V_i0. Delta_0 is expanded once, and Delta_k reuses every
-    minor of that expansion that leaves out column k.
+    constant blocks V_i0. Each is one cofactor plan over the blocks' nonzero
+    entries, compiled once per block sizes and nonzero pattern.
     """
-    one = np.ones((1, 1), dtype=complex)
-    grid = [list(W_i[1:]) for W_i in mep.W]
-    memo: dict = {}
-    deltas = [laplace_expansion(grid, kron, one, memo)]
-    for k in range(mep.d):
-        swapped = [row[:k] + [W_i[0]] + row[k + 1 :] for row, W_i in zip(grid, mep.W)]
-        shared = {mask: M for mask, M in memo.items() if mask & (1 << k)}
-        deltas.append(laplace_expansion(swapped, kron, one, shared))
-    return deltas
+    sizes = tuple(len(W_i[0]) for W_i in mep.W)
+    flat = np.concatenate([np.ravel(W_i) for W_i in mep.W])
+    n = math.prod(sizes)
+    return [_expand(levels, flat).reshape(n, n) for levels in _delta_plans(sizes, (flat != 0).tobytes())]
 
 
 def solve_mep_operator_determinants(s: PolySystem, polish: bool = False) -> RootReport:

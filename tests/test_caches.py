@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylab import FAMILIES, FamilySpec, MultiPoly, PolySystem, generate, monomials_up_to, rho
-from polylab import conditioning, macaulay, polycore
+from polylab import macaulay, numkernel, polycore, solvers
 from polylab.conditioning import poly_det
 from polylab.macaulay import macaulay_hat
 from polylab.polycore import CompiledPolys, MonomialOrder
@@ -108,7 +108,7 @@ def clear_caches() -> None:
     polycore._compiled_layout.cache_clear()
     polycore._shift_plan.cache_clear()
     macaulay._macaulay_index.cache_clear()
-    conditioning._cofactor_plan.cache_clear()
+    numkernel._cofactor_plan.cache_clear()
 
 
 def family_pairs(shifted: bool):
@@ -311,16 +311,25 @@ def test_cofactor_plans_are_built_once_per_support_and_bounded():
             [MultiPoly(2, {(0, 0): 3.0}), MultiPoly(2, {(1, 1): c, (0, 1): -1.0})],
         ]
 
-    conditioning._cofactor_plan.cache_clear()
+    numkernel._cofactor_plan.cache_clear()
     poly_det(grid(1.5))
     poly_det(grid(-0.5j))
-    info = conditioning._cofactor_plan.cache_info()
+    info = numkernel._cofactor_plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     for k in range(polycore.SUPPORT_CACHE_SIZE + 10):
         assert poly_det([[MultiPoly(1, {(k,): 2.0})]]).terms == {(k,): 2.0 + 0j}
-    info = conditioning._cofactor_plan.cache_info()
+    info = numkernel._cofactor_plan.cache_info()
     assert info.maxsize == polycore.SUPPORT_CACHE_SIZE
     assert info.currsize == polycore.SUPPORT_CACHE_SIZE
+
+
+def test_cofactor_plans_pack_monomials_up_to_64_bits():
+    # The plan adds monomials as integers: 2^61 still packs, 2^62 (one more
+    # bit for the mask rank) raises instead of wrapping around.
+    assert poly_det([[MultiPoly(2, {(2**30, 2**31): 2.0})]]).terms == {(2**30, 2**31): 2.0 + 0j}
+    assert poly_det([[MultiPoly(1, {(2**61,): 2.0})]]).terms == {(2**61,): 2.0 + 0j}
+    with pytest.raises(ValueError, match="too large"):
+        poly_det([[MultiPoly(1, {(2**62,): 2.0})]])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -331,8 +340,42 @@ def test_cofactor_plan_makes_the_memoized_expansions_products(d):
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     grid = [[MultiPoly(2, {(0, 0): A[i, j]}) for j in range(d)] for i in range(d)]
     det = poly_det(grid)
-    _, levels = conditioning._cofactor_plan(2, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
+    _, levels = numkernel._cofactor_plan(2, tuple(tuple(tuple(q.terms) for q in row) for row in grid))
     assert sum(len(take) for take, *_ in levels) == d * 2 ** (d - 1)
     for take, minor, sign, put, _ in levels:
         assert not any(a.flags.writeable for a in (take, minor, sign, put))
     assert det.terms[(0, 0)] == pytest.approx(np.linalg.det(A), rel=1e-12)
+
+
+def test_delta_plans_are_built_once_per_support_and_bounded(monkeypatch):
+    compiled = []
+    compile_plan = numkernel._cofactor_plan.__wrapped__
+    monkeypatch.setattr(
+        numkernel._cofactor_plan, "__wrapped__", lambda *args: compiled.append(args) or compile_plan(*args)
+    )
+    solvers._delta_plans.cache_clear()
+    det_q_plans = numkernel._cofactor_plan.cache_info().currsize
+    d = 3
+    first, second = (
+        generate(FamilySpec(family="orthogonal", d=d, sigma=sigma, seed=seed)) for sigma, seed in ((0.5, 1), (1e-2, 2))
+    )
+    solvers.solve(first, "mep")
+    assert len(compiled) == d + 1  # Delta_0..Delta_d, one plan each
+    meps = [solvers.mep_from_system(s) for s in (first, second)]
+    patterns = [np.concatenate([np.ravel(W_i) for W_i in mep.W]) != 0 for mep in meps]
+    assert np.array_equal(*patterns)
+    solvers.solve(second, "mep")
+    assert len(compiled) == d + 1
+    info = solvers._delta_plans.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert numkernel._cofactor_plan.cache_info().currsize == det_q_plans  # no det Q entry taken
+    # d = 1 with 3 x 3 blocks: V_11's nonzero pattern spells k + 1 in binary
+    V0 = np.eye(3, dtype=complex)
+    for k in range(polycore.SUPPORT_CACHE_SIZE + 10):
+        V1 = np.array([(k + 1) >> b & 1 for b in range(9)], dtype=complex).reshape(3, 3) * (2 - 1j)
+        deltas = solvers.operator_determinants(solvers.MultiParamEig(d=1, W=[(V0, V1)]))
+        assert np.array_equal(deltas[0], V1) and np.array_equal(deltas[1], V0)
+    info = solvers._delta_plans.cache_info()
+    assert info.maxsize == polycore.SUPPORT_CACHE_SIZE
+    assert info.currsize == polycore.SUPPORT_CACHE_SIZE
+

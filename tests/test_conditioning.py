@@ -1,5 +1,6 @@
 """Condition numbers, singular-vector scaling, factorizations, normal forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ from polylab import (
 )
 from polylab.conditioning import MultipleRoot, SingularJacobian, basis_values, poly_det
 from polylab.macaulay import BasisSelection, BasisSingular, linear_poly
-from polylab.numkernel import EigPairs, laplace_expansion, sigma_min
+from polylab.numkernel import EigPairs, sigma_min
 
 
 def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
@@ -239,9 +240,16 @@ def test_interpolant_minor_expansion_with_remainders():
 
 
 def reference_det_q(qf) -> MultiPoly:
-    """det Q as MultiPoly products over the grid in x, by memoized cofactor expansion."""
+    """det Q over the grid in x by Leibniz's formula: a signed MultiPoly product per permutation."""
     d = len(qf.Q)
-    return laplace_expansion(qf.Q, MultiPoly.__mul__, MultiPoly.constant(d, 1.0), {})
+    det = MultiPoly.constant(d, 0.0)
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = MultiPoly.constant(d, -1.0 if inversions % 2 else 1.0)
+        for i, j in enumerate(perm):
+            term = term * qf.Q[i][j]
+        det = det + term
+    return det
 
 
 def reference_monomials(monomials, x) -> np.ndarray:

@@ -29,16 +29,15 @@ from polylab.numkernel import (
     SvdFactor,
     _magnitude,
     _zggev_lwork,
-    kron,
-    laplace_expansion,
     random_unit_vector,
 )
+from polylab.solvers import MultiParamEig, operator_determinants
 
 
 def kron_determinant(blocks) -> np.ndarray:
-    """Block determinant with Kronecker products, expanded as operator_determinants expands Delta_0."""
-    grid = [[np.asarray(M, dtype=complex) for M in row] for row in blocks]
-    return laplace_expansion(grid, kron, np.ones((1, 1), dtype=complex), {})
+    """Block determinant with Kronecker products: Delta_0 of the mep whose V_ij are ``blocks``."""
+    W = [(np.zeros_like(row[0], dtype=complex), *row) for row in blocks]
+    return operator_determinants(MultiParamEig(d=len(blocks), W=W))[0]
 
 
 def test_companion_matrix_shape_and_last_column():
@@ -180,6 +179,41 @@ def test_the_scipy_fallback_is_byte_equal_to_numpys_lapack(scipy_fallback):
         got = generalized_eig(gep)
         for field in ("lam", "infinite", "beta_ratio", "right", "left"):
             assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+
+
+def test_the_scipy_fallback_hands_lapack_the_workspace_its_query_returns(scipy_fallback, monkeypatch):
+    # Without lwork, f2py's wrappers pick their own default workspace; the
+    # fallback passes the one scipy's lwork=-1 query returns for the shape.
+    scipy_fallback()
+    routine = numkernel._scipy_routine
+    passed = []
+
+    def spy(name):
+        wrapped = routine(name)
+        if name not in ("ggev", "geqp3"):
+            return wrapped
+
+        def call(a, *args, **kwargs):
+            passed.append((name, a.shape, kwargs.get("lwork")))
+            return wrapped(a, *args, **kwargs)
+
+        return call
+
+    def queried(name, shape):
+        z = np.zeros(shape, dtype=complex)
+        query = scipy.linalg.get_lapack_funcs(name, dtype=np.complex128)
+        return int((query(z, z, lwork=-1) if name == "ggev" else query(z, lwork=-1))[-2][0].real)
+
+    monkeypatch.setattr(numkernel, "_scipy_routine", spy)
+    rng = np.random.default_rng(48)
+    for n in (1, 5, 30, 64):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        generalized_eig(GenEigProblem(A=A, B=A.T))
+        numkernel._zgeqp3(A[:, : (n + 1) // 2])
+    calls = [(name, shape, lwork) for name, shape, lwork in passed if lwork != -1]
+    assert sorted({name for name, _, _ in calls}) == ["geqp3", "ggev"] and len(calls) == 8
+    for name, shape, lwork in calls:
+        assert lwork == queried(name, shape)
 
 
 def test_kappa_eig_matches_the_norm_formula_bit_for_bit():
@@ -452,23 +486,6 @@ def test_laplace_expansion_kron_two_by_two_formula():
     got = kron_determinant([[V[0][0], V[0][1]], [V[1][0], V[1][1]]])
     want = np.kron(V[0][0], V[1][1]) - np.kron(V[0][1], V[1][0])
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_kron_is_bit_equal_to_numpy_kron():
-    rng = np.random.default_rng(28)
-
-    def block(m, n):
-        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-    shapes = [(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (2, 3, 4, 1), (8, 8, 2, 2)]
-    pairs = [(block(m, n), block(p, q)) for m, n, p, q in shapes]
-    big = block(6, 6)
-    pairs += [(big[::2, ::3], block(2, 2)), (block(2, 2), big.T), (big[1:3, 1:5], big[::-2, ::2])]
-    pairs.append((np.ones((1, 1), dtype=complex), np.array([[-0.0 - 0.0j, 1e-310 + np.inf * 1j]])))
-    with np.errstate(invalid="ignore"):
-        for a, b in pairs:
-            got, want = kron(a, b), np.kron(a, b)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_laplace_expansion_kron_scalar_blocks():

@@ -41,7 +41,7 @@ from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.macaulay import BasisSelection
-from polylab.numkernel import kron, laplace_expansion, random_unit_vector
+from polylab.numkernel import random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
     EigenvectorDegenerate,
@@ -283,9 +283,10 @@ def test_operator_determinants_on_separable_system():
 
 
 def test_operator_determinants_share_one_expansion():
-    # Delta_k reuses Delta_0's minors: it must equal a fresh expansion of its
-    # own grid bit for bit, and each entry the determinant of the d x d
-    # matrix [V_ij[a_i, b_i]] of the block entries it multiplies out
+    # Each entry of Delta_k is the determinant of the d x d matrix
+    # [V_ij[a_i, b_i]] of the block entries it multiplies out: on dense
+    # blocks of sizes 1 and 2, on the same blocks with zero entries, and
+    # with one W_i all zero (a grid row with no entry: every Delta_k is 0)
     rng = np.random.default_rng(29)
     for d in range(1, 6):
         sizes = [int(n) for n in rng.integers(1, 3, size=d)]
@@ -293,20 +294,25 @@ def test_operator_determinants_share_one_expansion():
             tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d + 1))
             for n in sizes
         ]
-        mep = MultiParamEig(d=d, W=W)
+        zeros = np.random.default_rng(d)
+        sparse = [tuple(np.where(zeros.random(M.shape) < 0.4, 0, M) for M in W_i) for W_i in W]
+        zero_row = int(zeros.integers(d))
+        blank = [tuple(0 * M for M in W_i) if i == zero_row else W_i for i, W_i in enumerate(sparse)]
         idx = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
-        for k, delta in enumerate(operator_determinants(mep)):
-            grid = [[W_i[0] if j == k else W_i[j] for j in range(1, d + 1)] for W_i in mep.W]
-            assert np.array_equal(delta, laplace_expansion(grid, kron, np.ones((1, 1), dtype=complex), {}))
-            entries = np.stack(
-                [
-                    np.stack([G[idx[i][:, None], idx[i][None, :]] for G in row], axis=-1)
-                    for i, row in enumerate(grid)
-                ],
-                axis=-2,
-            )
-            want = np.linalg.det(entries)
-            np.testing.assert_allclose(delta, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for blocks in (W, sparse, blank):
+            mep = MultiParamEig(d=d, W=blocks)
+            for k, delta in enumerate(operator_determinants(mep)):
+                grid = [[W_i[0] if j == k else W_i[j] for j in range(1, d + 1)] for W_i in mep.W]
+                entries = np.stack(
+                    [
+                        np.stack([G[idx[i][:, None], idx[i][None, :]] for G in row], axis=-1)
+                        for i, row in enumerate(grid)
+                    ],
+                    axis=-2,
+                )
+                want = np.linalg.det(entries)
+                np.testing.assert_allclose(delta, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                assert blocks is not blank or not delta.any()
 
 
 def test_mep_solver_recovers_all_cyclic_roots():
