@@ -359,7 +359,7 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
     about eps kappa at an ill-conditioned eigenvalue: one pass moves 3 of
     the 6,309 seed-1 presets-small trials by more than a digit), so merging
     the passes waits for a correctness check that tolerates rounding
-    (ROADMAP item 2(a)).
+    (ROADMAP item 3(a)).
     Non-finite input raises ValueError and a QZ failure LinAlgError, with
     scipy's messages.
     """

@@ -34,7 +34,6 @@ from .numkernel import (
 )
 from .polycore import (
     SUPPORT_CACHE_SIZE,
-    CompiledPolys,
     MultiPoly,
     PolySystem,
     UniPoly,
@@ -294,7 +293,8 @@ def _quadratic_representation(p: MultiPoly) -> tuple:
     Requires p = a * x_i^2 + (affine part): exactly one degree-2 term and it
     must be a single squared variable. Returns (V_0, V_1, ..., V_d) in the
     W(x) = V_0 - sum_j x_j V_j convention, with
-    W(x) = [[a x_i, affine(x)], [-1, x_i]]; _check_determinantal tests it.
+    W(x) = [[a x_i, affine(x)], [-1, x_i]], whose determinant is
+    a x_i^2 + affine(x) for every x.
     """
     d = p.nvars
     square_var = None
@@ -331,45 +331,9 @@ def _quadratic_representation(p: MultiPoly) -> tuple:
     return tuple(Vs)
 
 
-@functools.lru_cache(maxsize=None)
-def _determinantal_probes(d: int) -> np.ndarray:
-    """The (20, 2, d) draws of default_rng(0xD57): real and imaginary probe parts."""
-    probes = np.random.default_rng(0xD57).standard_normal((20, 2, d))
-    probes.flags.writeable = False
-    return probes
-
-
-def _check_determinantal(compiled: CompiledPolys, reps: list) -> None:
-    """Compare det W_i(x) with p_i(x) at 20 seeded random points, every i in one batch.
-
-    ``reps[i]`` represents the polynomial in row i of ``compiled``. Raises
-    AssertionError when any probe differs by more than 1e-10 of
-    max(coefficient scale of p_i, 1, |p_i(x)|), times max(1, |x|_inf^2).
-    """
-    V = np.array(reps)  # (k, d + 1, 2, 2)
-    k, d = V.shape[0], V.shape[1] - 1
-    probes = _determinantal_probes(d)
-    X = probes[:, 0] + 1j * probes[:, 1]
-    W = np.broadcast_to(V[:, 0], (len(X), k, 2, 2))
-    for j in range(d):
-        W = W - X[:, j, None, None, None] * V[:, 1 + j]
-    dets = np.linalg.det(W)
-    vals = compiled.eval(X)[0]
-    scale = np.maximum(np.abs(compiled.coeffs[:k]).max(axis=1), 1.0)
-    reach = np.maximum(1.0, np.max(np.abs(X), axis=1) ** 2)[:, None]
-    if np.any(np.abs(dets - vals) > 1e-10 * np.maximum(scale, np.abs(vals)) * reach):
-        raise AssertionError("determinant check failed for the representation")
-
-
 def mep_from_system(s: PolySystem) -> MultiParamEig:
-    """Representation of each polynomial, for systems of pivotable quadratics.
-
-    All d representations are checked in one batch, against the system's
-    compiled form.
-    """
-    reps = [_quadratic_representation(p) for p in s.polys]
-    _check_determinantal(s.compiled, reps)
-    return MultiParamEig(d=s.d, W=reps)
+    """Representation of each polynomial, for systems of pivotable quadratics."""
+    return MultiParamEig(d=s.d, W=[_quadratic_representation(p) for p in s.polys])
 
 
 @functools.lru_cache(maxsize=SUPPORT_CACHE_SIZE)
@@ -425,17 +389,21 @@ def solve_mep_operator_determinants(s: PolySystem, polish: bool = False) -> Root
     every coordinate is then the Rayleigh quotient
     (y^T Delta_k w) / (y^T Delta_0 w), which keeps coordinates of one root
     matched together. UnsupportedShape when s is not a system of
-    pivotable quadratics.
+    pivotable quadratics, and LinAlgError when a Delta_k overflows.
     """
     mep = mep_from_system(s)
-    deltas = operator_determinants(mep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.array(operator_determinants(mep))
+    overflow = ~np.isfinite(deltas).all(axis=(1, 2))
+    if overflow.any():
+        raise np.linalg.LinAlgError(f"Delta_{int(np.argmax(overflow))} is not finite")
     D0 = deltas[0]
     sv = np.linalg.svd(D0, compute_uv=False)
     if sv[0] == 0 or sv[-1] <= max(D0.shape) * np.finfo(float).eps * sv[0]:
         raise SingularDelta0("Delta_0 numerically singular")
     pairs = generalized_eig(GenEigProblem(A=deltas[1], B=D0))
     finite = ~pairs.infinite
-    Q = _bilinear(pairs.left[finite], np.array(deltas), pairs.right[finite])
+    Q = _bilinear(pairs.left[finite], deltas, pairs.right[finite])
     denom = _magnitude(Q[:, 0])
     if (denom == 0.0).any():
         raise EigenvectorDegenerate("y^T Delta_0 w = 0")

@@ -110,6 +110,17 @@ def test_run_sweep_counts_solver_failures_as_zero_digits():
     assert rec.median_digits == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_sweep_records_an_overflowing_delta_as_zero_digits():
+    # at sigma = 1e160 the permutation system's Delta_0 overflows
+    spec = SweepSpec(
+        name="custom", method="mep", family="permutation", axis="sigma",
+        values=(1e160,), d=2, n_trials=1,
+    )
+    (rec,) = run_sweep(spec)
+    assert rec.x == 1e160 and rec.median_digits == 0.0
+
+
 def test_run_sweep_rejects_unknown_methods():
     spec = SweepSpec(
         name="t", method="warp", family="cyclic_squares", axis="sigma",

@@ -186,7 +186,7 @@ SWEEP = ["sweep", "--custom", "--method", "nf", "--trials", "1"]
 GEN = ["gen", "--family", "orthogonal", "--d", "2"]
 
 
-BROKEN_KINDS = ("missing", "not-a-system", "nan-coefficient", "rank-deficient", "constant")
+BROKEN_KINDS = ("missing", "not-a-system", "nan-coefficient", "rank-deficient", "constant", "overflow")
 
 
 def broken_system(kind, path):
@@ -194,11 +194,14 @@ def broken_system(kind, path):
 
     The file is missing, not a system, or has a NaN coefficient; a
     rank-deficient system is fig 5's sigma = 1 notdev3d system, on which nf
-    and macaulay raise RankDeficientBasis, and a constant one is x^2 = 0,
-    5 = 0, whose Bezout count is 0.
+    and macaulay raise RankDeficientBasis, a constant one is x^2 = 0,
+    5 = 0, whose Bezout count is 0, and an overflow one is the sigma = 1e160
+    permutation system, whose mep Delta_0 overflows.
     """
     if kind == "rank-deficient":
         run_cli(["gen", "--family", "notdev3d", "--d", "3", "--sigma", "1", "--out", str(path)])
+    elif kind == "overflow":
+        run_cli(["gen", "--family", "permutation", "--d", "2", "--sigma", "1e160", "--out", str(path)])
     elif kind == "constant":
         polys = [MultiPoly(2, {(2, 0): 1.0}), MultiPoly(2, {(0, 0): 5.0})]
         path.write_text(json.dumps(PolySystem(2, polys, true_roots=[], family_tag="").to_json_dict()))
@@ -252,6 +255,7 @@ def broken_system(kind, path):
                 "--values", "10", "--d", "2", "--trials", "1"], "gb runs only on the cyclic_squares family"),
         (None, ["sweep", "--figure", "1c", "--trials", "0"], "--trials 0 is below 1"),
         (None, ["sweep", "--figure", "1c", "--trials", "-2"], "--trials -2 is below 1"),
+        ("overflow", ["solve", "--method", "mep"], "method mep failed: LinAlgError"),
     ],
 )
 @pytest.mark.filterwarnings("error")

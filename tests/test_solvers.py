@@ -45,8 +45,6 @@ from polylab.numkernel import random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
     EigenvectorDegenerate,
-    _check_determinantal,
-    _determinantal_probes,
     _quadratic_representation,
     _roots_from_vectors,
 )
@@ -203,18 +201,10 @@ def test_macaulay_solver_rejects_positive_dimensional_systems():
             solve_macaulay_resultant(s, rng=np.random.default_rng(0))
 
 
-def test_determinantal_representation_matches_the_polynomial():
-    rng = np.random.default_rng(71)
-    p = MultiPoly(2, {(2, 0): 1.5, (1, 0): 0.3, (0, 1): -0.7, (0, 0): 0.2})
-    rep = _quadratic_representation(p)
-    assert len(rep) == 3 and rep[0].shape == (2, 2)
-    for _ in range(10):
-        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        det = np.linalg.det(mep_operator(rep, x))
-        assert abs(det - p.eval(x)) <= 1e-10 * (1 + abs(p.eval(x)))
-
-
-def test_determinantal_self_check_covers_every_template():
+def quadratic_templates():
+    """Every template shape at d = 1..3: each squared variable, with and
+    without linear and constant terms, plus one fixed bivariate case."""
+    yield MultiPoly(2, {(2, 0): 1.5, (1, 0): 0.3, (0, 1): -0.7, (0, 0): 0.2})
     for d in (1, 2, 3):
         for i in range(d):
             for linear in (False, True):
@@ -225,30 +215,33 @@ def test_determinantal_self_check_covers_every_template():
                             terms[tuple(int(k == j) for k in range(d))] = 0.3 * (j + 1) - 0.2j
                     if constant:
                         terms[(0,) * d] = -0.7
-                    p = MultiPoly(d, terms)
-                    rep = _quadratic_representation(p)
-                    _check_determinantal(CompiledPolys.of([p]), [rep])
-                    for k in range(d + 1):
-                        bad = list(rep)
-                        bad[k] = rep[k] + np.array([[0.0, 0.25], [0.0, 0.0]])
-                        with pytest.raises(AssertionError):
-                            _check_determinantal(CompiledPolys.of([p]), [tuple(bad)])
-    # the batched check mep_from_system runs over all polynomials at once
+                    yield MultiPoly(d, terms)
+
+
+def test_determinantal_representation_matches_the_polynomial():
+    rng = np.random.default_rng(71)
+    for p in quadratic_templates():
+        rep = _quadratic_representation(p)
+        assert len(rep) == p.nvars + 1 and all(V.shape == (2, 2) for V in rep)
+        for _ in range(10):
+            x = rng.standard_normal(p.nvars) + 1j * rng.standard_normal(p.nvars)
+            det = np.linalg.det(mep_operator(rep, x))
+            assert abs(det - p.eval(x)) <= 1e-10 * (1 + abs(p.eval(x)))
+
+
+def test_mep_from_system_evaluates_no_polynomial(monkeypatch):
+    calls = []
+    real_eval = CompiledPolys.eval
+
+    def counting_eval(self, *args, **kwargs):
+        calls.append(self)
+        return real_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledPolys, "eval", counting_eval)
     s = generate(FamilySpec(family="orthogonal", d=3, sigma=0.1, shift=(0.2, -0.1, 0.3)))
-    reps = list(mep_from_system(s).W)
-    _check_determinantal(s.compiled, reps)
-    reps[1] = (reps[1][0] + np.array([[0.0, 0.25], [0.0, 0.0]]),) + reps[1][1:]
-    with pytest.raises(AssertionError):
-        _check_determinantal(s.compiled, reps)
-
-
-def test_determinantal_probes_are_cached_read_only_draws():
-    for d in (1, 2, 5):
-        probes = _determinantal_probes(d)
-        fresh = np.random.default_rng(0xD57).standard_normal((20, 2, d))
-        assert probes.tobytes() == fresh.tobytes() and probes.shape == fresh.shape
-        assert not probes.flags.writeable
-        assert _determinantal_probes(d) is probes
+    calls.clear()
+    mep_from_system(s)
+    assert calls == []
 
 
 def test_determinantal_representation_rejects_unsupported_shapes():
@@ -335,6 +328,16 @@ def test_mep_solver_rejects_singular_delta0():
         family_tag="",
     )
     with pytest.raises(SingularDelta0):
+        solve_mep_operator_determinants(s)
+
+
+@pytest.mark.parametrize("d, sigma", [(2, 1e160), (3, 1e250)])
+@pytest.mark.filterwarnings("error")
+def test_mep_solver_labels_an_overflowing_delta(d, sigma):
+    # sigma is each linear coefficient, and an entry of Delta_0 multiplies
+    # up to d of them; at d = 3 the overflow also leaves NaN entries
+    s = generate(FamilySpec(family="permutation", d=d, sigma=sigma))
+    with pytest.raises(np.linalg.LinAlgError, match="Delta_0 is not finite"):
         solve_mep_operator_determinants(s)
 
 
