@@ -201,10 +201,32 @@ def test_macaulay_solver_rejects_positive_dimensional_systems():
             solve_macaulay_resultant(s, rng=np.random.default_rng(0))
 
 
-def quadratic_templates():
-    """Every template shape at d = 1..3: each squared variable, with and
-    without linear and constant terms, plus one fixed bivariate case."""
-    yield MultiPoly(2, {(2, 0): 1.5, (1, 0): 0.3, (0, 1): -0.7, (0, 0): 0.2})
+def test_determinantal_representation_matches_the_polynomial():
+    rng = np.random.default_rng(71)
+    p = MultiPoly(2, {(2, 0): 1.5, (1, 0): 0.3, (0, 1): -0.7, (0, 0): 0.2})
+    rep = _quadratic_representation(p)
+    assert len(rep) == 3 and rep[0].shape == (2, 2)
+    for _ in range(10):
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        det = np.linalg.det(mep_operator(rep, x))
+        assert abs(det - p.eval(x)) <= 1e-10 * (1 + abs(p.eval(x)))
+
+
+def determinantal_identity_holds(compiled, reps, rng):
+    """det W_i(x) = p_i(x) at 20 random complex points, for every row i of compiled."""
+    d = len(reps[0]) - 1
+    X = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+    dets = np.array([[np.linalg.det(mep_operator(rep, x)) for rep in reps] for x in X])
+    vals = compiled.eval(X)[0]
+    reach = 1 + np.abs(X).max(axis=1, keepdims=True) ** 2
+    return bool(np.all(np.abs(dets - vals) <= 1e-10 * (1 + np.abs(vals)) * reach))
+
+
+def test_determinantal_self_check_covers_every_template():
+    # every template shape at d = 1..3: each squared variable, with and
+    # without linear and constant terms; mep_from_system relies on these
+    # holding by algebra and no longer checks them per call
+    rng = np.random.default_rng(0xD57)
     for d in (1, 2, 3):
         for i in range(d):
             for linear in (False, True):
@@ -215,18 +237,21 @@ def quadratic_templates():
                             terms[tuple(int(k == j) for k in range(d))] = 0.3 * (j + 1) - 0.2j
                     if constant:
                         terms[(0,) * d] = -0.7
-                    yield MultiPoly(d, terms)
-
-
-def test_determinantal_representation_matches_the_polynomial():
-    rng = np.random.default_rng(71)
-    for p in quadratic_templates():
-        rep = _quadratic_representation(p)
-        assert len(rep) == p.nvars + 1 and all(V.shape == (2, 2) for V in rep)
-        for _ in range(10):
-            x = rng.standard_normal(p.nvars) + 1j * rng.standard_normal(p.nvars)
-            det = np.linalg.det(mep_operator(rep, x))
-            assert abs(det - p.eval(x)) <= 1e-10 * (1 + abs(p.eval(x)))
+                    p = MultiPoly(d, terms)
+                    rep = _quadratic_representation(p)
+                    assert len(rep) == d + 1 and all(V.shape == (2, 2) for V in rep)
+                    assert determinantal_identity_holds(CompiledPolys.of([p]), [rep], rng)
+                    # the probe is sharp enough to see one wrong block entry
+                    for k in range(d + 1):
+                        bad = list(rep)
+                        bad[k] = rep[k] + np.array([[0.0, 0.25], [0.0, 0.0]])
+                        assert not determinantal_identity_holds(CompiledPolys.of([p]), [tuple(bad)], rng)
+    # every representation mep_from_system builds, against the system's compiled form
+    s = generate(FamilySpec(family="orthogonal", d=3, sigma=0.1, shift=(0.2, -0.1, 0.3)))
+    reps = list(mep_from_system(s).W)
+    assert determinantal_identity_holds(s.compiled, reps, rng)
+    reps[1] = (reps[1][0] + np.array([[0.0, 0.25], [0.0, 0.0]]),) + reps[1][1:]
+    assert not determinantal_identity_holds(s.compiled, reps, rng)
 
 
 def test_mep_from_system_evaluates_no_polynomial(monkeypatch):
