@@ -9,7 +9,7 @@ counts predicted by the subproblem and root condition numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -233,16 +233,19 @@ def with_overrides(spec: SweepSpec, n_trials=None, seed=None) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # serialization
 
-CSV_HEADER = "x,median_digits,theory_digits,stable_digits,n_trials"
+# SweepRecord's fields are the CSV's columns, in order: %.17g for a float
+# field, %d for an int one (f.type is the annotation's text here).
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def emit_csv(records: list, path) -> None:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            "%.17g,%.17g,%.17g,%.17g,%d"
-            % (r.x, r.median_digits, r.theory_digits, r.stable_digits, r.n_trials)
-        )
+        cells = []
+        for f in fields(SweepRecord):
+            fmt = "%d" if f.type == "int" else "%.17g"
+            cells.append(fmt % getattr(r, f.name))
+        lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -254,16 +257,10 @@ def read_csv(path) -> list:
         raise ValueError("unrecognized sweep csv header")
     records = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        records.append(
-            SweepRecord(
-                x=float(parts[0]),
-                median_digits=float(parts[1]),
-                theory_digits=float(parts[2]),
-                stable_digits=float(parts[3]),
-                n_trials=int(parts[4]),
-            )
-        )
+        row = {}
+        for f, text in zip(fields(SweepRecord), ln.split(","), strict=True):
+            row[f.name] = int(text) if f.type == "int" else float(text)
+        records.append(SweepRecord(**row))
     return records
 
 

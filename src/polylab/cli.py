@@ -125,8 +125,10 @@ def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
         ks = kappa_eig_ms_formula(s, root, choose_basis(macaulay_hat(s)), i)
     elif method == "mep":
         ks = kappa_eig_mep_formula(mep_from_system(s), s, root, i)
-    else:
+    elif method == "macaulay":
         ks = kappa_eig_macaulay_bound(s, root, macaulay_pencil(s, np.random.default_rng(seed)))
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return ConditionReport.make(kr, ks, method)
 
 
@@ -239,7 +241,7 @@ def _cmd_verify(args) -> int:
     names = tuple(verification.SUITES) if args.suite == "all" else (args.suite,)
     results = verification.run_all(seed=args.seed, names=names)
     out = {r.name: {"passed": r.passed, "details": r.details} for r in results}
-    print(json.dumps(out, indent=2, sort_keys=True, default=float))
+    _emit(out, "-")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
         help="preset sweep; 4 runs both 4a and 4b",
     )
     p.add_argument("--custom", action="store_true", help="build the sweep from flags instead")
-    p.add_argument("--method", default=None, choices=("gb", "rur", "mep", "nf", "macaulay"))
+    p.add_argument("--method", default=None, choices=("gb", "rur") + METHODS)
     p.add_argument("--family", default=None, choices=FAMILIES)
     p.add_argument("--axis", default=None, choices=("sigma", "c", "d"))
     p.add_argument("--values", default=None, help="comma-separated axis values")

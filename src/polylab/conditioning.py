@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -290,9 +290,13 @@ def basis_values(basis, x) -> np.ndarray:
 
 
 def _abs_det_jacobian(root: RootPoint) -> float:
-    detJ = abs(np.linalg.det(root.jacobian))
+    """|det J(x*)|, the one guard on it: SingularJacobian at 0, LinAlgError when not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        detJ = abs(np.linalg.det(root.jacobian))
     if detJ == 0.0:
         raise SingularJacobian(f"Jacobian singular at {root.x}")
+    if not math.isfinite(detJ):
+        raise np.linalg.LinAlgError("det J(x*) is not finite")
     return detJ
 
 
@@ -328,10 +332,10 @@ def kappa_eig_macaulay_bound(s: PolySystem, xstar, pencil: MacaulayPencil) -> fl
     root = root_point(s, xstar)
     sel = pencil.basis
     c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
-    detJ = abs(np.linalg.det(root.jacobian))
+    detJ = _abs_det_jacobian(root)
     hval = abs(linear_poly(s.d, pencil.beta).eval(root.x))
-    if detJ == 0.0 or hval == 0.0:
-        raise SingularJacobian("det(J) * h vanishes at the root")
+    if hval == 0.0:
+        raise SingularJacobian("h(x*) vanishes at the root")
     V = basis_values(sel.index.col_labels, root.x)
     return float(np.linalg.norm(c)) * float(np.linalg.norm(V)) / (detJ * hval)
 
@@ -359,12 +363,7 @@ class ConditionReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "method_tag": self.method_tag,
-            "kappa_root": self.kappa_root,
-            "kappa_sub": self.kappa_sub,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 def _digits_from_kappa(kappa: float) -> float:

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,14 +98,8 @@ class RootReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method_tag": self.method_tag,
-            "roots": [[[float(z.real), float(z.imag)] for z in r] for r in self.roots],
-            "residuals": [float(v) for v in self.residuals],
-            "kappa_root": [float(v) for v in self.kappa_root],
-            "subproblem_kappa": [float(v) for v in self.subproblem_kappa],
-            "diagnostics": _jsonable(self.diagnostics),
-        }
+        """Every field under its own name; a complex number becomes [re, im]."""
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 def _jsonable(obj):

@@ -48,6 +48,7 @@ from polylab.conditioning import mep_operator
 from polylab.macaulay import BasisSelection
 from polylab.solvers import MultiParamEig
 from polylab.verification import nullspace_perturbation_suite, subset_product_suite
+from quotient_helpers import multiplication_matrices
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
@@ -88,16 +89,6 @@ def _rooted_system(d, xstar, rng, single_square=False, scale_up=False):
             p = p.scale(1.0 / p.coefficient_scale())
         polys.append(p)
     return PolySystem(d, polys, true_roots=[np.asarray(xstar, dtype=complex)], family_tag="")
-
-
-def _multiplication_matrices(s):
-    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s))
-
-    def column(i, m):
-        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
-
-    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
 
 
 def _slope(xs, ys):
@@ -199,7 +190,7 @@ def test_eigenvalue_condition_formulas_match_direct():
         i = k % d
 
         s = _rooted_system(d, xstar, rng)
-        mats, sel = _multiplication_matrices(s)
+        mats, sel = multiplication_matrices(s)
         gep = GenEigProblem(A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex))
         pairs = generalized_eig(gep)
         best = int(np.argmin(np.abs(pairs.lam - xstar[i])))

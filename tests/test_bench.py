@@ -17,7 +17,7 @@ from polylab import (
     run_sweep,
     theory_digits,
 )
-from polylab.bench import FIGURES, _broadcast_shift, axis_label, with_overrides
+from polylab.bench import CSV_HEADER, FIGURES, _broadcast_shift, axis_label, with_overrides
 
 
 def test_digits_of_accuracy_clamps_and_logs():
@@ -173,6 +173,14 @@ def test_csv_round_trip_preserves_records():
 def test_read_csv_rejects_foreign_headers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
+    with pytest.raises(ValueError):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0.01,7,6,13", "0.01,7,6,13,5,1"])
+def test_read_csv_rejects_a_row_of_another_width(tmp_path, row):
+    path = tmp_path / "sweep.csv"
+    path.write_text(CSV_HEADER + "\n" + row + "\n")
     with pytest.raises(ValueError):
         read_csv(path)
 

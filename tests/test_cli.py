@@ -256,6 +256,7 @@ def broken_system(kind, path):
         (None, ["sweep", "--figure", "1c", "--trials", "0"], "--trials 0 is below 1"),
         (None, ["sweep", "--figure", "1c", "--trials", "-2"], "--trials -2 is below 1"),
         ("overflow", ["solve", "--method", "mep"], "method mep failed: LinAlgError"),
+        ("overflow", ["audit", "--method", "mep"], "method mep failed: LinAlgError: det J(x*) is not finite"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -395,3 +396,10 @@ def test_audit_kappa_equals_the_maximum_over_coordinates(family, d):
         assert _audit_one(s, x, method, seed=5).kappa_sub == kappa
     fresh = kappa_eig_macaulay_bound(s, x, macaulay_pencil(s, np.random.default_rng(5)))
     assert _audit_one(s, x, "macaulay", seed=5).kappa_sub == pytest.approx(fresh, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["gb", "rur", "all"])
+def test_audit_one_rejects_a_name_outside_the_methods(method):
+    s = generate(FamilySpec(family="permutation", d=2, sigma=1e-2))
+    with pytest.raises(ValueError, match="unknown method"):
+        _audit_one(s, np.array(s.true_roots[0]), method, seed=5)

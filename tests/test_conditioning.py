@@ -39,9 +39,17 @@ from polylab import (
     rho,
     theory_digits,
 )
-from polylab.conditioning import MultipleRoot, SingularJacobian, basis_values, poly_det
+from polylab.conditioning import (
+    MultipleRoot,
+    RootPoint,
+    SingularJacobian,
+    _abs_det_jacobian,
+    basis_values,
+    poly_det,
+)
 from polylab.macaulay import BasisSelection, BasisSingular, linear_poly
 from polylab.numkernel import EigPairs, sigma_min
+from quotient_helpers import multiplication_matrices
 
 
 def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
@@ -93,6 +101,21 @@ def test_kappa_root_rejects_singular_jacobian():
     )
     with pytest.raises(SingularJacobian):
         kappa_root(s, np.zeros(2, dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+def test_det_jacobian_guard_labels_zero_and_overflow():
+    def point(J):
+        return RootPoint(x=np.zeros(2, dtype=complex), residual=0.0, jacobian=np.asarray(J, dtype=complex))
+
+    assert _abs_det_jacobian(point([[2.0, 1.0], [0.0, 3.0]])) == pytest.approx(6.0)
+    with pytest.raises(SingularJacobian):
+        _abs_det_jacobian(point([[1.0, 2.0], [2.0, 4.0]]))
+    # An overflowing det (numpy warns of overflow and an invalid value in it)
+    # and a nan one are both labeled, without a warning.
+    for J in ([[1e160, 0.0], [0.0, 1e160]], [[math.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(np.linalg.LinAlgError, match="det J\\(x\\*\\) is not finite"):
+            _abs_det_jacobian(point(J))
 
 
 def test_kappa_uni_inverts_derivative():
@@ -364,23 +387,13 @@ def test_reduced_determinant_closed_form_trivariate():
             assert abs(q.terms[m] - v) <= 1e-12 * abs(v)
 
 
-def _multiplication_matrices(s):
-    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s))
-
-    def column(i, m):
-        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
-
-    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel
-
-
 def test_multiplication_eigenvalue_conditioning_matches_direct():
     rng = np.random.default_rng(67)
     for trial in range(5):
         d = 2 if trial % 2 == 0 else 3
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.4
         s = rand_quad_with_root(d, xstar, rng)
-        mats, sel = _multiplication_matrices(s)
+        mats, sel = multiplication_matrices(s)
         i = trial % d
         gep = GenEigProblem(
             A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex),

@@ -48,6 +48,7 @@ from polylab.solvers import (
     _quadratic_representation,
     _roots_from_vectors,
 )
+from quotient_helpers import multiplication_matrices
 
 
 def cyclic_truth(d, sigma, shift=0.0):
@@ -71,19 +72,10 @@ def test_newton_polish_contracts_toward_the_root():
     assert np.linalg.norm(x1 - target) < np.linalg.norm(x0 - target)
 
 
-def _multiplication_matrices(s):
-    """M_{x_i} over the chosen quotient basis: column j is the normal form of x_i times basis monomial j."""
-    sel = choose_basis(macaulay_hat(s))
-
-    def column(i, m):
-        return sel.normal_form(MultiPoly(s.d, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1.0}))
-
-    return [np.column_stack([column(i, m) for m in sel.monomials]) for i in range(s.d)], sel.monomials, sel.nullspace
-
-
 def test_ms_matrices_commute_and_share_the_root_spectrum():
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5))
-    mats, basis, _ = _multiplication_matrices(s)
+    mats, sel = multiplication_matrices(s)
+    basis = sel.monomials
     assert basis == [(0, 0), (1, 0), (0, 1), (1, 1)]
     comm = np.linalg.norm(mats[0] @ mats[1] - mats[1] @ mats[0], 2)
     assert comm <= 1e-12
