@@ -18,6 +18,7 @@ from .conditioning import theory_digits
 from .families import FamilySpec, generate, true_root_error
 from .macaulay import BasisSingular, NullityMismatch, RankDeficientBasis
 from .numkernel import SingularPencil
+from .polycore import PolySystem
 from .solvers import (
     EigenvectorDegenerate,
     SingularDelta0,
@@ -121,6 +122,34 @@ def _family_spec(spec: SweepSpec, x) -> FamilySpec:
     )
 
 
+# One slot per family instance: the last system _trial_error generated for
+# it, and the rng state that generation started from (see _shared_system).
+_LAST_SYSTEM: dict = {}
+
+
+def _shared_system(fspec: FamilySpec, rng: np.random.Generator) -> PolySystem:
+    """generate(fspec, rng=rng), or the bit-equal system an earlier trial generated from the same rng state.
+
+    Trials with the same seed, point and trial index draw the same system
+    whatever their method, as nf and macaulay do in figs 4a/4b. Each trial
+    still calls generate, so its rng advances as before and the listed roots
+    are validated; when the slot's system came from the same rng state and
+    has the same compiled layout and coefficient bytes, the trial solves
+    that object instead, and reads the quotient basis the earlier trial
+    computed on it (macaulay.quotient_basis). Systems of other seeds or
+    trials are never shared, even when their coefficients are equal.
+    """
+    start = rng.bit_generator.state
+    s = generate(fspec, rng=rng)
+    last = _LAST_SYSTEM.get(fspec)
+    if last is not None and last[0] == start:
+        earlier, new = last[1].compiled, s.compiled
+        if earlier.layout is new.layout and earlier.coeffs.tobytes() == new.coeffs.tobytes():
+            return last[1]
+    _LAST_SYSTEM[fspec] = (start, s)
+    return s
+
+
 def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
     fspec = _family_spec(spec, x)
     d, shift = fspec.d, fspec.shift
@@ -132,7 +161,7 @@ def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
         u /= np.linalg.norm(u)
         _, report = solve_rur_example(d, fspec.c, u, shift=shift)
         return float(report.diagnostics["error"])
-    s = generate(fspec, rng=rng)
+    s = _shared_system(fspec, rng)
     target = np.array(shift, dtype=complex) if shift else np.zeros(d, dtype=complex)
     report = solve(s, spec.method, rng=rng, polish=spec.polish)
     return true_root_error(report, [target])
@@ -147,8 +176,7 @@ def _one_trial_digits(spec: SweepSpec, idx: int, x, trial: int) -> float:
     return digits_of_accuracy(err)
 
 
-def _point_record(spec: SweepSpec, idx: int, x) -> SweepRecord:
-    digits = [_one_trial_digits(spec, idx, x, t) for t in range(spec.n_trials)]
+def _point_record(spec: SweepSpec, x, digits: list) -> SweepRecord:
     fspec = _family_spec(spec, x)
     params = {"d": fspec.d, "sigma": fspec.sigma, "c": fspec.c}
     return SweepRecord(
@@ -168,11 +196,30 @@ def _theory_or_nan(method: str, family: str, params: dict) -> float:
         return float("nan")
 
 
-def run_sweep(spec: SweepSpec) -> list:
-    """All records for one sweep. Trials are independently seeded and
-    aggregated by trial index, so results do not depend on execution order.
+def run_sweeps(specs) -> list:
+    """The records of each sweep, one list per spec.
+
+    Trials run in (point, trial, spec) order, so the specs that draw the
+    same seeded systems (figs 1e/1f/1g, 4a/4b) solve each one back to back
+    and share it (see _shared_system). Every trial is seeded by its spec's
+    seed, its point and its trial index alone, and aggregated by trial
+    index, so the records do not depend on the order or on the other specs.
     """
-    return [_point_record(spec, idx, x) for idx, x in enumerate(spec.values)]
+    digits = [[[] for _ in spec.values] for spec in specs]
+    for idx in range(max((len(spec.values) for spec in specs), default=0)):
+        for trial in range(max(spec.n_trials for spec in specs)):
+            for spec, points in zip(specs, digits):
+                if idx < len(spec.values) and trial < spec.n_trials:
+                    points[idx].append(_one_trial_digits(spec, idx, spec.values[idx], trial))
+    return [
+        [_point_record(spec, x, point) for x, point in zip(spec.values, points)]
+        for spec, points in zip(specs, digits)
+    ]
+
+
+def run_sweep(spec: SweepSpec) -> list:
+    """All records for one sweep: run_sweeps([spec])[0]."""
+    return run_sweeps([spec])[0]
 
 
 _SIGMAS = tuple(10.0**-k for k in range(8, -1, -1))

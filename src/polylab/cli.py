@@ -24,7 +24,7 @@ from .conditioning import (
     root_point,
 )
 from .families import FAMILIES, FamilySpec, generate
-from .macaulay import choose_basis, macaulay_hat, macaulay_pencil
+from .macaulay import macaulay_pencil, quotient_basis
 from .polycore import PolySystem
 from .solvers import METHODS, UnsupportedShape, mep_from_system, solve
 
@@ -122,7 +122,7 @@ def _audit_one(s: PolySystem, x, method: str, seed: int) -> ConditionReport:
     # |x_i| gives the maximum over i exactly.
     i = int(np.argmax(np.abs(root.x)))
     if method == "nf":
-        ks = kappa_eig_ms_formula(s, root, choose_basis(macaulay_hat(s)), i)
+        ks = kappa_eig_ms_formula(s, root, quotient_basis(s), i)
     elif method == "mep":
         ks = kappa_eig_mep_formula(mep_from_system(s), s, root, i)
     elif method == "macaulay":
@@ -221,8 +221,7 @@ def _cmd_sweep(args) -> int:
     else:
         raise SystemExit("pass --figure or --custom")
     os.makedirs(args.out, exist_ok=True)
-    for spec in specs:
-        records = bench.run_sweep(spec)
+    for spec, records in zip(specs, bench.run_sweeps(specs)):
         csv_path = os.path.join(args.out, f"fig{spec.name}.csv")
         svg_path = os.path.join(args.out, f"fig{spec.name}.svg")
         bench.emit_csv(records, csv_path)
@@ -240,7 +239,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     names = tuple(verification.SUITES) if args.suite == "all" else (args.suite,)
     results = verification.run_all(seed=args.seed, names=names)
-    out = {r.name: {"passed": r.passed, "details": r.details} for r in results}
+    out = {r.name: r.to_json_dict() for r in results}
     _emit(out, "-")
     return 0 if all(r.passed for r in results) else 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -137,17 +138,16 @@ class MacaulayPencil:
     """The pencil A - lambda B that the Macaulay solver solves.
 
     A2 and B2 are the rows of h_alpha and h_beta times the basis monomials
-    of ``basis``, and A1 is the full degree-rho Macaulay matrix ``mhat``.
-    When A1 plus the kept h rows is square, ``gep`` is A = [A1; A2],
-    B = [0; B2] and ``Z`` is None. Otherwise (extra syzygy rows) ``gep`` is
-    (A2 Z, B2 Z), with Z = basis.nullspace, the null space of A1: the same
-    finite eigenvalues, and Z maps its eigenvectors back to the Macaulay
-    columns. Either way A1's numerical nullity is the Bezout count r, which
-    macaulay_pencil has checked.
+    of ``basis``, and A1 is the full degree-rho Macaulay matrix, whose
+    index ``basis.index`` is. When A1 plus the kept h rows is square,
+    ``gep`` is A = [A1; A2], B = [0; B2] and ``Z`` is None. Otherwise
+    (extra syzygy rows) ``gep`` is (A2 Z, B2 Z), with Z = basis.nullspace,
+    the null space of A1: the same finite eigenvalues, and Z maps its
+    eigenvectors back to the Macaulay columns. Either way A1's numerical
+    nullity is the Bezout count r, which choose_basis has checked.
     """
 
     gep: GenEigProblem
-    mhat: MacaulayMatrix
     basis: BasisSelection
     alpha: np.ndarray
     beta: np.ndarray
@@ -160,7 +160,8 @@ class BasisSelection:
 
     The rows of ``nullspace`` follow the columns of ``index``, the Macaulay
     matrix's index; ``indices`` are the basis monomials' positions among
-    them, and ``cond`` the condition number of those rows N_B. Every
+    them, and ``cond`` the condition number of those rows N_B.
+    ``sigma_min`` is the Macaulay matrix's smallest singular value. Every
     reduction to the quotient basis goes through ``normal_form`` or
     ``multiplication_matrices``.
     """
@@ -170,6 +171,7 @@ class BasisSelection:
     nullspace: np.ndarray
     indices: np.ndarray
     index: MacaulayIndex
+    sigma_min: float
 
     def _solve(self, R: np.ndarray) -> np.ndarray:
         """C solving N_B^T C = R, one LU of N_B^T for every column of R.
@@ -242,7 +244,7 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
     column-pivoted QR, greedy on residual norms, and the first r pivots form
     the basis. The condition number of the selected r x r submatrix is
     reported alongside, and N travels with the selection for the caller to
-    reuse.
+    reuse, read-only, as do the basis positions.
     """
     r = mhat.bezout
     nullity = mhat.factor.nullity
@@ -263,13 +265,45 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
     indices = np.array(chosen)
     # np.linalg.cond(NB), which is this ratio of the singular values.
     s = np.linalg.svd(N[indices, :], compute_uv=False)
+    for a in (N, indices):
+        a.setflags(write=False)
     return BasisSelection(
         monomials=[mhat.index.col_labels[k] for k in chosen],
         cond=float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
         nullspace=N,
         indices=indices,
         index=mhat.index,
+        sigma_min=mhat.factor.sigma_min,
     )
+
+
+def quotient_basis(s: PolySystem) -> BasisSelection:
+    """choose_basis(macaulay_hat(s)), computed at most once per system object.
+
+    The selection is kept on the frozen system, as ``s.compiled`` is, so nf,
+    the Macaulay pencil and the audit of one system object share one
+    Macaulay build and one factorization; the Macaulay matrix itself is not
+    kept. A failure (NullityMismatch, RankDeficientBasis) is not kept:
+    every call raises its own. Every call issues again the warnings the
+    computation issued (a NullSpaceGapWarning on a weak gap), so what a
+    caller sees does not depend on whether the basis was cached.
+    """
+    entry = vars(s).get("_quotient_basis")
+    if entry is None:
+        caught = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                entry = (choose_basis(macaulay_hat(s)), tuple(w.message for w in caught))
+        finally:
+            if entry is None:  # the failure propagates after its warnings
+                for w in caught:
+                    warnings.warn(w.message, stacklevel=2)
+        vars(s)["_quotient_basis"] = entry
+    sel, issued = entry
+    for message in issued:
+        warnings.warn(message, stacklevel=2)
+    return sel
 
 
 def _h_rows(columns: np.ndarray, coeffs: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -299,22 +333,25 @@ def linear_poly(d: int, coeffs: np.ndarray) -> MultiPoly:
 def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
     """Build the eigenvalue pencil the Macaulay solver solves, from a random h.
 
-    h rows are kept exactly for the basis monomials chosen from the null
-    space, so the finite spectrum has size r = bezout_count(s). choose_basis
-    has checked that the Macaulay matrix's numerical nullity is r, one null
+    h rows are kept exactly for the basis monomials of quotient_basis(s),
+    so the finite spectrum has size r = bezout_count(s). choose_basis has
+    checked that the Macaulay matrix's numerical nullity is r, one null
     dimension per kept row. For the square pencil that check is the
     regularity condition: a larger nullity makes [A1; A2 - lambda B2]
-    singular for every lambda. A rectangular system is then compressed to
-    the null space (see MacaulayPencil). alpha and beta are unit-scale
-    complex Gaussians, drawn once: 4 (d + 1) standard normals from rng.
+    singular for every lambda; A1 is scattered again from the compiled
+    coefficients, after the basis, so that no second Macaulay matrix is
+    held while the first is factored. A rectangular system is compressed
+    to the null space (see MacaulayPencil) and needs no A1. alpha and beta
+    are unit-scale complex Gaussians, drawn once: 4 (d + 1) standard
+    normals from rng.
     """
-    mhat = macaulay_hat(s)
-    sel = choose_basis(mhat)
+    sel = quotient_basis(s)
     alpha = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
     beta = (rng.standard_normal(s.d + 1) + 1j * rng.standard_normal(s.d + 1)) / np.sqrt(2)
-    A2 = _h_rows(sel.indices, alpha, mhat.index.up)
-    B2 = _h_rows(sel.indices, beta, mhat.index.up)
-    if mhat.mat.shape[0] + mhat.bezout == mhat.mat.shape[1]:
+    A2 = _h_rows(sel.indices, alpha, sel.index.up)
+    B2 = _h_rows(sel.indices, beta, sel.index.up)
+    rows, cols = sel.index.shape
+    if rows + len(sel.indices) == cols:
         # Compressing this pencil to (A2 Z, B2 Z) too would make QZ cheaper,
         # but it is not a rounding change: over the seed-1 d = 2 sweeps of
         # figs 1g and 4b it moves 282 of 1,800 trials by more than a digit,
@@ -322,9 +359,10 @@ def macaulay_pencil(s: PolySystem, rng: np.random.Generator) -> MacaulayPencil:
         # digits, and the six fig 4b draws at sigma = 1e-8 that raise
         # NullityMismatch no longer do.
         Z = None
-        A = np.vstack([mhat.mat, A2])
-        B = np.vstack([np.zeros_like(mhat.mat), B2])
+        A1 = macaulay_hat(s).mat
+        A = np.vstack([A1, A2])
+        B = np.vstack([np.zeros_like(A1), B2])
     else:
         Z = sel.nullspace
         A, B = A2 @ Z, B2 @ Z
-    return MacaulayPencil(gep=GenEigProblem(A=A, B=B), mhat=mhat, basis=sel, alpha=alpha, beta=beta, Z=Z)
+    return MacaulayPencil(gep=GenEigProblem(A=A, B=B), basis=sel, alpha=alpha, beta=beta, Z=Z)

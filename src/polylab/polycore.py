@@ -614,6 +614,8 @@ class PolySystem:
     which generator produced the system, if any. The system is frozen and
     ``polys`` is stored as a tuple, so ``compiled``, built on first use,
     always describes it; residuals and Jacobians are read from it.
+    ``macaulay.quotient_basis`` keeps the system's quotient basis on it the
+    same way.
     """
 
     d: int

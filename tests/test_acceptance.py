@@ -240,7 +240,7 @@ def test_reduced_determinant_norm_bounds_and_examples():
         # The basis is fixed, not choose_basis's: a selection of its rows.
         N = null_space(mhat.mat, bezout_count(s))
         idx = np.array([mhat.index.columns[m] for m in basis_2d])
-        sel = BasisSelection(basis_2d, np.linalg.cond(N[idx]), N, idx, mhat.index)
+        sel = BasisSelection(basis_2d, np.linalg.cond(N[idx]), N, idx, mhat.index, mhat.factor.sigma_min)
         c = sel.normal_form(lagrange_interpolant(q_factorization(s, np.zeros(2, dtype=complex))))
         ratios.append(float(np.linalg.norm(c)) / sigma)
     ratios_ok = all(0.1 <= r <= 10.0 for r in ratios)

@@ -15,8 +15,11 @@ from polylab import (
     emit_svg,
     read_csv,
     run_sweep,
+    run_sweeps,
     theory_digits,
 )
+from polylab import bench
+from polylab.numkernel import SvdFactor
 from polylab.bench import CSV_HEADER, FIGURES, _broadcast_shift, axis_label, with_overrides
 
 
@@ -150,6 +153,46 @@ def test_run_sweep_is_deterministic():
         values=(1e-2, 1e-1), d=2, shift=(1 / 3, 1 / 3), n_trials=4,
     )
     assert run_sweep(spec) == run_sweep(spec)
+
+
+def _seeded(idx, trial):
+    return np.random.default_rng(np.random.SeedSequence([1, idx, trial]))
+
+
+def test_paired_trials_share_the_system_and_return_the_unpaired_errors(monkeypatch):
+    # 4a (nf) and 4b (macaulay) draw the same notdev2d system from equal
+    # seeded rngs: the second trial solves the first one's system object and
+    # reuses its factorization, and both errors are those of lone trials.
+    factored = []
+    original = SvdFactor.of
+    monkeypatch.setattr(SvdFactor, "of", staticmethod(lambda M: factored.append(1) or original(M)))
+    a, b = FIGURES["4a"], FIGURES["4b"]
+    paired, unpaired = [], []
+    for idx, x in enumerate(a.values):
+        for trial in range(2):
+            for spec in (a, b):
+                try:
+                    paired.append(bench._trial_error(spec, x, _seeded(idx, trial)))
+                except bench.SOLVER_FAILURES as exc:
+                    paired.append(type(exc))
+    n_paired = len(factored)
+    for idx, x in enumerate(a.values):
+        for trial in range(2):
+            for spec in (a, b):
+                bench._LAST_SYSTEM.clear()
+                try:
+                    unpaired.append(bench._trial_error(spec, x, _seeded(idx, trial)))
+                except bench.SOLVER_FAILURES as exc:
+                    unpaired.append(type(exc))
+    assert paired == unpaired
+    assert n_paired < len(factored) - n_paired
+
+
+def test_run_sweeps_gives_each_specs_run_sweep_records():
+    specs = [with_overrides(FIGURES[name], n_trials=3) for name in ("1e", "1f", "1g", "4a", "4b")]
+    specs.append(replace(specs[1], name="t", values=specs[1].values[:2], n_trials=5))
+    assert run_sweeps(specs) == [run_sweep(spec) for spec in specs]
+    assert run_sweeps([]) == []
 
 
 def test_csv_round_trip_preserves_records():

@@ -365,6 +365,19 @@ def test_verify_single_suite_prints_json_and_passes(capsys):
     assert "max_log_excess_over_u0" in out["lemmaA1"]["details"]
 
 
+def test_verify_json_is_each_results_own_record(capsys):
+    # One field list per record: polylab verify writes VerificationResult's
+    # to_json_dict, name included, and nothing of its own.
+    from polylab import verification
+
+    code = run_cli(["verify", "--suite", "lemmaA1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (result,) = verification.run_all(seed=1, names=("lemmaA1",))
+    assert out == {"lemmaA1": json.loads(json.dumps(result.to_json_dict()))}
+    assert out["lemmaA1"]["name"] == "lemmaA1"
+
+
 def test_verify_exit_code_tracks_failures(capsys, monkeypatch):
     from polylab import verification
 

@@ -345,7 +345,7 @@ def _fixed_selection(mhat, basis):
     """The BasisSelection of the monomials ``basis``, not choose_basis's, over mhat's null space."""
     N = null_space(mhat.mat, mhat.bezout)
     idx = np.array([mhat.index.columns[m] for m in basis])
-    return BasisSelection(basis, np.linalg.cond(N[idx]), N, idx, mhat.index)
+    return BasisSelection(basis, np.linalg.cond(N[idx]), N, idx, mhat.index, mhat.factor.sigma_min)
 
 
 def test_reduced_determinant_closed_form_bivariate():

@@ -175,7 +175,7 @@ def test_pencil_is_square_with_h_rows_for_the_basis():
     rng = np.random.default_rng(45)
     s = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5), rng=rng)
     pen = macaulay_pencil(s, np.random.default_rng(7))
-    n_poly_rows = pen.mhat.mat.shape[0]
+    n_poly_rows = macaulay_hat(s).mat.shape[0]
     assert pen.gep.A.shape == (10, 10)
     assert n_poly_rows == 6
     assert pen.Z is None
@@ -191,9 +191,9 @@ def test_pencil_h_rows_match_the_linear_polynomials():
     pen = macaulay_pencil(s, np.random.default_rng(8))
     halpha = linear_poly(2, pen.alpha)
     hbeta = linear_poly(2, pen.beta)
-    cols = pen.mhat.index.col_labels
-    A2 = pen.gep.A[pen.mhat.mat.shape[0] :]
-    B2 = pen.gep.B[pen.mhat.mat.shape[0] :]
+    cols = pen.basis.index.col_labels
+    A2 = pen.gep.A[macaulay_hat(s).mat.shape[0] :]
+    B2 = pen.gep.B[macaulay_hat(s).mat.shape[0] :]
     for k, m in enumerate(pen.basis.monomials):
         for x in (np.array([0.3, -0.7]), np.array([1.1, 0.4])):
             colvals = np.array([x[0] ** c[0] * x[1] ** c[1] for c in cols])
@@ -226,10 +226,10 @@ def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
     s = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=rng)
     pen = macaulay_pencil(s, np.random.default_rng(10))
     r = bezout_count(s)
-    assert pen.mhat.mat.shape[0] + r > len(pen.mhat.index.col_labels)
+    assert macaulay_hat(s).mat.shape[0] + r > len(pen.basis.index.col_labels)
     assert pen.Z is pen.basis.nullspace
     assert pen.gep.A.shape == (r, r)
-    up = pen.mhat.index.up
+    up = pen.basis.index.up
     assert pen.gep.A.tobytes() == (_h_rows(pen.basis.indices, pen.alpha, up) @ pen.Z).tobytes()
     assert pen.gep.B.tobytes() == (_h_rows(pen.basis.indices, pen.beta, up) @ pen.Z).tobytes()
     halpha = linear_poly(3, pen.alpha)
@@ -243,13 +243,20 @@ def test_rectangular_pencil_is_its_h_rows_compressed_to_the_null_space():
 
 
 def test_both_pencil_shapes_check_the_nullity_before_drawing(monkeypatch):
-    # For the square pencil a nullity above r makes it singular for every lambda.
-    square = generate(FamilySpec(family="cyclic_squares", d=2, sigma=0.5), rng=np.random.default_rng(52))
-    rect = generate(FamilySpec(family="cyclic_squares", d=3, sigma=0.5), rng=np.random.default_rng(52))
+    # For the square pencil a nullity above r makes it singular for every
+    # lambda. The first pencils cache their systems' quotient bases, so the
+    # patched nullity is read by fresh systems with the same coefficients.
+    def systems():
+        return [
+            generate(FamilySpec(family="cyclic_squares", d=d, sigma=0.5), rng=np.random.default_rng(52))
+            for d in (2, 3)
+        ]
+
+    square, rect = systems()
     assert macaulay_pencil(square, np.random.default_rng(13)).Z is None
     assert macaulay_pencil(rect, np.random.default_rng(13)).Z is not None
     monkeypatch.setattr(SvdFactor, "nullity", property(lambda self: 9))
-    for s, r in ((square, 4), (rect, 8)):
+    for s, r in zip(systems(), (4, 8)):
         rng = np.random.default_rng(13)
         with pytest.raises(NullityMismatch, match=f"numerical nullity 9 != expected root count {r}"):
             macaulay_pencil(s, rng)

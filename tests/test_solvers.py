@@ -16,7 +16,9 @@ from polylab import (
     MultiParamEig,
     MultiPoly,
     NullityMismatch,
+    NullSpaceGapWarning,
     PolySystem,
+    RankDeficientBasis,
     SingularDelta0,
     UnsupportedShape,
     bezout_count,
@@ -29,6 +31,7 @@ from polylab import (
     mep_from_system,
     newton_polish,
     operator_determinants,
+    quotient_basis,
     solve,
     solve_gb_elimination_example,
     solve_macaulay_resultant,
@@ -41,7 +44,7 @@ from polylab import bench
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.macaulay import BasisSelection
-from polylab.numkernel import random_unit_vector
+from polylab.numkernel import SvdFactor, random_unit_vector
 from polylab.polycore import CompiledPolys
 from polylab.solvers import (
     EigenvectorDegenerate,
@@ -505,6 +508,63 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
     assert factored.count(built[0]) == 1
 
 
+def _counting_factorizations(monkeypatch):
+    """The shapes of the matrices SvdFactor.of factors from now on."""
+    factored = []
+    original = SvdFactor.of
+
+    def counting(M):
+        factored.append(np.shape(M))
+        return original(M)
+
+    monkeypatch.setattr(SvdFactor, "of", staticmethod(counting))
+    return factored
+
+
+@pytest.mark.parametrize("d", [2, 3])  # square, then compressed Macaulay pencil
+def test_nf_and_macaulay_share_one_factorization_per_system(monkeypatch, d):
+    s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(0.3, -0.2, 0.1)[:d]))
+    factored = _counting_factorizations(monkeypatch)
+    reports = [solve(s, method, rng=np.random.default_rng(3)) for method in ("nf", "macaulay", "nf")]
+    assert factored == [macaulay_hat(s).mat.shape]
+    # Each report is byte-equal to a solve of a fresh copy, which factors its own.
+    for method, report in zip(("nf", "macaulay", "nf"), reports):
+        copy = PolySystem.from_json_dict(s.to_json_dict())
+        fresh = solve(copy, method, rng=np.random.default_rng(3))
+        assert json.dumps(report.to_json_dict()) == json.dumps(fresh.to_json_dict())
+    assert len(factored) == 1 + len(reports)
+    assert quotient_basis(s) is quotient_basis(s)
+    assert not quotient_basis(s).nullspace.flags.writeable
+
+
+def test_a_failed_quotient_basis_raises_on_every_call():
+    # Fig 5 at sigma = 1 has a root at infinity: the basis rows are rank
+    # deficient. The failure is not kept, so each method raises its own.
+    spec = FIGURES["5"]
+    idx = spec.values.index(1.0)
+    s = generate(bench._family_spec(spec, 1.0), rng=np.random.default_rng(np.random.SeedSequence([1, idx, 0])))
+    for method in ("nf", "nf", "macaulay"):
+        with pytest.raises(RankDeficientBasis):
+            solve(s, method, rng=np.random.default_rng(3))
+    assert "_quotient_basis" not in vars(s)
+
+
+def test_a_weak_null_space_gap_warns_on_every_call():
+    # notdev3d's Macaulay matrix has one singular value near 0.54 sigma above
+    # its null space. At sigma = 2.8e-14 it sits above the nullity tolerance
+    # (1.35e-14) but less than 1e2 times the largest null singular value
+    # (1.7e-16), the middle of that window.
+    s = generate(FamilySpec(family="notdev3d", d=3, sigma=2.8e-14), rng=np.random.default_rng(0))
+    for method in ("nf", "nf", "macaulay"):
+        with pytest.warns(NullSpaceGapWarning, match="weak null space separation") as caught:
+            try:
+                solve(s, method, rng=np.random.default_rng(3))
+            except bench.SOLVER_FAILURES:
+                pass
+        assert len([w for w in caught if w.category is NullSpaceGapWarning]) == 1
+    assert "_quotient_basis" in vars(s)
+
+
 def test_a_macaulay_solve_draws_its_divisors_once():
     # alpha and beta take exactly 4 (d + 1) standard normals from the rng.
     for d in (2, 3):
@@ -624,7 +684,7 @@ def _root_from_vector_loop(v, index):
 
 def _macaulay_loop(s):
     pencil = macaulay_pencil(s, np.random.default_rng(1))
-    r = pencil.mhat.bezout
+    r = len(pencil.basis.indices)
     pairs = generalized_eig(pencil.gep)
     kept = list(range(len(pairs)))
     if len(kept) > r:
@@ -637,7 +697,7 @@ def _macaulay_loop(s):
     roots, kappas = [], []
     for k in kept:
         v = pairs.right[k] if pencil.Z is None else pencil.Z @ pairs.right[k]
-        roots.append(_root_from_vector_loop(v, pencil.mhat.index))
+        roots.append(_root_from_vector_loop(v, pencil.basis.index))
         kappas.append(_kappa_eig_loop(pencil.gep, pairs, k))
     return roots, kappas, {"infinite": bool(pairs.infinite.any()), "square": pencil.Z is None}
 
@@ -846,3 +906,29 @@ def test_root_sets_survive_permuted_variables_and_scaled_equations(method, scale
         kappa = max(base.subproblem_kappa + other.subproblem_kappa)
         tol = 1e4 * np.finfo(float).eps * kappa * max(1.0, float(np.abs(X).max()))
         assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_nf_macaulay_and_mep_agree_on_rooted_systems(data):
+    # The three reductions solve one system: at root scale 0.5 their root
+    # sets match to within what their subproblem kappas allow, and each set
+    # holds the planted root. The factor 1e4 is the permutation test's; over
+    # 300 seeded draws at d = 2 and 3 both ratios to eps * kappa * max|x|
+    # stayed below 7.
+    d = data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = _single_square_system(d, rng, 0.5)
+    reports = {method: solve(s, method) for method in ("nf", "macaulay", "mep")}
+    eps = np.finfo(float).eps
+    ref = reports["mep"]
+    X = np.array(ref.roots)
+    for method, report in reports.items():
+        Y = np.array(report.roots)
+        assert Y.shape == (2**d, d)
+        dist = np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+        kappa = max(ref.subproblem_kappa + report.subproblem_kappa)
+        tol = 1e4 * eps * kappa * max(1.0, float(np.abs(X).max()))
+        assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= tol, method
+        planted = np.abs(Y - s.true_roots[0]).max(axis=1).min()
+        assert planted <= 1e4 * eps * max(report.subproblem_kappa) * max(1.0, float(np.abs(Y).max())), method
