@@ -6,8 +6,9 @@ The elimination route through a univariate polynomial loses digits
 exponentially in the dimension even at sigma = 1/2, because the
 univariate root is conditioned like sigma^(1 - 2^d). The operator
 determinant route on the permutation family shows the same trend at
-sigma = 0.01 for a milder reason: its subproblem conditioning scales
-like sigma^-2 while the root itself is only sigma^-1 conditioned.
+sigma = 0.01, more slowly: its subproblem conditioning grows like
+sigma^-d, exponentially in the dimension, while the root itself is only
+sigma^-1 conditioned.
 """
 
 from dataclasses import replace

@@ -13,14 +13,13 @@ import numpy as np
 
 from polylab import (
     FamilySpec,
-    choose_basis,
     generate,
     hausdorff_distance,
     kappa_eig_mep_formula,
     kappa_eig_ms_formula,
     kappa_root,
-    macaulay_hat,
     mep_from_system,
+    quotient_basis,
     solve,
 )
 
@@ -45,7 +44,7 @@ origin = np.zeros(2, dtype=complex)
 kr = kappa_root(s, origin)
 print(f"\nkappa_root at the origin: {kr:.3e}")
 
-sel = choose_basis(macaulay_hat(s))
+sel = quotient_basis(s)
 k_nf = kappa_eig_ms_formula(s, origin, sel, 0)
 k_mep = kappa_eig_mep_formula(mep_from_system(s), s, origin, 0)
 print(f"multiplication-matrix eigenvalue conditioning: {k_nf:.3e}")

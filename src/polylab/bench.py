@@ -226,46 +226,49 @@ _SIGMAS = tuple(10.0**-k for k in range(8, -1, -1))
 _THIRD = 1.0 / 3.0
 
 FIGURES = {
-    "1c": SweepSpec(
-        name="1c", method="gb", family="cyclic_squares", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD), n_trials=1,
-    ),
-    "1d": SweepSpec(
-        name="1d", method="rur", family="hypercube", axis="c",
-        values=tuple(10.0**k for k in range(9)), d=2, shift=(_THIRD, _THIRD),
-    ),
-    "1e": SweepSpec(
-        name="1e", method="mep", family="orthogonal", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
-    ),
-    "1f": SweepSpec(
-        name="1f", method="nf", family="orthogonal", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
-    ),
-    "1g": SweepSpec(
-        name="1g", method="macaulay", family="orthogonal", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
-    ),
-    "2": SweepSpec(
-        name="2", method="gb", family="cyclic_squares", axis="d",
-        values=(2, 3, 4, 5, 6), sigma=0.5, shift=(_THIRD,), n_trials=1,
-    ),
-    "3": SweepSpec(
-        name="3", method="mep", family="permutation", axis="d",
-        values=(2, 3, 4, 5, 6), sigma=1e-2, shift=(_THIRD,),
-    ),
-    "4a": SweepSpec(
-        name="4a", method="nf", family="notdev2d", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
-    ),
-    "4b": SweepSpec(
-        name="4b", method="macaulay", family="notdev2d", axis="sigma",
-        values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
-    ),
-    "5": SweepSpec(
-        name="5", method="nf", family="notdev3d", axis="sigma",
-        values=_SIGMAS, d=3,
-    ),
+    spec.name: spec
+    for spec in (
+        SweepSpec(
+            name="1c", method="gb", family="cyclic_squares", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD), n_trials=1,
+        ),
+        SweepSpec(
+            name="1d", method="rur", family="hypercube", axis="c",
+            values=tuple(10.0**k for k in range(9)), d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="1e", method="mep", family="orthogonal", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="1f", method="nf", family="orthogonal", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="1g", method="macaulay", family="orthogonal", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="2", method="gb", family="cyclic_squares", axis="d",
+            values=(2, 3, 4, 5, 6), sigma=0.5, shift=(_THIRD,), n_trials=1,
+        ),
+        SweepSpec(
+            name="3", method="mep", family="permutation", axis="d",
+            values=(2, 3, 4, 5, 6), sigma=1e-2, shift=(_THIRD,),
+        ),
+        SweepSpec(
+            name="4a", method="nf", family="notdev2d", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="4b", method="macaulay", family="notdev2d", axis="sigma",
+            values=_SIGMAS, d=2, shift=(_THIRD, _THIRD),
+        ),
+        SweepSpec(
+            name="5", method="nf", family="notdev3d", axis="sigma",
+            values=_SIGMAS, d=3,
+        ),
+    )
 }
 
 

@@ -195,10 +195,9 @@ def _custom_spec(args) -> bench.SweepSpec:
         sigma=args.sigma,
         c=args.c,
         shift=_parse_shift(args.shift),
-        n_trials=args.trials if args.trials is not None else 100,
-        seed=args.seed if args.seed is not None else 1,
         polish=args.polish,
     )
+    spec = bench.with_overrides(spec, n_trials=args.trials, seed=args.seed)
     for x in spec.values:
         bench._family_spec(spec, x)
     return spec

@@ -18,8 +18,10 @@ listed roots satisfy the system to machine precision. Families:
 - ``notdev3d``:        p_1 = xy + s*x^2 + s*y, p_2 = xy + s*y^2 + s*z,
                        p_3 = xy + s*z^2 + s*x; root at the origin. d = 3 only.
 
-An optional affine shift moves every system and its listed roots by exact
-Taylor translation of the coefficients.
+A family is one builder, returning its polynomials and listed roots, plus
+one row of the ``_FAMILY`` table. An optional affine shift moves every
+system and its listed roots by exact Taylor translation of the
+coefficients.
 """
 
 from __future__ import annotations
@@ -32,15 +34,6 @@ import numpy as np
 
 from .numkernel import _row_norms, random_orthogonal
 from .polycore import MultiPoly, PolySystem
-
-FAMILIES = (
-    "orthogonal",
-    "cyclic_squares",
-    "hypercube",
-    "permutation",
-    "notdev2d",
-    "notdev3d",
-)
 
 
 @dataclass(frozen=True)
@@ -64,16 +57,14 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.family == "hypercube":
-            if self.c is None or not 0 < self.c < math.inf:
-                raise ValueError("hypercube family needs c > 0 and finite")
-        else:
-            if self.sigma is None or not 0 < self.sigma < math.inf:
-                raise ValueError(f"family {self.family!r} needs sigma > 0 and finite")
-        if self.family == "notdev2d" and self.d != 2:
-            raise ValueError("notdev2d is a two-variable family")
-        if self.family == "notdev3d" and self.d != 3:
-            raise ValueError("notdev3d is a three-variable family")
+        _, param, dim = _FAMILY[self.family]
+        value = getattr(self, param)
+        if value is None or not 0 < value < math.inf:
+            who = f"family {self.family!r}" if param == "sigma" else f"{self.family} family"
+            raise ValueError(f"{who} needs {param} > 0 and finite")
+        if dim is not None and self.d != dim:
+            words = {2: "two", 3: "three"}[dim]
+            raise ValueError(f"{self.family} is a {words}-variable family")
         if self.shift is not None:
             if len(self.shift) != self.d:
                 raise ValueError("shift length must equal d")
@@ -83,13 +74,6 @@ class FamilySpec:
             object.__setattr__(self, "shift", shift)
 
 
-# Each builder writes a polynomial's terms once, in the order a sum of its
-# monomials lists them. MultiPoly._of_terms normalizes each coefficient as
-# such a sum does (0j + complex(c), dropped at or below COEFF_FLOOR), so the
-# terms are bit-equal to the sum's. The coefficients are finite by
-# construction, so the validating constructor's check is not needed.
-
-
 def _power(d: int, i: int, e: int = 1) -> tuple:
     """Exponent tuple of x_i**e in d variables."""
     m = [0] * d
@@ -97,24 +81,33 @@ def _power(d: int, i: int, e: int = 1) -> tuple:
     return tuple(m)
 
 
-def _orthogonal(spec: FamilySpec, rng) -> PolySystem:
-    d, sigma = spec.d, spec.sigma
-    Q = random_orthogonal(d, rng)
-    polys = [
+# Each builder returns a family's polynomials and its listed roots, unshifted.
+# It writes a polynomial's terms once, in the order a sum of its monomials
+# lists them. MultiPoly._of_terms normalizes each coefficient as such a sum
+# does (0j + complex(c), dropped at or below COEFF_FLOOR), so the terms are
+# bit-equal to the sum's. The coefficients are finite by construction, so
+# the validating constructor's check is not needed.
+
+
+def _squares_plus(spec: FamilySpec, M: np.ndarray) -> list:
+    """p_i = x_i^2 + sigma (M x)_i."""
+    d = spec.d
+    return [
         MultiPoly._of_terms(
-            d, {_power(d, i, 2): 1.0} | {_power(d, j): sigma * Q[i, j] for j in range(d)}
+            d, {_power(d, i, 2): 1.0} | {_power(d, j): c for j, c in enumerate(row) if c}
         )
-        for i in range(d)
+        for i, row in enumerate((spec.sigma * M).tolist())
     ]
-    return PolySystem(d, polys, true_roots=[np.zeros(d, dtype=complex)], family_tag="orthogonal")
 
 
-def _cyclic_squares(spec: FamilySpec, rng) -> PolySystem:
+def _orthogonal(spec: FamilySpec, rng) -> tuple:
+    return _squares_plus(spec, random_orthogonal(spec.d, rng)), [np.zeros(spec.d, dtype=complex)]
+
+
+def _cyclic_squares(spec: FamilySpec, rng) -> tuple:
     d, sigma = spec.d, spec.sigma
-    polys = [
-        MultiPoly._of_terms(d, {_power(d, i, 2): 1.0, _power(d, (i + 1) % d): -sigma})
-        for i in range(d)
-    ]
+    # M = minus the cyclic shift: (M x)_i = -x_{i+1 mod d}.
+    polys = _squares_plus(spec, -np.eye(d)[[(i + 1) % d for i in range(d)]])
     # Non-origin roots: x_1^(2^d - 1) = sigma^(2^d - 1), coordinates chained
     # by x_{i+1} = x_i^2 / sigma.
     roots = [np.zeros(d, dtype=complex)]
@@ -126,10 +119,10 @@ def _cyclic_squares(spec: FamilySpec, rng) -> PolySystem:
         for i in range(1, d):
             r[i] = r[i - 1] ** 2 / sigma
         roots.append(r)
-    return PolySystem(d, polys, true_roots=roots, family_tag="cyclic_squares")
+    return polys, roots
 
 
-def _hypercube(spec: FamilySpec, rng) -> PolySystem:
+def _hypercube(spec: FamilySpec, rng) -> tuple:
     d, c = spec.d, spec.c
     A = random_orthogonal(d, rng)
     denom = c * c * d
@@ -148,7 +141,7 @@ def _hypercube(spec: FamilySpec, rng) -> PolySystem:
     for mask in range(2**d):
         signs = [1.0 if mask & (1 << j) == 0 else -1.0 for j in range(d)]
         roots.append(np.array([s * a for s in signs], dtype=complex))
-    return PolySystem(d, polys, true_roots=roots, family_tag="hypercube")
+    return polys, roots
 
 
 def _random_cycle(d: int, rng) -> list:
@@ -161,14 +154,11 @@ def _random_cycle(d: int, rng) -> list:
     return perm
 
 
-def _permutation(spec: FamilySpec, rng) -> PolySystem:
-    d, sigma = spec.d, spec.sigma
+def _permutation(spec: FamilySpec, rng) -> tuple:
+    d = spec.d
     perm = _random_cycle(d, rng) if d > 1 else [0]
-    polys = [
-        MultiPoly._of_terms(d, {_power(d, i, 2): 1.0, _power(d, int(perm[i])): sigma})
-        for i in range(d)
-    ]
-    return PolySystem(d, polys, true_roots=[np.zeros(d, dtype=complex)], family_tag="permutation")
+    # Row i of M is e_perm(i): (M x)_i = x_perm(i).
+    return _squares_plus(spec, np.eye(d)[perm]), [np.zeros(d, dtype=complex)]
 
 
 def _random_rotation_2d(rng) -> np.ndarray:
@@ -177,33 +167,36 @@ def _random_rotation_2d(rng) -> np.ndarray:
     return np.array([[ct, -st], [st, ct]])
 
 
-def _notdev2d(spec: FamilySpec, rng) -> PolySystem:
+def _notdev2d(spec: FamilySpec, rng) -> tuple:
     s = spec.sigma
     A = _random_rotation_2d(rng)  # det +1 keeps the closed-form interpolant clean
     p1 = MultiPoly._of_terms(2, {(2, 0): 1.0, (1, 0): s * A[0, 0], (0, 1): s * A[0, 1]})
     p2 = MultiPoly._of_terms(
         2, {(1, 1): 1.0, (0, 2): s, (1, 0): s * A[1, 0], (0, 1): s * A[1, 1]}
     )
-    return PolySystem(2, [p1, p2], true_roots=[np.zeros(2, dtype=complex)], family_tag="notdev2d")
+    return [p1, p2], [np.zeros(2, dtype=complex)]
 
 
-def _notdev3d(spec: FamilySpec, rng) -> PolySystem:
+def _notdev3d(spec: FamilySpec, rng) -> tuple:
     s = spec.sigma
     polys = [
         MultiPoly._of_terms(3, {(1, 1, 0): 1.0, _power(3, i, 2): s, _power(3, (i + 1) % 3): s})
         for i in range(3)
     ]
-    return PolySystem(3, polys, true_roots=[np.zeros(3, dtype=complex)], family_tag="notdev3d")
+    return polys, [np.zeros(3, dtype=complex)]
 
 
-_BUILDERS = {
-    "orthogonal": _orthogonal,
-    "cyclic_squares": _cyclic_squares,
-    "hypercube": _hypercube,
-    "permutation": _permutation,
-    "notdev2d": _notdev2d,
-    "notdev3d": _notdev3d,
+# The one place a family is registered: its builder, the FamilySpec field
+# it reads, and its fixed dimension (None when any d >= 1 is allowed).
+_FAMILY = {
+    "orthogonal": (_orthogonal, "sigma", None),
+    "cyclic_squares": (_cyclic_squares, "sigma", None),
+    "hypercube": (_hypercube, "c", None),
+    "permutation": (_permutation, "sigma", None),
+    "notdev2d": (_notdev2d, "sigma", 2),
+    "notdev3d": (_notdev3d, "sigma", 3),
 }
+FAMILIES = tuple(_FAMILY)
 
 
 def generate(spec: FamilySpec, rng: np.random.Generator | None = None) -> PolySystem:
@@ -214,15 +207,13 @@ def generate(spec: FamilySpec, rng: np.random.Generator | None = None) -> PolySy
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    sys = _BUILDERS[spec.family](spec, rng)
+    polys, roots = _FAMILY[spec.family][0](spec, rng)
     if spec.shift is not None:
         shift = np.asarray(spec.shift, dtype=complex)
         # q(x) = p(x - shift) moves every root by +shift.
-        polys = [p.translate(-shift) for p in sys.polys]
-        roots = None
-        if sys.true_roots is not None:
-            roots = [r + shift for r in sys.true_roots]
-        sys = PolySystem(sys.d, polys, true_roots=roots, family_tag=sys.family_tag)
+        polys = [p.translate(-shift) for p in polys]
+        roots = [r + shift for r in roots]
+    sys = PolySystem(spec.d, polys, true_roots=roots, family_tag=spec.family)
     sys.validate()
     return sys
 

@@ -49,6 +49,41 @@ def test_generate_requires_the_family_parameter():
         generate(FamilySpec(family="hypercube", d=2))
 
 
+def _parameter_error(family):
+    if family == "hypercube":
+        return "hypercube family needs c > 0 and finite"
+    return f"family {family!r} needs sigma > 0 and finite"
+
+
+def _fixed_d(family):
+    return {"notdev2d": 2, "notdev3d": 3}.get(family, 2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("value", [None, math.nan, math.inf])
+def test_a_missing_or_nonfinite_parameter_is_one_message(family, value):
+    key = "c" if family == "hypercube" else "sigma"
+    with pytest.raises(ValueError, match=f"^{re.escape(_parameter_error(family))}$"):
+        FamilySpec(family=family, d=_fixed_d(family), **{key: value})
+
+
+@pytest.mark.parametrize(
+    "family, d, message",
+    [("notdev2d", 3, "notdev2d is a two-variable family"),
+     ("notdev3d", 2, "notdev3d is a three-variable family")],
+)
+def test_a_fixed_dimension_family_rejects_other_d(family, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FamilySpec(family=family, d=d, sigma=0.1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shifted_and_unshifted_systems_carry_the_family_tag(family):
+    d = _fixed_d(family)
+    for shift in (None, (0.3,) * d):
+        assert generate(spec_for(family, d, seed=1, shift=shift)).family_tag == family
+
+
 def test_orthogonal_root_conditioning_is_inverse_sigma():
     rng = np.random.default_rng(32)
     for sigma in (1e-1, 1e-2, 1e-3):

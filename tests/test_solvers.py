@@ -908,6 +908,30 @@ def test_root_sets_survive_permuted_variables_and_scaled_equations(method, scale
         assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= tol
 
 
+@pytest.mark.parametrize("method", ["nf", "macaulay", "mep"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_root_sets_move_with_a_shift(method, data):
+    # q(x) = p(x - t) has the roots of p moved by t. The tolerance is the
+    # permutation test's; over 150 seeded draws per method at d = 2 and 3
+    # the worst ratio to eps * kappa * max(1, |x|) was 10.4 (nf), 8.5
+    # (macaulay) and 0.35 (mep).
+    d = data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 0.5
+    s = _single_square_system(d, rng, scale)
+    t = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * (scale / 2)
+    base = solve(s, method)
+    other = solve(PolySystem(d, [p.translate(-t) for p in s.polys], true_roots=[], family_tag=""), method)
+    X = np.array(base.roots)
+    Y = np.array(other.roots) - t
+    assert X.shape == Y.shape == (2**d, d)
+    dist = np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+    kappa = max(base.subproblem_kappa + other.subproblem_kappa)
+    tol = 1e4 * np.finfo(float).eps * kappa * max(1.0, float(np.abs(X).max()))
+    assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= tol
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_nf_macaulay_and_mep_agree_on_rooted_systems(data):
