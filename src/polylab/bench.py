@@ -9,6 +9,7 @@ counts predicted by the subproblem and root condition numbers.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import conditioning
 from .conditioning import theory_digits
 from .families import FamilySpec, generate, true_root_error
-from .macaulay import BasisSingular, NullityMismatch, RankDeficientBasis
+from .macaulay import BasisSingular, NullityMismatch, RankDeficientBasis, _recorded
 from .numkernel import SingularPencil
 from .polycore import PolySystem
 from .solvers import (
@@ -122,32 +123,33 @@ def _family_spec(spec: SweepSpec, x) -> FamilySpec:
     )
 
 
-# One slot per family instance: the last system _trial_error generated for
-# it, and the rng state that generation started from (see _shared_system).
+# One slot per family instance: the rng states its last build started from
+# and ended in, the system and the build's warnings (see _shared_system).
 _LAST_SYSTEM: dict = {}
 
 
 def _shared_system(fspec: FamilySpec, rng: np.random.Generator) -> PolySystem:
-    """generate(fspec, rng=rng), or the bit-equal system an earlier trial generated from the same rng state.
+    """generate(fspec, rng=rng), replayed when an earlier trial built it from the same rng state.
 
     Trials with the same seed, point and trial index draw the same system
-    whatever their method, as nf and macaulay do in figs 4a/4b. Each trial
-    still calls generate, so its rng advances as before and the listed roots
-    are validated; when the slot's system came from the same rng state and
-    has the same compiled layout and coefficient bytes, the trial solves
-    that object instead, and reads the quotient basis the earlier trial
-    computed on it (macaulay.quotient_basis). Systems of other seeds or
-    trials are never shared, even when their coefficients are equal.
+    whatever their method, as nf and macaulay do in figs 4a/4b. generate is
+    a pure function of the spec and the rng state, so such a trial does not
+    call it again: it sets the rng to the state the build ended in, issues
+    the build's warnings again, and solves the system object the build
+    validated, reading the quotient basis the earlier trial computed on it
+    (macaulay.quotient_basis). Systems of other seeds or trials are never
+    shared, even when their coefficients are equal.
     """
     start = rng.bit_generator.state
-    s = generate(fspec, rng=rng)
-    last = _LAST_SYSTEM.get(fspec)
-    if last is not None and last[0] == start:
-        earlier, new = last[1].compiled, s.compiled
-        if earlier.layout is new.layout and earlier.coeffs.tobytes() == new.coeffs.tobytes():
-            return last[1]
-    _LAST_SYSTEM[fspec] = (start, s)
-    return s
+    slot = _LAST_SYSTEM.get(fspec)
+    if slot is not None and slot[0] == start:
+        rng.bit_generator.state = slot[1]
+    else:
+        s, issued = _recorded(generate, fspec, rng)
+        slot = _LAST_SYSTEM[fspec] = (start, rng.bit_generator.state, s, issued)
+    for message in slot[3]:
+        warnings.warn(message, stacklevel=2)
+    return slot[2]
 
 
 def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
@@ -200,10 +202,10 @@ def run_sweeps(specs) -> list:
     """The records of each sweep, one list per spec.
 
     Trials run in (point, trial, spec) order, so the specs that draw the
-    same seeded systems (figs 1e/1f/1g, 4a/4b) solve each one back to back
-    and share it (see _shared_system). Every trial is seeded by its spec's
-    seed, its point and its trial index alone, and aggregated by trial
-    index, so the records do not depend on the order or on the other specs.
+    same seeded systems (figs 1e/1f/1g, 4a/4b) solve each back to back, all
+    but the first replaying its build (see _shared_system). Each trial is
+    seeded by its spec's seed, point and trial index alone and aggregated
+    by trial index, so no record depends on the order or the other specs.
     """
     digits = [[[] for _ in spec.values] for spec in specs]
     for idx in range(max((len(spec.values) for spec in specs), default=0)):

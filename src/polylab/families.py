@@ -55,6 +55,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
+            raise ValueError(f"d must be an integer, not {self.d!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         _, param, dim = _FAMILY[self.family]

@@ -277,6 +277,20 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
     )
 
 
+def _recorded(compute, *args) -> tuple:
+    """compute(*args) and the messages of the warnings it issued, which are
+    recorded, not shown; a failure propagates after its warnings are issued."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return compute(*args), tuple(w.message for w in caught)
+    except BaseException:
+        for w in caught:
+            warnings.warn(w.message, stacklevel=3)
+        raise
+
+
 def quotient_basis(s: PolySystem) -> BasisSelection:
     """choose_basis(macaulay_hat(s)), computed at most once per system object.
 
@@ -290,16 +304,7 @@ def quotient_basis(s: PolySystem) -> BasisSelection:
     """
     entry = vars(s).get("_quotient_basis")
     if entry is None:
-        caught = []
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                entry = (choose_basis(macaulay_hat(s)), tuple(w.message for w in caught))
-        finally:
-            if entry is None:  # the failure propagates after its warnings
-                for w in caught:
-                    warnings.warn(w.message, stacklevel=2)
-        vars(s)["_quotient_basis"] = entry
+        entry = vars(s)["_quotient_basis"] = _recorded(lambda: choose_basis(macaulay_hat(s)))
     sel, issued = entry
     for message in issued:
         warnings.warn(message, stacklevel=2)

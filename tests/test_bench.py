@@ -1,6 +1,7 @@
 """Sweep driver, accuracy metric, and the CSV/SVG emitters."""
 
 import math
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from polylab import (
     run_sweeps,
     theory_digits,
 )
-from polylab import bench
+from polylab import FAMILIES, FamilySpec, bench, generate
 from polylab.numkernel import SvdFactor
 from polylab.bench import CSV_HEADER, FIGURES, _broadcast_shift, axis_label, with_overrides
 
@@ -159,13 +160,56 @@ def _seeded(idx, trial):
     return np.random.default_rng(np.random.SeedSequence([1, idx, trial]))
 
 
+def _counting_generate(monkeypatch, before=None):
+    """Patch bench.generate to count its calls, calling ``before`` first.
+
+    The test runs on empty slots of its own, so no build it patched is
+    replayed after it.
+    """
+    calls = []
+    original = bench.generate
+
+    def counted(fspec, rng=None):
+        calls.append(fspec)
+        if before is not None:
+            before()
+        return original(fspec, rng=rng)
+
+    monkeypatch.setattr(bench, "generate", counted)
+    monkeypatch.setattr(bench, "_LAST_SYSTEM", {})
+    return calls
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_replayed_system_equals_a_fresh_generate(family, shifted):
+    d = {"notdev2d": 2, "notdev3d": 3}.get(family, 2)
+    scale = {"c": 2.0} if family == "hypercube" else {"sigma": 0.1}
+    fspec = FamilySpec(family=family, d=d, shift=(0.3,) * d if shifted else None, **scale)
+    bench._LAST_SYSTEM.clear()
+    built = bench._shared_system(fspec, _seeded(2, 1))
+    rng, fresh_rng = _seeded(2, 1), _seeded(2, 1)
+    replayed = bench._shared_system(fspec, rng)
+    fresh = generate(fspec, rng=fresh_rng)
+    assert replayed is built and replayed is not fresh
+    assert replayed.compiled.coeffs.tobytes() == fresh.compiled.coeffs.tobytes()
+    assert replayed.to_json_dict() == fresh.to_json_dict()
+    assert np.array(replayed.true_roots).tobytes() == np.array(fresh.true_roots).tobytes()
+    assert replayed.family_tag == fresh.family_tag == family
+    # The rng ends where the fresh build left it, so later draws agree.
+    assert rng.bit_generator.state == fresh_rng.bit_generator.state
+    assert rng.standard_normal(4).tobytes() == fresh_rng.standard_normal(4).tobytes()
+
+
 def test_paired_trials_share_the_system_and_return_the_unpaired_errors(monkeypatch):
     # 4a (nf) and 4b (macaulay) draw the same notdev2d system from equal
-    # seeded rngs: the second trial solves the first one's system object and
-    # reuses its factorization, and both errors are those of lone trials.
+    # seeded rngs: the second trial replays the first one's build, solves
+    # its system object and reuses its factorization, and both errors are
+    # those of lone trials.
     factored = []
     original = SvdFactor.of
     monkeypatch.setattr(SvdFactor, "of", staticmethod(lambda M: factored.append(1) or original(M)))
+    built = _counting_generate(monkeypatch)
     a, b = FIGURES["4a"], FIGURES["4b"]
     paired, unpaired = [], []
     for idx, x in enumerate(a.values):
@@ -176,6 +220,7 @@ def test_paired_trials_share_the_system_and_return_the_unpaired_errors(monkeypat
                 except bench.SOLVER_FAILURES as exc:
                     paired.append(type(exc))
     n_paired = len(factored)
+    assert len(built) == 2 * len(a.values)
     for idx, x in enumerate(a.values):
         for trial in range(2):
             for spec in (a, b):
@@ -188,10 +233,40 @@ def test_paired_trials_share_the_system_and_return_the_unpaired_errors(monkeypat
     assert n_paired < len(factored) - n_paired
 
 
+def test_a_replayed_trial_issues_the_builds_warnings_again(monkeypatch):
+    built = _counting_generate(monkeypatch, lambda: warnings.warn("drawn", UserWarning))
+    a, b = FIGURES["4a"], FIGURES["4b"]
+    for spec in (a, b):
+        with pytest.warns(UserWarning, match="^drawn$") as caught:
+            bench._trial_error(spec, a.values[3], _seeded(3, 0))
+        assert [str(w.message) for w in caught if w.category is UserWarning] == ["drawn"]
+    assert len(built) == 1
+
+
+def test_a_failed_build_issues_its_warnings_and_stores_nothing(monkeypatch):
+    def fail():
+        warnings.warn("drawn", UserWarning)
+        raise ValueError("no system")
+
+    built = _counting_generate(monkeypatch, fail)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="^drawn$"), pytest.raises(ValueError, match="no system"):
+            bench._trial_error(FIGURES["4a"], 1e-2, _seeded(0, 0))
+    assert len(built) == 2 and not bench._LAST_SYSTEM
+
+
 def test_run_sweeps_gives_each_specs_run_sweep_records():
+    # Each run starts with no built systems, so the lone runs cannot replay
+    # the paired run's builds.
     specs = [with_overrides(FIGURES[name], n_trials=3) for name in ("1e", "1f", "1g", "4a", "4b")]
     specs.append(replace(specs[1], name="t", values=specs[1].values[:2], n_trials=5))
-    assert run_sweeps(specs) == [run_sweep(spec) for spec in specs]
+    bench._LAST_SYSTEM.clear()
+    paired = run_sweeps(specs)
+    lone = []
+    for spec in specs:
+        bench._LAST_SYSTEM.clear()
+        lone.append(run_sweep(spec))
+    assert paired == lone
     assert run_sweeps([]) == []
 
 

@@ -77,6 +77,14 @@ def test_a_fixed_dimension_family_rejects_other_d(family, d, message):
         FamilySpec(family=family, d=d, sigma=0.1)
 
 
+@pytest.mark.parametrize("d", [2.0, 2.5, True])
+def test_a_dimension_that_is_not_an_integer_is_one_value_error(d):
+    # Without the check generate fails later with numpy's TypeError, and
+    # d = 2.0 would compare and hash equal to the spec with d = 2.
+    with pytest.raises(ValueError, match=f"^d must be an integer, not {d!r}$"):
+        FamilySpec(family="orthogonal", d=d, sigma=0.1)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_shifted_and_unshifted_systems_carry_the_family_tag(family):
     d = _fixed_d(family)
