@@ -2,7 +2,7 @@
 
 A sweep fixes a method and a family, varies one axis (coupling strength,
 scale parameter, or dimension), and records the median digits of accuracy
-of the designated root estimate over seeded trials, next to the digit
+of the family's first listed root over seeded trials, next to the digit
 counts predicted by the subproblem and root condition numbers.
 """
 
@@ -57,7 +57,7 @@ class SweepSpec:
     """One benchmark curve: a method, a family, and a varied axis."""
 
     name: str
-    method: str  # gb | rur | nf | macaulay | mep
+    method: str  # gb | rur | nf | macaulay | mep; each scores the family's first listed root
     family: str
     axis: str  # sigma | c | d
     values: tuple
@@ -108,9 +108,10 @@ def _family_spec(spec: SweepSpec, x) -> FamilySpec:
     closed_form = {"gb": "cyclic_squares", "rur": "hypercube"}.get(spec.method, spec.family)
     if spec.family != closed_form:
         raise ValueError(f"method {spec.method} runs only on the {closed_form} family")
-    if spec.axis == "d" and not float(x).is_integer():
-        raise ValueError(f"dimension {x} is not an integer")
-    d = int(x) if spec.axis == "d" else int(spec.d)
+    d = x if spec.axis == "d" else spec.d
+    if d is None or not float(d).is_integer():
+        raise ValueError(f"dimension {d} is not an integer")
+    d = int(d)
     sigma = x if spec.axis == "sigma" else spec.sigma
     c = x if spec.axis == "c" else spec.c
     return FamilySpec(
@@ -164,9 +165,8 @@ def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
         _, report = solve_rur_example(d, fspec.c, u, shift=shift)
         return float(report.diagnostics["error"])
     s = _shared_system(fspec, rng)
-    target = np.array(shift, dtype=complex) if shift else np.zeros(d, dtype=complex)
     report = solve(s, spec.method, rng=rng, polish=spec.polish)
-    return true_root_error(report, [target])
+    return true_root_error(report, [s.true_roots[0]])
 
 
 def _one_trial_digits(spec: SweepSpec, idx: int, x, trial: int) -> float:
@@ -180,20 +180,19 @@ def _one_trial_digits(spec: SweepSpec, idx: int, x, trial: int) -> float:
 
 def _point_record(spec: SweepSpec, x, digits: list) -> SweepRecord:
     fspec = _family_spec(spec, x)
-    params = {"d": fspec.d, "sigma": fspec.sigma, "c": fspec.c}
     return SweepRecord(
         x=float(x),
         median_digits=float(np.median(digits)),
-        theory_digits=_theory_or_nan(spec.method, spec.family, params),
-        stable_digits=_theory_or_nan("stable", spec.family, params),
+        theory_digits=_theory_or_nan(spec.method, fspec),
+        stable_digits=_theory_or_nan("stable", fspec),
         n_trials=spec.n_trials,
     )
 
 
-def _theory_or_nan(method: str, family: str, params: dict) -> float:
+def _theory_or_nan(method: str, fspec: FamilySpec) -> float:
     # Custom sweeps may pair a method with a family that has no growth law.
     try:
-        return theory_digits(method, family, params)
+        return theory_digits(method, fspec)
     except ValueError:
         return float("nan")
 

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .families import _FAMILY, FamilySpec
 from .macaulay import BasisSelection, MacaulayPencil, linear_poly
 from .numkernel import (
     EigPairs,
@@ -372,42 +373,21 @@ def _digits_from_kappa(kappa: float) -> float:
     return float(min(16.0, max(0.0, 16.0 - math.log10(kappa))))
 
 
-def theory_digits(method: str, family: str, param: dict) -> float:
+def theory_digits(method: str, fspec: FamilySpec) -> float:
     """Predicted digits of accuracy for a method on a family instance.
 
-    ``method`` is one of stable, gb, rur, mep, nf, macaulay; ``param`` holds
-    d and sigma (or c for the hypercube family). The stable line uses the
-    root condition number; the others use the known growth law of the
-    method's subproblem condition number on that family.
+    ``method`` is stable or a method key of the family's ``_FAMILY`` row
+    (gb, rur, mep, nf, macaulay): the closed-form condition number at the
+    family's designated root, kappa_root for the stable line and the
+    subproblem's growth law for a method. A pairing without a law is a
+    ValueError; a law that overflows a float is kappa = inf, 0 digits.
     """
-    d = int(param["d"])
-    sigma = param.get("sigma")
-    c = param.get("c")
-    sigma_families = {"orthogonal", "cyclic_squares", "permutation", "notdev2d", "notdev3d"}
-    if method == "stable":
-        if family in sigma_families:
-            kappa = 1.0 / sigma
-        elif family == "hypercube":
-            kappa = c * math.sqrt(d) / 2.0
-        else:
-            raise ValueError(f"no stable line for family {family!r}")
-    elif method == "gb":
-        if family != "cyclic_squares":
-            raise ValueError("gb line applies to cyclic_squares")
-        kappa = sigma ** (-(2**d - 1))
-    elif method == "rur":
-        if family != "hypercube":
-            raise ValueError("rur line applies to hypercube")
-        kappa = (c / 2.0) ** (2**d - 1)
-    elif method in ("mep", "nf", "macaulay"):
-        if family in ("orthogonal", "permutation"):
-            kappa = sigma ** (-d)
-        elif family in ("notdev2d", "notdev3d"):
-            # Eigenvector sensitivity governs these two families and grows
-            # like sigma^-2, slower than the 1/det(J) rate of sigma^-d.
-            kappa = sigma ** (-2.0)
-        else:
-            raise ValueError(f"no {method} line for family {family!r}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    _, param, _, laws = _FAMILY[fspec.family]
+    if method not in laws:
+        raise ValueError(f"no {method} line for family {fspec.family!r}")
+    try:
+        # Python numbers: a numpy scalar's power overflows to inf with a warning, not an error.
+        kappa = laws[method](int(fspec.d), float(getattr(fspec, param)))
+    except OverflowError:
+        kappa = math.inf
     return _digits_from_kappa(kappa)

@@ -6,22 +6,26 @@ listed roots satisfy the system to machine precision. Families:
 
 - ``orthogonal``:      p_i = x_i^2 + sigma * (Q x)_i, Q random orthogonal;
                        root at the origin, kappa_root = 1/sigma there.
-- ``cyclic_squares``:  p_i = x_i^2 - sigma * x_{i+1 mod d}; the origin plus
-                       2^d - 1 closed-form roots chained around the cycle.
+- ``cyclic_squares``:  p_i = x_i^2 - sigma * x_{i+1 mod d}; the origin
+                       (kappa_root = 1/sigma) plus 2^d - 1 closed-form
+                       roots chained around the cycle.
 - ``hypercube``:       p_i = sum_j a_ij (x_j^2 - 1/(c^2 d)), A random
-                       orthogonal; 2^d sign-pattern roots (+-1/(c sqrt(d)), ...).
+                       orthogonal; 2^d sign-pattern roots (+-1/(c sqrt(d)), ...),
+                       all-plus first; kappa_root = c sqrt(d)/2 at each.
 - ``permutation``:     p_i = x_i^2 + sigma * x_{perm(i)} with perm a random
-                       single d-cycle; root at the origin.
+                       single d-cycle; root at the origin, kappa_root = 1/sigma.
 - ``notdev2d``:        p_1 = x^2 + s*a11*x + s*a12*y,
                        p_2 = xy + s*y^2 + s*a21*x + s*a22*y, A a random
-                       rotation; root at the origin. d = 2 only.
+                       rotation; root at the origin, kappa_root = 1/s; d = 2 only.
 - ``notdev3d``:        p_1 = xy + s*x^2 + s*y, p_2 = xy + s*y^2 + s*z,
-                       p_3 = xy + s*z^2 + s*x; root at the origin. d = 3 only.
+                       p_3 = xy + s*z^2 + s*x; root at the origin,
+                       kappa_root = 1/s. d = 3 only.
 
 A family is one builder, returning its polynomials and listed roots, plus
-one row of the ``_FAMILY`` table. An optional affine shift moves every
-system and its listed roots by exact Taylor translation of the
-coefficients.
+one row of the ``_FAMILY`` table: the parameter it reads, its dimension,
+and the closed-form condition numbers at its first listed root, the root
+every sweep scores. An optional affine shift moves every system and its
+listed roots by exact Taylor translation of the coefficients.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class FamilySpec:
             raise ValueError(f"d must be an integer, not {self.d!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        _, param, dim = _FAMILY[self.family]
+        _, param, dim, _ = _FAMILY[self.family]
         value = getattr(self, param)
         if value is None or not 0 < value < math.inf:
             who = f"family {self.family!r}" if param == "sigma" else f"{self.family} family"
@@ -189,14 +193,29 @@ def _notdev3d(spec: FamilySpec, rng) -> tuple:
 
 
 # The one place a family is registered: its builder, the FamilySpec field
-# it reads, and its fixed dimension (None when any d >= 1 is allowed).
+# it reads, its fixed dimension (None when any d >= 1 is allowed), and the
+# closed-form condition numbers at its designated root, true_roots[0], as
+# functions of d and that field. "stable" is kappa_root there; a method's
+# key is the growth law of that reduction's subproblem condition number.
+# conditioning.theory_digits reads them.
+_KAPPA_ROOT = {"stable": lambda d, sigma: 1.0 / sigma}
+_DET_J = dict.fromkeys(("nf", "macaulay", "mep"), lambda d, sigma: sigma ** (-d))
+# Eigenvector sensitivity governs the notdev families and grows like
+# sigma^-2, slower than the 1/det(J) rate of sigma^-d.
+_EIGVEC = dict.fromkeys(("nf", "macaulay", "mep"), lambda d, sigma: sigma ** (-2.0))
 _FAMILY = {
-    "orthogonal": (_orthogonal, "sigma", None),
-    "cyclic_squares": (_cyclic_squares, "sigma", None),
-    "hypercube": (_hypercube, "c", None),
-    "permutation": (_permutation, "sigma", None),
-    "notdev2d": (_notdev2d, "sigma", 2),
-    "notdev3d": (_notdev3d, "sigma", 3),
+    "orthogonal": (_orthogonal, "sigma", None, _KAPPA_ROOT | _DET_J),
+    "cyclic_squares": (
+        _cyclic_squares, "sigma", None,
+        _KAPPA_ROOT | {"gb": lambda d, sigma: sigma ** (-(2**d - 1))},
+    ),
+    "hypercube": (
+        _hypercube, "c", None,
+        {"stable": lambda d, c: c * math.sqrt(d) / 2.0, "rur": lambda d, c: (c / 2.0) ** (2**d - 1)},
+    ),
+    "permutation": (_permutation, "sigma", None, _KAPPA_ROOT | _DET_J),
+    "notdev2d": (_notdev2d, "sigma", 2, _KAPPA_ROOT | _EIGVEC),
+    "notdev3d": (_notdev3d, "sigma", 3, _KAPPA_ROOT | _EIGVEC),
 }
 FAMILIES = tuple(_FAMILY)
 

@@ -16,7 +16,6 @@ import numpy as np
 from polylab import (
     FamilySpec,
     GenEigProblem,
-    MultiPoly,
     PolySystem,
     b0_matrix,
     bezout_count,
@@ -33,7 +32,6 @@ from polylab import (
     mep_from_system,
     mep_root_vectors,
     mep_row_scaling,
-    monomials_up_to,
     null_space,
     operator_determinants,
     q_factorization,
@@ -49,46 +47,12 @@ from polylab.macaulay import BasisSelection
 from polylab.solvers import MultiParamEig
 from polylab.verification import nullspace_perturbation_suite, subset_product_suite
 from quotient_helpers import multiplication_matrices
+from rooted_systems import random_quadratic, rooted_system
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     assert ok, f"{label}: {detail}"
-
-
-def _random_quadratic(d, rng, single_square=None):
-    """Unit complex Gaussian quadratic; optionally pivoted on one square."""
-    terms = {}
-    if single_square is None:
-        for m in monomials_up_to(2, d):
-            terms[m] = complex(rng.standard_normal(), rng.standard_normal())
-    else:
-        e = [0] * d
-        e[single_square] = 2
-        terms[tuple(e)] = 1.0 + 0j
-        for j in range(d):
-            e = [0] * d
-            e[j] = 1
-            terms[tuple(e)] = complex(rng.standard_normal(), rng.standard_normal())
-        terms[(0,) * d] = complex(rng.standard_normal(), rng.standard_normal())
-    return MultiPoly(d, terms)
-
-
-def _plant_root(p, xstar):
-    terms = dict(p.terms)
-    zero = (0,) * p.nvars
-    terms[zero] = terms.get(zero, 0j) - p.eval(xstar)
-    return MultiPoly(p.nvars, terms)
-
-
-def _rooted_system(d, xstar, rng, single_square=False, scale_up=False):
-    polys = []
-    for i in range(d):
-        p = _plant_root(_random_quadratic(d, rng, single_square=i if single_square else None), xstar)
-        if scale_up and p.coefficient_scale() < 1.0:
-            p = p.scale(1.0 / p.coefficient_scale())
-        polys.append(p)
-    return PolySystem(d, polys, true_roots=[np.asarray(xstar, dtype=complex)], family_tag="")
 
 
 def _slope(xs, ys):
@@ -189,7 +153,7 @@ def test_eigenvalue_condition_formulas_match_direct():
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.4
         i = k % d
 
-        s = _rooted_system(d, xstar, rng)
+        s = rooted_system(d=d, xstar=xstar, rng=rng)
         mats, sel = multiplication_matrices(s)
         gep = GenEigProblem(A=np.asarray(mats[i]), B=np.eye(len(sel.monomials), dtype=complex))
         pairs = generalized_eig(gep)
@@ -199,7 +163,7 @@ def test_eigenvalue_condition_formulas_match_direct():
         formula = kappa_eig_ms_formula(s, xstar, sel, i)
         worst_ms = max(worst_ms, abs(formula - direct) / direct)
 
-        s2 = _rooted_system(d, xstar, rng, single_square=True)
+        s2 = rooted_system(d=d, xstar=xstar, rng=rng, single_square=True)
         mep = mep_from_system(s2)
         deltas = operator_determinants(mep)
         gep2 = GenEigProblem(A=deltas[1 + i], B=deltas[0])
@@ -226,7 +190,7 @@ def test_reduced_determinant_norm_bounds_and_examples():
     worst_margin = math.inf
     for _ in range(50):
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
-        s = _rooted_system(2, xstar, rng, scale_up=True)
+        s = rooted_system(d=2, xstar=xstar, rng=rng, scale_up=True)
         mhat = macaulay_hat(s)
         sel = choose_basis(mhat)
         c = sel.normal_form(lagrange_interpolant(q_factorization(s, xstar)))
@@ -317,7 +281,7 @@ def test_cross_method_agreement_on_random_systems():
     worst_res = 0.0
     for k in range(25):
         d = 2 if k % 2 == 0 else 3
-        polys = [_random_quadratic(d, rng) for _ in range(d)]
+        polys = [random_quadratic(d, rng) for _ in range(d)]
         s = PolySystem(d, polys, true_roots=[], family_tag="")
         nf = solve_normal_form(s, rng=np.random.default_rng(k))
         mac = solve_macaulay_resultant(s, rng=np.random.default_rng(k))

@@ -67,16 +67,9 @@ def test_figure_registry_is_complete_and_consistent():
         assert spec.axis in ("sigma", "c", "d")
         assert len(spec.values) >= 5
         # every preset pairing has a predicted line and a stable line
-        x = spec.values[0]
-        params = {"d": int(x) if spec.axis == "d" else spec.d}
-        if spec.axis == "sigma":
-            params["sigma"] = float(x)
-        elif spec.sigma is not None:
-            params["sigma"] = spec.sigma
-        if spec.axis == "c":
-            params["c"] = float(x)
-        theory_digits(spec.method, spec.family, params)
-        theory_digits("stable", spec.family, params)
+        fspec = bench._family_spec(spec, spec.values[0])
+        theory_digits(spec.method, fspec)
+        theory_digits("stable", fspec)
 
 
 def test_run_sweep_gb_tracks_the_predicted_digits():
@@ -88,7 +81,7 @@ def test_run_sweep_gb_tracks_the_predicted_digits():
     assert [r.x for r in records] == [1e-2, 1e-1]
     for r in records:
         assert r.n_trials == 1
-        assert r.theory_digits == theory_digits("gb", "cyclic_squares", {"d": 2, "sigma": r.x})
+        assert r.theory_digits == theory_digits("gb", FamilySpec(family="cyclic_squares", d=2, sigma=r.x))
         assert abs(r.median_digits - r.theory_digits) <= 1.5
         assert r.stable_digits == pytest.approx(16.0 + math.log10(r.x))
 
@@ -146,6 +139,46 @@ def test_closed_form_methods_run_only_on_their_family(method, family, axis):
     spec = SweepSpec(name="t", method=method, family=family, axis=axis, values=(1e-2,), d=2, n_trials=1)
     with pytest.raises(ValueError, match=f"method {method} runs only on the"):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "method, family, axis", [("nf", "orthogonal", "sigma"), ("rur", "hypercube", "c")]
+)
+def test_a_non_integer_dimension_is_rejected_on_every_axis(method, family, axis):
+    # SweepSpec.d obeys the d axis's rule: 2.0 runs at d = 2, and 2.5 (or
+    # no d at all) is refused rather than truncated.
+    spec = SweepSpec(name="t", method=method, family=family, axis=axis, values=(1e-2,), d=2.5, n_trials=2)
+    with pytest.raises(ValueError, match=r"^dimension 2\.5 is not an integer$"):
+        bench._family_spec(spec, spec.values[0])
+    with pytest.raises(ValueError, match=r"^dimension 2\.5 is not an integer$"):
+        run_sweep(spec)
+    with pytest.raises(ValueError, match=r"^dimension None is not an integer$"):
+        run_sweep(replace(spec, d=None))
+    fspec = bench._family_spec(replace(spec, d=2.0), spec.values[0])
+    assert fspec.d == 2 and type(fspec.d) is int
+    assert run_sweep(replace(spec, d=2.0)) == run_sweep(replace(spec, d=2))
+
+
+@pytest.mark.filterwarnings(r"ignore:sigma\^\(2\^d - 1\) underflowed:RuntimeWarning")
+@pytest.mark.parametrize(
+    "method, family, sigma, d", [("gb", "cyclic_squares", 1e-8, 6), ("mep", "permutation", 1e-300, 3)]
+)
+def test_a_theory_line_that_overflows_reads_zero_digits(method, family, sigma, d):
+    # sigma^-63 and sigma^-900 overflow a float: kappa = inf, so 0 digits,
+    # and the sweep still returns its record.
+    spec = SweepSpec(name="custom", method=method, family=family, axis="sigma", values=(sigma,), d=d, n_trials=1)
+    (rec,) = run_sweep(spec)
+    assert rec.theory_digits == 0.0
+    assert theory_digits(method, FamilySpec(family=family, d=d, sigma=sigma)) == 0.0
+
+
+@pytest.mark.parametrize("method", ["nf", "macaulay"])
+def test_hypercube_sweeps_score_a_listed_root(method):
+    # No hypercube root lies at the origin plus the shift; scoring the
+    # distance to it read log10 c = 1 digit here.
+    spec = SweepSpec(name="custom", method=method, family="hypercube", axis="c", values=(10.0,), d=2, n_trials=3)
+    (rec,) = run_sweep(spec)
+    assert rec.median_digits >= 10.0
 
 
 def test_run_sweep_is_deterministic():

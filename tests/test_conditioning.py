@@ -44,51 +44,21 @@ from polylab.conditioning import (
     RootPoint,
     SingularJacobian,
     _abs_det_jacobian,
+    _digits_from_kappa,
     basis_values,
     poly_det,
 )
+from polylab.families import _FAMILY
 from polylab.macaulay import BasisSelection, BasisSingular, linear_poly
 from polylab.numkernel import EigPairs, sigma_min
 from quotient_helpers import multiplication_matrices
-
-
-def rand_quad_with_root(d, xstar, rng, scale_up=False, single_square=False):
-    """Random degree-2 system with a planted root at xstar.
-
-    With single_square, p_i is x_i^2 plus an affine part, the shape the
-    determinantal representation accepts.
-    """
-    polys = []
-    for i in range(d):
-        terms = {}
-        if single_square:
-            e = [0] * d
-            e[i] = 2
-            terms[tuple(e)] = 1.0 + 0j
-            for j in range(d):
-                e = [0] * d
-                e[j] = 1
-                terms[tuple(e)] = complex(rng.standard_normal(), rng.standard_normal())
-            terms[(0,) * d] = complex(rng.standard_normal(), rng.standard_normal())
-        else:
-            for m in monomials_up_to(2, d):
-                terms[m] = complex(rng.standard_normal(), rng.standard_normal())
-        p = MultiPoly(d, terms)
-        terms = dict(p.terms)
-        terms[(0,) * d] = terms.get((0,) * d, 0j) - p.eval(xstar)
-        p = MultiPoly(d, terms)
-        if scale_up:
-            top = p.coefficient_scale()
-            if top < 1.0:
-                p = p.scale(1.0 / top)
-        polys.append(p)
-    return PolySystem(d, polys, true_roots=[np.asarray(xstar, dtype=complex)], family_tag="")
+from rooted_systems import rooted_system
 
 
 def test_kappa_root_inverts_smallest_singular_value():
     rng = np.random.default_rng(61)
     xstar = np.zeros(2, dtype=complex)
-    s = rand_quad_with_root(2, xstar, rng)
+    s = rooted_system(d=2, xstar=xstar, rng=rng)
     assert kappa_root(s, xstar) == pytest.approx(1.0 / sigma_min(jacobian(s, xstar)), rel=1e-12)
 
 
@@ -184,7 +154,7 @@ def test_mep_condition_formula_matches_direct_eigen_computation():
     for trial in range(5):
         d = 2 if trial % 2 == 0 else 3
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.5
-        s = rand_quad_with_root(d, xstar, rng, single_square=True)
+        s = rooted_system(d=d, xstar=xstar, rng=rng, single_square=True)
         mep = mep_from_system(s)
         deltas = operator_determinants(mep)
         i = trial % d
@@ -200,7 +170,7 @@ def test_mep_condition_formula_matches_direct_eigen_computation():
 def test_q_factorization_reconstructs_the_system():
     rng = np.random.default_rng(63)
     xstar = np.array([0.4, -0.2], dtype=complex)
-    s = rand_quad_with_root(2, xstar, rng)
+    s = rooted_system(d=2, xstar=xstar, rng=rng)
     qf = q_factorization(s, xstar)
     for i in range(2):
         for _ in range(10):
@@ -213,7 +183,7 @@ def test_q_factorization_reconstructs_the_system():
 def test_q_factorization_at_root_equals_jacobian():
     rng = np.random.default_rng(64)
     xstar = np.array([0.1, 0.3, -0.5], dtype=complex)
-    s = rand_quad_with_root(3, xstar, rng)
+    s = rooted_system(d=3, xstar=xstar, rng=rng)
     qf = q_factorization(s, xstar)
     Qx = np.array([[qf.Q[i][j].eval(xstar) for j in range(3)] for i in range(3)])
     J = jacobian(s, xstar)
@@ -222,7 +192,7 @@ def test_q_factorization_at_root_equals_jacobian():
 
 def test_q_factorization_rejects_non_roots():
     rng = np.random.default_rng(65)
-    s = rand_quad_with_root(2, np.zeros(2, dtype=complex), rng)
+    s = rooted_system(d=2, xstar=np.zeros(2, dtype=complex), rng=rng)
     with pytest.raises(ValueError):
         q_factorization(s, np.array([3.0, 3.0], dtype=complex))
 
@@ -248,7 +218,7 @@ def test_interpolant_minor_expansion_with_remainders():
     rng = np.random.default_rng(66)
     for d in (2, 1, 3, 4):
         xstar = np.array([0.2, -0.4], dtype=complex) if d == 2 else 0.5 * rng.standard_normal(d)
-        s = rand_quad_with_root(d, xstar, rng)
+        s = rooted_system(d=d, xstar=xstar, rng=rng)
         qf = q_factorization(s, xstar)
         r = [MultiPoly.constant(d, complex(rng.standard_normal())) for _ in range(d)]
         det_q = lagrange_interpolant(qf)
@@ -286,7 +256,7 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
     coord = st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0, allow_nan=False, allow_infinity=False)
     xstar = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=complex)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    s = rand_quad_with_root(d, xstar, rng)
+    s = rooted_system(d=d, xstar=xstar, rng=rng)
     qf = q_factorization(s, xstar)
     det_q = lagrange_interpolant(qf)
     for _ in range(3):
@@ -392,7 +362,7 @@ def test_multiplication_eigenvalue_conditioning_matches_direct():
     for trial in range(5):
         d = 2 if trial % 2 == 0 else 3
         xstar = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 0.4
-        s = rand_quad_with_root(d, xstar, rng)
+        s = rooted_system(d=d, xstar=xstar, rng=rng)
         mats, sel = multiplication_matrices(s)
         i = trial % d
         gep = GenEigProblem(
@@ -410,7 +380,7 @@ def test_macaulay_bound_sits_below_measured_conditioning():
     rng = np.random.default_rng(68)
     for trial in range(5):
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.4
-        s = rand_quad_with_root(2, xstar, rng)
+        s = rooted_system(d=2, xstar=xstar, rng=rng)
         pen = macaulay_pencil(s, np.random.default_rng(trial))
         halpha = linear_poly(2, pen.alpha)
         hbeta = linear_poly(2, pen.beta)
@@ -428,7 +398,7 @@ def test_reduced_determinant_norm_dominates_hat_sigma_min():
     rng = np.random.default_rng(69)
     for _ in range(8):
         xstar = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 0.5
-        s = rand_quad_with_root(2, xstar, rng, scale_up=True)
+        s = rooted_system(d=2, xstar=xstar, rng=rng, scale_up=True)
         mhat = macaulay_hat(s)
         sel = choose_basis(mhat)
         qf = q_factorization(s, xstar)
@@ -454,27 +424,77 @@ def test_condition_report_ratio_and_json():
     assert d["kappa_sub"] == pytest.approx(1000.0)
 
 
+def _theory(method, family, d, **param):
+    return theory_digits(method, FamilySpec(family=family, d=d, **param))
+
+
 def test_theory_digits_known_values():
-    assert theory_digits("stable", "orthogonal", {"d": 2, "sigma": 1e-4}) == pytest.approx(12.0)
-    assert theory_digits("gb", "cyclic_squares", {"d": 2, "sigma": 1e-2}) == pytest.approx(10.0)
-    assert theory_digits("gb", "cyclic_squares", {"d": 3, "sigma": 1e-2}) == pytest.approx(2.0)
-    assert theory_digits("mep", "orthogonal", {"d": 3, "sigma": 1e-2}) == pytest.approx(10.0)
-    assert theory_digits("nf", "notdev2d", {"d": 2, "sigma": 1e-3}) == pytest.approx(10.0)
-    assert theory_digits("macaulay", "permutation", {"d": 2, "sigma": 1e-5}) == pytest.approx(6.0)
-    rur = theory_digits("rur", "hypercube", {"d": 2, "c": 4.0})
+    assert _theory("stable", "orthogonal", 2, sigma=1e-4) == pytest.approx(12.0)
+    assert _theory("gb", "cyclic_squares", 2, sigma=1e-2) == pytest.approx(10.0)
+    assert _theory("gb", "cyclic_squares", 3, sigma=1e-2) == pytest.approx(2.0)
+    assert _theory("mep", "orthogonal", 3, sigma=1e-2) == pytest.approx(10.0)
+    assert _theory("nf", "notdev2d", 2, sigma=1e-3) == pytest.approx(10.0)
+    assert _theory("macaulay", "permutation", 2, sigma=1e-5) == pytest.approx(6.0)
+    rur = _theory("rur", "hypercube", 2, c=4.0)
     assert rur == pytest.approx(16.0 - 3 * np.log10(2.0))
-    assert theory_digits("stable", "hypercube", {"d": 4, "c": 10.0}) == pytest.approx(
-        16.0 - np.log10(10.0)
-    )
+    assert _theory("stable", "hypercube", 4, c=10.0) == pytest.approx(16.0 - np.log10(10.0))
     # clamping
-    assert theory_digits("gb", "cyclic_squares", {"d": 6, "sigma": 1e-2}) == 0.0
-    assert theory_digits("stable", "orthogonal", {"d": 2, "sigma": 1.0}) == 16.0
+    assert _theory("gb", "cyclic_squares", 6, sigma=1e-2) == 0.0
+    assert _theory("stable", "orthogonal", 2, sigma=1.0) == 16.0
 
 
 def test_theory_digits_rejects_unknown_pairings():
     with pytest.raises(ValueError):
-        theory_digits("gb", "orthogonal", {"d": 2, "sigma": 0.1})
+        _theory("gb", "orthogonal", 2, sigma=0.1)
     with pytest.raises(ValueError):
-        theory_digits("nf", "hypercube", {"d": 2, "c": 4.0})
+        _theory("nf", "hypercube", 2, c=4.0)
     with pytest.raises(ValueError):
-        theory_digits("warp", "orthogonal", {"d": 2, "sigma": 0.1})
+        _theory("warp", "orthogonal", 2, sigma=0.1)
+
+
+def _growth_law(method, family, d, sigma, c):
+    """The condition number theory_digits took from its own chain of family branches.
+
+    Written out as that chain wrote each law, so that a law copied into
+    families._FAMILY with another rounding shows as a changed bit.
+    """
+    if method == "stable":
+        return c * math.sqrt(d) / 2.0 if family == "hypercube" else 1.0 / sigma
+    if method == "gb" and family == "cyclic_squares":
+        return sigma ** (-(2**d - 1))
+    if method == "rur" and family == "hypercube":
+        return (c / 2.0) ** (2**d - 1)
+    if method in ("mep", "nf", "macaulay"):
+        if family in ("orthogonal", "permutation"):
+            return sigma ** (-d)
+        if family in ("notdev2d", "notdev3d"):
+            return sigma ** (-2.0)
+    raise ValueError(f"no {method} line for {family}")
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY))
+def test_theory_digits_reads_each_family_row_bit_for_bit(family):
+    _, param, dim, laws = _FAMILY[family]
+    values = (1.0, 4.0, 1e3) if param == "c" else (1e-8, 1e-4, 1e-2, 0.5, 1.0)
+    methods = ("stable", "gb", "rur", "mep", "nf", "macaulay", "warp")
+    assert set(laws) <= set(methods)
+    for d in (dim,) if dim else range(1, 7):
+        for value in values:
+            fspec = FamilySpec(family=family, d=d, **{param: value})
+            sigma, c = (None, value) if param == "c" else (value, None)
+            for method in methods:
+                try:
+                    kappa = _growth_law(method, family, d, sigma, c)
+                except ValueError:
+                    assert method not in laws
+                    with pytest.raises(ValueError):
+                        theory_digits(method, fspec)
+                    continue
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        laws[method](d, value)
+                    assert theory_digits(method, fspec) == 0.0, (method, d, value)
+                    continue
+                # The digits clip and round away a last-bit slip; kappa does not.
+                assert laws[method](d, value) == kappa, (method, d, value)
+                assert theory_digits(method, fspec) == _digits_from_kappa(kappa), (method, d, value)
