@@ -74,8 +74,8 @@ def root_point(s: PolySystem, xstar) -> RootPoint:
 def kappa_root(s: PolySystem, xstar) -> float:
     """Absolute condition number of a simple root: ||J(x*)^{-1}||_2.
 
-    J comes from the system's compiled form (see ``root_point``); solvers
-    score all their roots at once with ``kappa_roots``.
+    J comes from the system's compiled form (see ``root_point``); a solver's
+    RootReport scores all its roots at once with ``kappa_roots``, on first read.
     """
     root = root_point(s, xstar)
     k = float(kappa_roots(root.jacobian[None])[0])
@@ -106,10 +106,15 @@ def kappa_uni(p, xstar) -> float:
 def kappa_eig(gep: GenEigProblem, pairs: EigPairs) -> np.ndarray:
     """Eigenvalue condition number (||y|| ||x|| / |y^T B x|) (1 + |lambda|) of every pair.
 
-    y is the transpose-convention left eigenvector. Infinite or defective
-    eigenvalues (y^T B x = 0) score inf. Each kappa is byte-equal to the
-    formula evaluated for its pair alone.
+    y is the transpose-convention left eigenvector, so ``pairs`` must carry
+    left vectors (ValueError otherwise). Infinite or defective eigenvalues
+    (y^T B x = 0) score inf. Each kappa is byte-equal to the formula
+    evaluated for its pair alone.
     """
+    if pairs.left is None:
+        raise ValueError(
+            "kappa_eig needs left eigenvectors, and these pairs carry none (generalized_eig with left=False)"
+        )
     norm_left, norm_right = _row_norms(np.stack((pairs.left, pairs.right)))
     denom = _magnitude(_bilinear(pairs.left, gep.B[None], pairs.right)[:, 0])
     kappa = np.full(len(pairs), math.inf)

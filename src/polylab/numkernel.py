@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernels shared by the solvers.
 
 Thin contracts over LAPACK-backed routines: SVD, generalized eigenproblems
-with left and right eigenvectors, fixed-nullity null spaces, the one
-cofactor expansion, compiled per support (_cofactor_plan, behind det Q and
-the block determinants Delta_0..Delta_d), companion-matrix rootfinding,
-and seeded random matrix generators. Matrices are plain complex ndarrays.
+with right and, when asked, left eigenvectors, fixed-nullity null spaces,
+the one cofactor expansion, compiled per support (_cofactor_plan, behind
+det Q and the block determinants Delta_0..Delta_d), companion-matrix
+rootfinding, and seeded random matrix generators. Matrices are plain
+complex ndarrays.
 
 Every LAPACK and BLAS routine called here by name comes from numpy's own
 build (scipy-openblas), through ctypes, so one OpenBLAS and one thread
@@ -13,12 +14,14 @@ first use, only on a numpy build that does not export those routines.
 
 generalized_eig calls zggev directly, once per pencil, with its workspace
 size cached per dimension, and returns every eigenpair of the pencil as
-one EigPairs of arrays. Its outputs are byte-equal to scipy.linalg.eig
-followed by a per-vector np.linalg.norm normalization, wherever numpy's
-and scipy's OpenBLAS agree, which is why it keeps both normalization
-passes. The private stacked kernels (_dots,
-_row_norms, _bilinear, _magnitude) let callers read all eigenpairs at once
-with results byte-equal to a loop over the pairs.
+one EigPairs of arrays: right eigenvectors always, left ones unless the
+caller reads none (nf and macaulay; mep's Rayleigh quotients read both).
+Its outputs are byte-equal to scipy.linalg.eig followed by a per-vector
+np.linalg.norm normalization, wherever numpy's and scipy's OpenBLAS
+agree, which is why it keeps both normalization passes; a right-only
+call returns the bits of a two-sided one. The private stacked kernels
+(_dots, _row_norms, _bilinear, _magnitude) let callers read all
+eigenpairs at once with results byte-equal to a loop over the pairs.
 
 SvdFactor never forms U. On the tall matrices of zgesdd's path 6 it runs
 zgesdd's own steps (zgebrd, dbdsdc, zunmbr) and back-transforms only the
@@ -86,18 +89,19 @@ class EigPairs:
     caller that knows how many eigenvalues are finite ranks them by it.
     ``right[k]`` and ``left[k]`` are unit eigenvectors, the left one in the
     transpose convention: left[k] @ (A - lam[k] B) = 0. Their rows are
-    read-only.
+    read-only. ``left`` is None when the QZ computed no left vectors.
     """
 
     lam: np.ndarray
     infinite: np.ndarray
     beta_ratio: np.ndarray
     right: np.ndarray
-    left: np.ndarray
+    left: np.ndarray | None
 
     def __post_init__(self):
         self.right.setflags(write=False)
-        self.left.setflags(write=False)
+        if self.left is not None:
+            self.left.setflags(write=False)
 
     def __len__(self) -> int:
         return self.lam.size
@@ -109,7 +113,7 @@ class EigPairs:
             infinite=self.infinite[idx],
             beta_ratio=self.beta_ratio[idx],
             right=self.right[idx],
-            left=self.left[idx],
+            left=None if self.left is None else self.left[idx],
         )
 
 
@@ -220,7 +224,11 @@ def _scipy_routine(name: str):
 
 @functools.lru_cache(maxsize=None)
 def _zggev_lwork(n: int) -> int:
-    """Optimal zggev workspace for an n x n pencil; LAPACK's query reads only n."""
+    """Optimal zggev('V', 'V') workspace for an n x n pencil; LAPACK's query reads only n.
+
+    A right-only call gets the same size: the workspace sets zggev's block
+    size, and with it the bits of alpha, beta and the right vectors.
+    """
     if _LAPACK is None:
         z = np.zeros((n, n), dtype=complex)
         return int(_scipy_routine("ggev")(z, z, lwork=-1)[-2][0].real)
@@ -229,13 +237,14 @@ def _zggev_lwork(n: int) -> int:
     return int(work[0].real)
 
 
-def _zggev(A: np.ndarray, B: np.ndarray) -> tuple:
-    """zggev('V', 'V') on copies of the n x n A and B, then the BLAS nrm2 of each eigenvector.
+def _zggev(A: np.ndarray, B: np.ndarray, left: bool) -> tuple:
+    """zggev on copies of the n x n A and B, then the BLAS nrm2 of each eigenvector.
 
-    Returns alpha, beta, INFO, V and norms: V[0, k] and V[1, k] are the k-th
-    right and left eigenvectors as zggev returns them (the columns of vr and
-    vl, as rows), and norms[i, k] is the nrm2 of V[i, k]. These are the
-    LAPACK and BLAS calls scipy.linalg.eig makes. One buffer holds the
+    JOBVR is 'V', and JOBVL 'V' when ``left``, else 'N'. Returns alpha,
+    beta, INFO, V and norms: V[0, k] and, when ``left``, V[1, k] are the
+    k-th right and left eigenvectors as zggev returns them (the columns of
+    vr and vl, as rows), and norms[i, k] is the nrm2 of V[i, k]. These are
+    the LAPACK and BLAS calls scipy.linalg.eig makes. One buffer holds the
     copies, the outputs and the workspace.
     """
     n = A.shape[0]
@@ -243,26 +252,29 @@ def _zggev(A: np.ndarray, B: np.ndarray) -> tuple:
     if _LAPACK is None:
         nrm2 = _scipy_routine("nrm2")
         alpha, beta, vl, vr, _, info = _scipy_routine("ggev")(
-            A, B, compute_vl=1, compute_vr=1, lwork=lwork
+            A, B, compute_vl=int(left), compute_vr=1, lwork=lwork
         )
-        V = np.stack((vr.T, vl.T))
+        V = np.stack((vr.T, vl.T) if left else (vr.T,))
         return alpha, beta, info, V, np.array([[nrm2(v) for v in W] for W in V])
     N, LW, ONE = _int_args(n, lwork, 1)
-    nn = n * n
-    # A, B, vr and vl, each the transpose of a C-ordered n x n block (so
-    # Fortran-ordered); then alpha, beta, rwork (8n reals) and work.
-    buf, a = _buffer(4 * nn + 6 * n + lwork)
-    blocks = buf[: 4 * nn].reshape(4, n, n)
+    nn, k = n * n, 4 if left else 3
+    # A, B, vr and, when left, vl, each the transpose of a C-ordered n x n
+    # block (so Fortran-ordered); then alpha, beta, rwork (8n reals) and work.
+    buf, a = _buffer(k * nn + 6 * n + lwork)
+    blocks = buf[: k * nn].reshape(k, n, n)
     blocks[0], blocks[1] = A.T, B.T
-    vr, vl, alpha = a + 32 * nn, a + 48 * nn, a + 64 * nn
+    vr, alpha = a + 32 * nn, a + 16 * k * nn
+    vl = vr + 16 * nn if left else None
     beta, rwork, work = alpha + 16 * n, alpha + 32 * n, alpha + 96 * n
     info = ctypes.c_int64(0)
+    jobvl = b"V" if left else b"N"
     _LAPACK["zggev"](
-        b"V", b"V", N, a, N, a + 16 * nn, N, alpha, beta, vl, N, vr, N, work, LW, rwork, info, 1, 1
+        jobvl, b"V", N, a, N, a + 16 * nn, N, alpha, beta, vl, N, vr, N, work, LW, rwork, info, 1, 1
     )
     nrm2 = _LAPACK["dznrm2"]
-    norms = np.array([nrm2(N, v, ONE) for v in range(vr, vr + 32 * nn, 16 * n)]).reshape(2, n)
-    return buf[4 * nn : 4 * nn + n], buf[4 * nn + n : 4 * nn + 2 * n], info.value, blocks[2:], norms
+    vectors = range(vr, vr + 16 * (k - 2) * nn, 16 * n)
+    norms = np.array([nrm2(N, v, ONE) for v in vectors]).reshape(k - 2, n)
+    return buf[k * nn : k * nn + n], buf[k * nn + n : k * nn + 2 * n], info.value, blocks[2:], norms
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,8 +346,8 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def generalized_eig(gep: GenEigProblem) -> EigPairs:
-    """All eigenpairs of a square pencil.
+def generalized_eig(gep: GenEigProblem, left: bool = True) -> EigPairs:
+    """All eigenpairs of a square pencil, with left eigenvectors when ``left``.
 
     Each QZ pair (alpha, beta) is judged against ||A||_F and ||B||_F at one
     tolerance, QZ_ZERO_TOL * n * eps: a pair with both entries that small
@@ -347,21 +359,23 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
     whose pencil can be singular rules that out itself (the Macaulay
     pencil's nullity check in choose_basis).
 
-    One zggev call computes both eigenvector sets, and each set is
-    normalized twice: by the BLAS nrm2 of each vector, as scipy.linalg.eig
-    does, then by the np.linalg.norm sum of squares of each row
-    (_row_norms), each pass one whole-matrix division. zggev and nrm2 run
-    from numpy's OpenBLAS (see _zggev); where they return the bits scipy's
-    OpenBLAS returns, as on the builds the tests compare, the output is
-    byte-equal to scipy.linalg.eig's followed by a per-vector
-    np.linalg.norm normalization. The second pass moves the last bits, and
-    roots read from the vectors by Rayleigh quotients move with them (by
-    about eps kappa at an ill-conditioned eigenvalue: one pass moves 3 of
-    the 6,309 seed-1 presets-small trials by more than a digit), so merging
-    the passes waits for a correctness check that tolerates rounding
-    (ROADMAP item 3(a)).
-    Non-finite input raises ValueError and a QZ failure LinAlgError, with
-    scipy's messages.
+    One zggev call computes the right eigenvectors and, when ``left``, the
+    left ones; without them zggev runs with JOBVL='N' and the same
+    workspace, and returns the alpha, beta and right vectors of a
+    two-sided call, bit for bit. Each set is normalized twice: by the BLAS
+    nrm2 of each vector, as scipy.linalg.eig does, then by the
+    np.linalg.norm sum of squares of each row (_row_norms), each pass one
+    whole-matrix division. zggev and nrm2 run from numpy's OpenBLAS (see
+    _zggev); where they return the bits scipy's OpenBLAS returns, as on the
+    builds the tests compare, the output is byte-equal to scipy.linalg.eig's
+    followed by a per-vector np.linalg.norm normalization. The second pass
+    moves the last bits, and roots read from the vectors by Rayleigh
+    quotients move with them (by about eps kappa at an ill-conditioned
+    eigenvalue: one pass moves 3 of the 6,309 seed-1 presets-small trials
+    by more than a digit), so merging the passes waits for a correctness
+    check that tolerates rounding (ROADMAP item 3(a)).
+    Non-finite input, or a non-finite eigenvector among those computed,
+    raises ValueError and a QZ failure LinAlgError, with scipy's messages.
     """
     n = gep.dim
     if n == 0:
@@ -371,11 +385,11 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
             infinite=np.empty(0, dtype=bool),
             beta_ratio=np.empty(0),
             right=empty,
-            left=empty,
+            left=empty if left else None,
         )
     if not (np.isfinite(gep.A).all() and np.isfinite(gep.B).all()):
         raise ValueError("array must not contain infs or NaNs")
-    alpha, beta, info, V, norms = _zggev(gep.A, gep.B)
+    alpha, beta, info, V, norms = _zggev(gep.A, gep.B, left)
     if info < 0:
         raise ValueError(
             f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)"
@@ -397,9 +411,9 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
     # LAPACK returns vl with vl^H A = lambda vl^H B; its conjugate is the
     # transpose-convention left vector.
     V /= norms[:, :, None]
-    np.conjugate(V[1], out=V[1])
+    if left:
+        np.conjugate(V[1], out=V[1])
     V /= _row_norms(V)[:, :, None]
-    right, left = V
     abs_alpha, abs_beta = _magnitude(alpha), _magnitude(beta)
     lam = alpha / np.where(infinite, 1.0, beta)
     lam[infinite] = np.inf
@@ -407,8 +421,8 @@ def generalized_eig(gep: GenEigProblem) -> EigPairs:
         lam=lam,
         infinite=infinite,
         beta_ratio=abs_beta / (abs_alpha + abs_beta),
-        right=right,
-        left=left,
+        right=V[0],
+        left=V[1] if left else None,
     )
 
 

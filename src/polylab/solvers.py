@@ -5,7 +5,10 @@ multiparameter eigenproblem via operator determinants, and two closed-form
 univariate reductions (cyclic elimination and the rational univariate
 representation on the hypercube family). Every solver returns a RootReport
 carrying roots, residuals, and condition diagnostics; solve(s, method) runs
-one of the three multivariate solvers by name.
+one of the three multivariate solvers by name. The multivariate solvers
+compute the residuals at solve time and the two condition numbers,
+kappa_root and subproblem_kappa, when they are first read, so a caller that
+reads only the roots pays for neither.
 """
 
 from __future__ import annotations
@@ -88,14 +91,38 @@ class MultiParamEig:
         object.__setattr__(self, "W", Ws)
 
 
+class _OnFirstRead:
+    """A field given as its value or as a function of no arguments, which runs on the first read only."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            # No class-level value, so the dataclass field keeps no default.
+            raise AttributeError(self.slot[1:])
+        value = report.__dict__[self.slot]
+        if callable(value):
+            value = report.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, report, value):
+        report.__dict__[self.slot] = value
+
+
 @dataclass
 class RootReport:
-    """Roots plus per-root residuals and condition diagnostics."""
+    """Roots plus per-root residuals and condition diagnostics.
+
+    ``kappa_root`` and ``subproblem_kappa`` each take a list or a function
+    returning one; the function runs when the field is first read (a
+    to_json_dict call reads both), and its list is kept.
+    """
 
     roots: list
     residuals: list
-    kappa_root: list
-    subproblem_kappa: list
+    kappa_root: list = _OnFirstRead()
+    subproblem_kappa: list = _OnFirstRead()
     method_tag: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -135,18 +162,25 @@ def _report(
 ) -> RootReport:
     """The RootReport of the roots a solver read off its eigenpairs.
 
-    Polishes each root when asked, then scores every root with one batched
-    evaluation (residuals) and one stacked SVD (kappa_root). ``sub_kappa``
-    belongs to the unpolished eigenvalues, and ``diagnostics`` gains
-    ``"polished"``.
+    Polishes each root when asked, then evaluates every root once, in one
+    batch: the residuals are computed here, and kappa_root, one stacked SVD
+    of the same Jacobians, on first read. A NaN in a Jacobian raises
+    LinAlgError here, as that SVD would. ``sub_kappa`` (a list, or a
+    function computing it on first read) belongs to the unpolished
+    eigenvalues, and ``diagnostics`` gains ``"polished"``.
     """
     if polish:
         roots = [newton_polish(s, x) for x in roots]
     residuals, kappa_root = [], []
     if roots:
         values, J = s.evaluate(roots)
+        if np.isnan(J).any():
+            raise np.linalg.LinAlgError("a root's Jacobian has a NaN entry")
         residuals = np.linalg.norm(values, axis=1).tolist()
-        kappa_root = conditioning.kappa_roots(J).tolist()
+
+        def kappa_root():
+            return conditioning.kappa_roots(J).tolist()
+
     diagnostics["polished"] = polish
     return RootReport(
         roots=roots,
@@ -156,6 +190,17 @@ def _report(
         method_tag=tag,
         diagnostics=diagnostics,
     )
+
+
+def _pencil_kappa(gep: GenEigProblem, kept) -> list:
+    """kappa_eig of the pairs ``kept`` (an index array, or None for all) of a two-sided QZ of gep.
+
+    The solvers read their roots off a right-only QZ of the same pencil,
+    whose pairs are those of the two-sided one, bit for bit, so these are
+    the kappas of the pairs the roots came from, in the same order.
+    """
+    pairs = generalized_eig(gep)
+    return kappa_eig(gep, pairs if kept is None else pairs.take(kept)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +230,11 @@ def solve_normal_form(
     u = random_unit_vector(s.d, rng)
     Mt = sum(u[i] * mats[i] for i in range(s.d))
     gep = GenEigProblem(A=Mt, B=np.eye(len(sel.indices), dtype=complex))
-    pairs = generalized_eig(gep)
-    W = pairs.right
+    W = generalized_eig(gep, left=False).right
     Wc = W.conj()
     X = _bilinear(Wc, mats, W) / _dots(Wc, W)[:, None]
     roots = list(X)
-    sub_kappa = kappa_eig(gep, pairs).tolist()
+    sub_kappa = functools.partial(_pencil_kappa, gep, None)
     diagnostics = {
         "basis": [list(m) for m in sel.monomials],
         "driver": u.tolist(),
@@ -250,13 +294,15 @@ def solve_macaulay_resultant(
     pencil = macaulay_pencil(s, rng)
     r = len(pencil.basis.indices)
     gep = pencil.gep
-    pairs = generalized_eig(gep)
+    pairs = generalized_eig(gep, left=False)
+    kept = None
     if len(pairs) > r:
         order = np.argsort(-pairs.beta_ratio, kind="stable")
         ratio = pairs.beta_ratio[order]
         if ratio[r] > 1e-6 * ratio[r - 1]:
             raise NullityMismatch(f"no beta-ratio gap after the largest {r} of {len(pairs)} eigenvalues")
-        pairs = pairs.take(order[:r])
+        kept = order[:r]
+        pairs = pairs.take(kept)
     infinite = np.count_nonzero(pairs.infinite)
     if infinite:
         raise NullityMismatch(f"{infinite} of the {r} kept eigenvalues are infinite")
@@ -266,7 +312,7 @@ def solve_macaulay_resultant(
         # One gemv per vector, as pencil.Z @ v makes it.
         V = np.matmul(pencil.Z, pairs.right[:, :, None])[:, :, 0]
     roots = list(_roots_from_vectors(V, pencil.basis.index))
-    sub_kappa = kappa_eig(gep, pairs).tolist()
+    sub_kappa = functools.partial(_pencil_kappa, gep, kept)
     diagnostics = {
         "kept_h_monomials": [list(m) for m in pencil.basis.monomials],
         "alpha": pencil.alpha,

@@ -19,7 +19,7 @@ from polylab import (
     run_sweeps,
     theory_digits,
 )
-from polylab import FAMILIES, FamilySpec, bench, generate
+from polylab import FAMILIES, FamilySpec, bench, conditioning, generate, numkernel, solvers
 from polylab.numkernel import SvdFactor
 from polylab.bench import CSV_HEADER, FIGURES, _broadcast_shift, axis_label, with_overrides
 
@@ -301,6 +301,55 @@ def test_run_sweeps_gives_each_specs_run_sweep_records():
         lone.append(run_sweep(spec))
     assert paired == lone
     assert run_sweeps([]) == []
+
+
+def test_a_sweep_trial_runs_one_right_only_qz_and_no_condition_number(monkeypatch):
+    # A trial reads only the roots. With kappa_roots and kappa_eig raising,
+    # nf and macaulay sweeps give the records and per-trial digits they give
+    # without, and every solve runs one QZ without left vectors. A failed
+    # solve runs one (4b's sigma = 1e-8 trial 5, NullityMismatch) or none
+    # (fig 5 at sigma = 1, RankDeficientBasis).
+    specs = [with_overrides(FIGURES[name], n_trials=6) for name in ("1f", "1g", "4b", "5")]
+    specs += [
+        SweepSpec(name=f"dim-{method}", method=method, family="orthogonal", axis="d",
+                  values=(3,), sigma=1e-2, shift=(1 / 3,), n_trials=3)
+        for method in ("nf", "macaulay")
+    ]
+
+    def outcomes():
+        bench._LAST_SYSTEM.clear()
+        records = [run_sweep(spec) for spec in specs]
+        digits = [bench._one_trial_digits(spec, idx, x, trial)
+                  for spec in specs for idx, x in enumerate(spec.values) for trial in range(spec.n_trials)]
+        return records, digits
+
+    want = outcomes()
+
+    def raising(*args):
+        raise AssertionError("a sweep trial computed a condition number")
+
+    monkeypatch.setattr(conditioning, "kappa_roots", raising)
+    monkeypatch.setattr(solvers, "kappa_eig", raising)
+    qz, solves = [], []
+    zggev = numkernel._zggev
+    monkeypatch.setattr(numkernel, "_zggev", lambda A, B, left: qz.append(left) or zggev(A, B, left))
+    for name in ("solve_normal_form", "solve_macaulay_resultant"):
+        def counted(*args, _solver=getattr(solvers, name), **kwargs):
+            start = len(qz)
+            try:
+                report = _solver(*args, **kwargs)
+            except bench.SOLVER_FAILURES:
+                solves.append((len(qz) - start, "failed"))
+                raise
+            solves.append((len(qz) - start, "solved"))
+            return report
+
+        monkeypatch.setattr(solvers, name, counted)
+    assert outcomes() == want
+    assert qz and not any(qz)
+    assert {n for n, how in solves if how == "solved"} == {1}
+    assert {n for n, how in solves if how == "failed"} == {0, 1}
+    assert len(solves) == 2 * sum(len(spec.values) * spec.n_trials for spec in specs)
 
 
 def test_csv_round_trip_preserves_records():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import polylab.numkernel as numkernel
 
 from polylab import (
+    FamilySpec,
     GenEigProblem,
     NullSpaceGapWarning,
     SingularPencil,
@@ -20,7 +21,9 @@ from polylab import (
     companion_matrix,
     companion_roots,
     generalized_eig,
+    generate,
     kappa_eig,
+    macaulay_pencil,
     null_space,
     sigma_min,
 )
@@ -214,6 +217,49 @@ def test_the_scipy_fallback_hands_lapack_the_workspace_its_query_returns(scipy_f
     assert sorted({name for name, _, _ in calls}) == ["geqp3", "ggev"] and len(calls) == 8
     for name, shape, lwork in calls:
         assert lwork == queried(name, shape)
+
+
+def _right_only_test_pencils():
+    """_bit_test_pencils, pencils with B = I, and the square d = 2 Macaulay pencil, which has infinite pairs."""
+    rng = np.random.default_rng(49)
+    identity = [
+        GenEigProblem(A=rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), B=np.eye(n))
+        for n in (1, 2, 5, 12, 32, 64)
+    ]
+    s = generate(FamilySpec(family="orthogonal", d=2, sigma=0.1, seed=4))
+    square = macaulay_pencil(s, np.random.default_rng(6))
+    assert square.Z is None
+    return _bit_test_pencils() + identity + [square.gep]
+
+
+@pytest.mark.parametrize("lapack", ["numpy", "scipy-fallback"])
+def test_a_right_only_qz_returns_the_two_sided_pairs_bit_for_bit(blas_threads, lapack, request):
+    # zggev with JOBVL = 'N' gets the workspace of the 'V', 'V' query, so it
+    # runs with the block size, and returns the bits, of the two-sided call.
+    if lapack == "scipy-fallback":
+        request.getfixturevalue("scipy_fallback")()
+    infinite = 0
+    for gep in _right_only_test_pencils():
+        both, right = generalized_eig(gep), generalized_eig(gep, left=False)
+        assert right.left is None and both.left is not None
+        for field in ("lam", "infinite", "beta_ratio", "right"):
+            assert getattr(right, field).tobytes() == getattr(both, field).tobytes(), (gep.dim, field)
+        assert not right.right.flags.writeable
+        infinite += int(right.infinite.sum())
+    assert infinite >= 7  # the singular-B pencil's and the Macaulay pencil's
+
+
+def test_kappa_eig_rejects_pairs_without_left_vectors():
+    rng = np.random.default_rng(50)
+    gep = GenEigProblem(A=rng.standard_normal((4, 4)), B=rng.standard_normal((4, 4)))
+    pairs = generalized_eig(gep, left=False)
+    for kept in (pairs, pairs.take(np.array([2, 0])), pairs.take(pairs.beta_ratio > 0)):
+        assert kept.left is None
+        with pytest.raises(ValueError, match="^kappa_eig needs left eigenvectors"):
+            kappa_eig(gep, kept)
+    empty = GenEigProblem(A=np.zeros((0, 0)), B=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="^kappa_eig needs left eigenvectors"):
+        kappa_eig(empty, generalized_eig(empty, left=False))
 
 
 def test_kappa_eig_matches_the_norm_formula_bit_for_bit():

@@ -26,6 +26,7 @@ from polylab import (
     generalized_eig,
     generate,
     hausdorff_distance,
+    kappa_eig,
     macaulay_hat,
     macaulay_pencil,
     mep_from_system,
@@ -40,7 +41,7 @@ from polylab import (
     solve_rur_example,
     true_root_error,
 )
-from polylab import bench
+from polylab import bench, conditioning, numkernel
 from polylab.bench import FIGURES
 from polylab.conditioning import mep_operator
 from polylab.macaulay import BasisSelection
@@ -476,6 +477,93 @@ def test_root_report_serializes_to_json():
     assert back["method_tag"] == "macaulay"
     assert len(back["roots"]) == 4
     assert all(len(r) == 2 and len(r[0]) == 2 for r in back["roots"])
+    # The condition numbers, computed on first read, serialize as lists in their places.
+    assert list(back) == ["roots", "residuals", "kappa_root", "subproblem_kappa", "method_tag", "diagnostics"]
+    assert len(back["kappa_root"]) == len(back["subproblem_kappa"]) == 4
+
+
+def _eager_subproblem_kappa(s, method, report):
+    """subproblem_kappa as the solvers computed it before it was computed on first read."""
+    if method == "nf":
+        sel = quotient_basis(s)
+        mats = sel.multiplication_matrices()
+        u = np.array(report.diagnostics["driver"])
+        Mt = sum(u[i] * mats[i] for i in range(s.d))
+        gep = GenEigProblem(A=Mt, B=np.eye(len(sel.indices), dtype=complex))
+        return kappa_eig(gep, generalized_eig(gep)).tolist()
+    if method == "macaulay":
+        pencil = macaulay_pencil(s, np.random.default_rng(3))
+        r = len(pencil.basis.indices)
+        pairs = generalized_eig(pencil.gep)
+        if len(pairs) > r:
+            order = np.argsort(-pairs.beta_ratio, kind="stable")
+            pairs = pairs.take(order[:r])
+        return kappa_eig(pencil.gep, pairs).tolist()
+    return np.array(report.diagnostics["kappa_per_coordinate"]).max(axis=1).tolist()
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["nf", "macaulay", "mep"])
+@pytest.mark.parametrize("d", [2, 3])  # the Macaulay pencil is square at d = 2, compressed at 3
+def test_condition_numbers_are_computed_on_first_read_bit_for_bit(monkeypatch, method, d):
+    s = generate(FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(0.3, -0.2, 0.1)[:d]))
+    qz = _spy(monkeypatch, numkernel, "_zggev")
+    svd = _spy(monkeypatch, conditioning, "kappa_roots")
+    report = solve(s, method, rng=np.random.default_rng(3))
+    # One QZ per solve; only mep's Rayleigh quotients read left vectors.
+    assert [left for _, _, left in qz] == [method == "mep"] and not svd
+    if method == "macaulay":
+        assert report.diagnostics["square"] == (d == 2)
+    for _ in range(2):
+        kappa_root, subproblem_kappa = report.kappa_root, report.subproblem_kappa
+        assert len(svd) == 1
+        # A second read reuses the first read's lists.
+        assert [left for _, _, left in qz[1:]] == ([] if method == "mep" else [True])
+    _, J = s.evaluate(report.roots)
+    assert np.array(kappa_root).tobytes() == conditioning.kappa_roots(J).tobytes()
+    want = _eager_subproblem_kappa(s, method, report)
+    assert np.array(subproblem_kappa).tobytes() == np.array(want).tobytes()
+    assert len(subproblem_kappa) == len(kappa_root) == len(report.roots) == bezout_count(s)
+
+
+@pytest.mark.parametrize("method", ["nf", "macaulay", "mep"])
+def test_a_jacobian_with_a_nan_raises_at_solve_time(monkeypatch, method):
+    # The stacked SVD of kappa_root raised "SVD did not converge" on a NaN,
+    # which a sweep scores as a failed trial; an inf entry scores inf.
+    s = generate(FamilySpec(family="orthogonal", d=2, sigma=1e-2, shift=(0.3, -0.2)))
+    evaluate = PolySystem.evaluate
+    bad = [np.nan]
+
+    def poisoned(self, points):
+        values, J = evaluate(self, points)
+        J = J.copy()
+        J[-1, 0, 1] = bad[0]
+        return values, J
+
+    monkeypatch.setattr(PolySystem, "evaluate", poisoned)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        solve(s, method, rng=np.random.default_rng(3))
+    bad[0] = complex(0.0, np.nan)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        solve(s, method, rng=np.random.default_rng(3))
+    bad[0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(s, method, rng=np.random.default_rng(3))
+        assert report.kappa_root[-1] == math.inf
+        assert all(math.isfinite(k) for k in report.kappa_root[:-1])
 
 
 @pytest.mark.parametrize("solve", [solve_normal_form, solve_macaulay_resultant])
@@ -601,8 +689,8 @@ def test_the_bezout_rule_keeps_the_cutoff_and_straggler_rules_eigenvalues(monkey
     kept = []
     eig, solver = polylab.solvers.generalized_eig, polylab.solvers.solve_macaulay_resultant
 
-    def recording_eig(gep):
-        seen.append(eig(gep))
+    def recording_eig(gep, left=True):
+        seen.append(eig(gep, left))
         return seen[-1]
 
     def recording_solver(*args, **kwargs):
