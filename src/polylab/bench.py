@@ -18,7 +18,7 @@ from . import conditioning
 from .conditioning import theory_digits
 from .families import FamilySpec, generate, true_root_error
 from .macaulay import BasisSingular, NullityMismatch, RankDeficientBasis, _recorded
-from .numkernel import SingularPencil
+from .numkernel import SingularPencil, _one_blas_thread
 from .polycore import PolySystem
 from .solvers import (
     EigenvectorDegenerate,
@@ -101,13 +101,16 @@ def _family_spec(spec: SweepSpec, x) -> FamilySpec:
     """The family instance every trial of ``spec`` at axis value x reads its parameters from.
 
     ValueError when such a trial could not run: gb or rur on a family other
-    than the one its closed form is derived for, a dimension that is not an
-    integer, a family parameter missing or out of range, or a shift whose
-    length is neither 1 nor d.
+    than the one its closed form is derived for, gb unshifted (its root 0
+    would come back exact), a dimension that is not an integer, a family
+    parameter missing or out of range, or a shift whose length is neither 1
+    nor d.
     """
     closed_form = {"gb": "cyclic_squares", "rur": "hypercube"}.get(spec.method, spec.family)
     if spec.family != closed_form:
         raise ValueError(f"method {spec.method} runs only on the {closed_form} family")
+    if spec.method == "gb" and (spec.shift is None or spec.shift[0] == 0):
+        raise ValueError("method gb needs a nonzero --shift: unshifted, the root it scores is exactly 0")
     d = x if spec.axis == "d" else spec.d
     if d is None or not float(d).is_integer():
         raise ValueError(f"dimension {d} is not an integer")
@@ -157,7 +160,7 @@ def _trial_error(spec: SweepSpec, x, rng: np.random.Generator) -> float:
     fspec = _family_spec(spec, x)
     d, shift = fspec.d, fspec.shift
     if spec.method == "gb":
-        _, report = solve_gb_elimination_example(d, fspec.sigma, shift=shift[0] if shift else 0.0)
+        _, report = solve_gb_elimination_example(d, fspec.sigma, shift=shift[0])
         return float(report.diagnostics["error"])
     if spec.method == "rur":
         u = np.abs(rng.standard_normal(d))
@@ -204,14 +207,16 @@ def run_sweeps(specs) -> list:
     same seeded systems (figs 1e/1f/1g, 4a/4b) solve each back to back, all
     but the first replaying its build (see _shared_system). Each trial is
     seeded by its spec's seed, point and trial index alone and aggregated
-    by trial index, so no record depends on the order or the other specs.
+    by trial index, so no record depends on the order, the other specs or,
+    on one BLAS thread, the machine.
     """
     digits = [[[] for _ in spec.values] for spec in specs]
-    for idx in range(max((len(spec.values) for spec in specs), default=0)):
-        for trial in range(max(spec.n_trials for spec in specs)):
-            for spec, points in zip(specs, digits):
-                if idx < len(spec.values) and trial < spec.n_trials:
-                    points[idx].append(_one_trial_digits(spec, idx, spec.values[idx], trial))
+    with _one_blas_thread():
+        for idx in range(max((len(spec.values) for spec in specs), default=0)):
+            for trial in range(max(spec.n_trials for spec in specs)):
+                for spec, points in zip(specs, digits):
+                    if idx < len(spec.values) and trial < spec.n_trials:
+                        points[idx].append(_one_trial_digits(spec, idx, spec.values[idx], trial))
     return [
         [_point_record(spec, x, point) for x, point in zip(spec.values, points)]
         for spec, points in zip(specs, digits)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import bench, verification
+from . import bench, numkernel, verification
 from .conditioning import (
     ConditionReport,
     kappa_eig_macaulay_bound,
@@ -30,7 +30,10 @@ from .solvers import METHODS, UnsupportedShape, mep_from_system, solve
 
 
 class BadInput(Exception):
-    """A flag value or input file the command cannot use; main prints it as one line."""
+    """Why a command failed: a flag value or input it cannot use, or a solver failure.
+
+    main prints it as the one line "<command>: <message>" and returns 1.
+    """
 
 
 def _parse_shift(text: str | None):
@@ -103,8 +106,7 @@ def _cmd_solve(args) -> int:
         report = solve(s, args.method, rng=rng, polish=args.polish)
     except bench.SOLVER_FAILURES as exc:
         _, verb, text = _failure(exc)
-        print(f"method {args.method} {verb}: {text}", file=sys.stderr)
-        return 1
+        raise BadInput(f"method {args.method} {verb}: {text}") from None
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -137,21 +139,17 @@ def _cmd_audit(args) -> int:
     if args.root is not None:
         x = _parse_root(args.root)
         if x.shape != (s.d,):
-            print(f"--root has {x.size} coordinates, the system has d = {s.d}", file=sys.stderr)
-            return 1
+            raise BadInput(f"--root has {x.size} coordinates, the system has d = {s.d}")
     else:
         if not s.true_roots:
-            print("system has no stored roots; pass --root", file=sys.stderr)
-            return 1
+            raise BadInput("system has no stored roots; pass --root")
         n = len(s.true_roots)
         if not -n <= args.root_index < n:
-            print(f"--root-index {args.root_index} is out of range: {n} stored roots", file=sys.stderr)
-            return 1
+            raise BadInput(f"--root-index {args.root_index} is out of range: {n} stored roots")
         x = np.array(s.true_roots[args.root_index])
     root, bound = root_point(s, x), s.residual_bound()
     if not root.residual <= bound:
-        print(f"the point is not a root: residual {root.residual:.3e} > {bound:.3e}", file=sys.stderr)
-        return 1
+        raise BadInput(f"the point is not a root: residual {root.residual:.3e} > {bound:.3e}")
     methods = METHODS if args.method == "all" else (args.method,)
     out = {}
     for m in methods:
@@ -160,13 +158,11 @@ def _cmd_audit(args) -> int:
         except bench.SOLVER_FAILURES as exc:
             key, verb, text = _failure(exc)
             if args.method != "all":
-                print(f"method {m} {verb}: {text}", file=sys.stderr)
-                return 1
+                raise BadInput(f"method {m} {verb}: {text}") from None
             out[m] = {"method": m, key: text}
     _emit(out if args.method == "all" else out[args.method], args.out)
     if not any("kappa_sub" in rec for rec in out.values()):
-        print("no method produced a kappa", file=sys.stderr)
-        return 1
+        raise BadInput("no method produced a kappa")
     return 0
 
 
@@ -182,7 +178,7 @@ def _custom_spec(args) -> bench.SweepSpec:
     """The sweep the --custom flags describe; ValueError when a trial could not run."""
     missing = [flag for flag in ("method", "family", "axis", "values") if getattr(args, flag) is None]
     if missing:
-        raise SystemExit(f"--custom requires --{', --'.join(missing)}")
+        raise BadInput(f"--custom requires --{', --'.join(missing)}")
     if args.axis != "d" and args.d is None:
         raise ValueError(f"--axis {args.axis} requires --d")
     spec = bench.SweepSpec(
@@ -210,15 +206,14 @@ def _cmd_sweep(args) -> int:
         try:
             specs = [_custom_spec(args)]
         except ValueError as exc:
-            print(f"sweep --custom: {exc}", file=sys.stderr)
-            return 1
+            raise BadInput(str(exc)) from None
     elif args.figure is not None:
         specs = [
             bench.with_overrides(bench.FIGURES[n], n_trials=args.trials, seed=args.seed)
             for n in _figure_names(args.figure)
         ]
     else:
-        raise SystemExit("pass --figure or --custom")
+        raise BadInput("pass --figure or --custom")
     os.makedirs(args.out, exist_ok=True)
     for spec, records in zip(specs, bench.run_sweeps(specs)):
         csv_path = os.path.join(args.out, f"fig{spec.name}.csv")
@@ -306,7 +301,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with numkernel._one_blas_thread():
+            return args.func(args)
     except BadInput as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

@@ -306,6 +306,14 @@ def _abs_det_jacobian(root: RootPoint) -> float:
     return detJ
 
 
+def _det_q_and_jacobian(s: PolySystem, xstar, sel: BasisSelection) -> tuple:
+    """The root, ||[det Q]_B||_2 over ``sel`` and |det J(x*)|: the factors both Macaulay formulas share."""
+    root = root_point(s, xstar)
+    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
+    detJ = _abs_det_jacobian(root)
+    return root, float(np.linalg.norm(c)), detJ
+
+
 def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> float:
     """Eigenvalue condition number of the multiplication-matrix eigenproblem.
 
@@ -315,15 +323,8 @@ def kappa_eig_ms_formula(s: PolySystem, xstar, sel: BasisSelection, i: int) -> f
     ``choose_basis`` read from the null space of the degree-rho Macaulay
     matrix; x* is a point or its RootPoint.
     """
-    root = root_point(s, xstar)
-    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
-    detJ = _abs_det_jacobian(root)
-    return (
-        float(np.linalg.norm(c))
-        * float(np.linalg.norm(basis_values(sel.monomials, root.x)))
-        / detJ
-        * (1.0 + abs(root.x[i]))
-    )
+    root, norm_c, detJ = _det_q_and_jacobian(s, xstar, sel)
+    return norm_c * float(np.linalg.norm(basis_values(sel.monomials, root.x))) / detJ * (1.0 + abs(root.x[i]))
 
 
 def kappa_eig_macaulay_bound(s: PolySystem, xstar, pencil: MacaulayPencil) -> float:
@@ -335,15 +336,12 @@ def kappa_eig_macaulay_bound(s: PolySystem, xstar, pencil: MacaulayPencil) -> fl
     linear polynomial whose multiples populate the lambda side of the
     pencil. x* is a point or its RootPoint.
     """
-    root = root_point(s, xstar)
-    sel = pencil.basis
-    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
-    detJ = _abs_det_jacobian(root)
+    root, norm_c, detJ = _det_q_and_jacobian(s, xstar, pencil.basis)
     hval = abs(linear_poly(s.d, pencil.beta).eval(root.x))
     if hval == 0.0:
         raise SingularJacobian("h(x*) vanishes at the root")
-    V = basis_values(sel.index.col_labels, root.x)
-    return float(np.linalg.norm(c)) * float(np.linalg.norm(V)) / (detJ * hval)
+    V = basis_values(pencil.basis.index.col_labels, root.x)
+    return norm_c * float(np.linalg.norm(V)) / (detJ * hval)
 
 
 # ---------------------------------------------------------------------------

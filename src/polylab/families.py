@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import _row_norms, random_orthogonal
+from .numkernel import _row_norms, _sign_patterns, random_orthogonal
 from .polycore import MultiPoly, PolySystem
 
 
@@ -143,11 +143,7 @@ def _hypercube(spec: FamilySpec, rng) -> tuple:
         for i in range(d)
     ]
     a = 1.0 / (c * math.sqrt(d))
-    roots = []
-    for mask in range(2**d):
-        signs = [1.0 if mask & (1 << j) == 0 else -1.0 for j in range(d)]
-        roots.append(np.array([s * a for s in signs], dtype=complex))
-    return polys, roots
+    return polys, list((a * _sign_patterns(d)).astype(complex))
 
 
 def _random_cycle(d: int, rng) -> list:

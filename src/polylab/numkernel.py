@@ -32,6 +32,7 @@ np.linalg.svd.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -147,28 +148,50 @@ _ARG_TYPES = {"f": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64), "p": ct
 
 
 def _load_lapack():
-    """The routines of _LAPACK_SIGNATURES and OpenBLAS's thread-count getter, from numpy's build.
+    """_LAPACK_SIGNATURES's routines and OpenBLAS's thread-count getter and setter, from numpy's build.
 
-    (None, None) where numpy's build does not export them (the Accelerate
-    macOS arm64 wheels, conda builds): zggev, zgeqp3 and nrm2 then come from
-    scipy's f2py wrappers (_scipy_routine), and SvdFactor from np.linalg.svd.
+    (None, None, None) where numpy's build does not export them (the
+    Accelerate macOS arm64 wheels, conda builds): zggev, zgeqp3 and nrm2
+    then come from scipy's f2py wrappers (_scipy_routine), and SvdFactor
+    from np.linalg.svd.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _LAPACK_SIGNATURES}
     except (OSError, AttributeError):
-        return None, None
+        return None, None, None
     for name, signature in _LAPACK_SIGNATURES.items():
         flags = [ctypes.c_size_t] * signature.count("f")
         routines[name].argtypes = [_ARG_TYPES[c] for c in signature] + flags
         routines[name].restype = ctypes.c_double if name in ("dznrm2", "zlange") else None
-    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if threads is not None:
-        threads.argtypes, threads.restype = [], ctypes.c_int
-    return routines, threads
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return routines, None, None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return routines, get, put
 
 
-_LAPACK, _BLAS_THREADS = _load_lapack()
+_LAPACK, _BLAS_THREADS, _SET_BLAS_THREADS = _load_lapack()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, its previous count restored after.
+
+    The Macaulay SVDs at d >= 4 round differently on more threads. A build
+    that exports no setter runs the block as it is.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    before = _BLAS_THREADS()
+    _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(before)
 
 
 def _lapack(name: str, *args) -> int:
@@ -688,6 +711,14 @@ def companion_roots(p: UniPoly) -> np.ndarray:
     which is the behavior whose accuracy this package measures.
     """
     return np.linalg.eigvals(companion_matrix(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_patterns(d: int) -> np.ndarray:
+    """The 2^d x d sign patterns, read-only: row k is +1 where bit j of k is clear, -1 where set."""
+    patterns = 1.0 - 2.0 * ((np.arange(2**d)[:, None] >> np.arange(d)) & 1)
+    patterns.flags.writeable = False
+    return patterns
 
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,6 +33,8 @@ from .numkernel import (
     _dots,
     _expand,
     _magnitude,
+    _row_norms,
+    _sign_patterns,
     companion_roots,
     generalized_eig,
     random_unit_vector,
@@ -552,11 +554,8 @@ def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
         shift = np.asarray(shift, dtype=complex)
         offset = complex(u @ shift)
     a = 1.0 / (c * math.sqrt(d))
-    tvals = []
-    for mask in range(2**d):
-        signs = np.array([1.0 if not mask & (1 << j) else -1.0 for j in range(d)])
-        tvals.append(a * float(signs @ u) + offset)
-    tvals = np.array(tvals, dtype=complex)
+    # One dot per pattern: a matrix-vector product may round the sums differently.
+    tvals = np.array([a * float(signs @ u) + offset for signs in _sign_patterns(d)], dtype=complex)
     tstar = a * float(np.sum(u)) + offset
     # Two values collide when they are closer than a few roundings of the
     # largest one. The t-values scale like 1/c, so an absolute cutoff flags
@@ -599,13 +598,9 @@ def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
 
 
 def hausdorff_distance(roots_a, roots_b) -> float:
-    """Symmetric Hausdorff distance between two finite point sets in C^d."""
-    A = [np.asarray(r, dtype=complex) for r in roots_a]
-    B = [np.asarray(r, dtype=complex) for r in roots_b]
-    if not A or not B:
+    """Symmetric Hausdorff distance between two finite point sets in C^d; inf when one is empty."""
+    if len(roots_a) == 0 or len(roots_b) == 0:
         return math.inf
-
-    def one_sided(P, Q):
-        return max(min(float(np.linalg.norm(p - q)) for q in Q) for p in P)
-
-    return max(one_sided(A, B), one_sided(B, A))
+    A, B = np.asarray(roots_a, dtype=complex), np.asarray(roots_b, dtype=complex)
+    dist = _row_norms(A[:, None, :] - B[None, :, :])
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))

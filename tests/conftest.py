@@ -1,8 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import ctypes
-
-import numpy as np
 import pytest
 
 from polylab import numkernel
@@ -19,17 +16,21 @@ def blas_threads(request):
     if request.param == "blas-threads-as-set":
         yield
         return
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or put is None:
+    if numkernel._SET_BLAS_THREADS is None:
         pytest.skip("numpy's BLAS is not scipy-openblas")
-    before = get()
-    put(1)
-    try:
+    with numkernel._one_blas_thread():
         yield
-    finally:
-        put(before)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test, its count restored after."""
+    if numkernel._SET_BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    before = numkernel._BLAS_THREADS()
+    numkernel._SET_BLAS_THREADS(2)
+    yield
+    numkernel._SET_BLAS_THREADS(before)
 
 
 @pytest.fixture

@@ -141,6 +141,37 @@ def test_closed_form_methods_run_only_on_their_family(method, family, axis):
         run_sweep(spec)
 
 
+@pytest.mark.parametrize("shift", [None, (0.0,), (0.0, 1 / 3)])
+def test_an_unshifted_gb_sweep_is_rejected(shift):
+    # With shift 0 the eliminant's constant term is exactly 0, so the
+    # companion matrix returns the designated root 0 exactly: 16 digits at
+    # every sigma, whatever the prediction.
+    spec = SweepSpec(
+        name="t", method="gb", family="cyclic_squares", axis="sigma", values=(1e-2,), d=2, shift=shift, n_trials=1
+    )
+    with pytest.raises(ValueError, match=r"^method gb needs a nonzero --shift"):
+        bench._family_spec(spec, 1e-2)
+    with pytest.raises(ValueError, match=r"^method gb needs a nonzero --shift"):
+        run_sweep(spec)
+    assert bench._family_spec(replace(spec, shift=(1 / 3,)), 1e-2).shift == (1 / 3, 1 / 3)
+
+
+def test_a_sweep_runs_on_one_blas_thread_and_restores_the_count(two_blas_threads, monkeypatch):
+    # The d = 4 and 5 Macaulay SVDs round differently on two threads, so
+    # an unpinned sweep's records depend on the machine. Fresh replay slots
+    # make each run factor its own systems.
+    spec = SweepSpec(
+        name="t", method="nf", family="orthogonal", axis="d", values=(4, 5), sigma=1e-2, shift=(1 / 3,), n_trials=3
+    )
+    monkeypatch.setattr(bench, "_LAST_SYSTEM", {})
+    on_two = run_sweep(spec)
+    assert numkernel._BLAS_THREADS() == 2
+    monkeypatch.setattr(bench, "_LAST_SYSTEM", {})
+    with numkernel._one_blas_thread():
+        on_one = run_sweep(spec)
+    assert on_two == on_one
+
+
 @pytest.mark.parametrize(
     "method, family, axis", [("nf", "orthogonal", "sigma"), ("rur", "hypercube", "c")]
 )
@@ -165,8 +196,11 @@ def test_a_non_integer_dimension_is_rejected_on_every_axis(method, family, axis)
 )
 def test_a_theory_line_that_overflows_reads_zero_digits(method, family, sigma, d):
     # sigma^-63 and sigma^-900 overflow a float: kappa = inf, so 0 digits,
-    # and the sweep still returns its record.
-    spec = SweepSpec(name="custom", method=method, family=family, axis="sigma", values=(sigma,), d=d, n_trials=1)
+    # and the sweep still returns its record. gb runs only shifted.
+    shift = (1 / 3,) if method == "gb" else None
+    spec = SweepSpec(
+        name="custom", method=method, family=family, axis="sigma", values=(sigma,), d=d, shift=shift, n_trials=1
+    )
     (rec,) = run_sweep(spec)
     assert rec.theory_digits == 0.0
     assert theory_digits(method, FamilySpec(family=family, d=d, sigma=sigma)) == 0.0

@@ -26,6 +26,7 @@ from polylab import (
     numkernel,
     read_csv,
 )
+from polylab import cli
 from polylab.cli import _audit_one, main
 
 
@@ -257,6 +258,10 @@ def broken_system(kind, path):
         (None, ["sweep", "--figure", "1c", "--trials", "-2"], "--trials -2 is below 1"),
         ("overflow", ["solve", "--method", "mep"], "method mep failed: LinAlgError"),
         ("overflow", ["audit", "--method", "mep"], "method mep failed: LinAlgError: det J(x*) is not finite"),
+        (None, ["sweep", "--custom", "--method", "gb", "--family", "cyclic_squares", "--axis", "sigma",
+                "--values", "1e-2", "--d", "2", "--trials", "1"], "method gb needs a nonzero --shift"),
+        (None, ["sweep", "--custom", "--method", "gb", "--family", "cyclic_squares", "--axis", "sigma",
+                "--values", "1e-2", "--d", "2", "--shift", "0", "--trials", "1"], "method gb needs a nonzero --shift"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -279,6 +284,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, family, argv, message):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ")
     assert message in captured.err and captured.err.count("\n") == 1
     assert not (tmp_path / "plots").exists()
 
@@ -306,7 +312,7 @@ def test_audit_requires_a_root_when_none_is_stored(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(bare.to_json_dict()))
     assert run_cli(["audit", "--system", str(path)]) == 1
-    assert "pass --root" in capsys.readouterr().err
+    assert capsys.readouterr().err == "audit: system has no stored roots; pass --root\n"
 
 
 def test_sweep_figure_writes_csv_and_svg(tmp_path, capsys):
@@ -340,15 +346,39 @@ def test_sweep_custom_builds_a_spec_from_flags(tmp_path):
     assert all(r.median_digits > 4.0 for r in records)
 
 
-def test_sweep_demands_a_mode():
-    with pytest.raises(SystemExit):
-        run_cli(["sweep"])
+def test_sweep_demands_a_mode(tmp_path, capsys):
+    assert run_cli(["sweep", "--out", str(tmp_path / "plots")]) == 1
+    assert capsys.readouterr().err == "sweep: pass --figure or --custom\n"
+    assert not (tmp_path / "plots").exists()
 
 
-def test_sweep_custom_reports_missing_flags():
-    with pytest.raises(SystemExit, match="values"):
-        run_cli(["sweep", "--custom", "--method", "nf", "--family", "orthogonal",
-                 "--axis", "sigma"])
+def test_sweep_custom_reports_missing_flags(capsys):
+    assert run_cli(["sweep", "--custom", "--method", "nf", "--family", "orthogonal",
+                    "--axis", "sigma"]) == 1
+    assert capsys.readouterr().err == "sweep: --custom requires --values\n"
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(two_blas_threads, tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def generate_and_count(spec):
+        seen.append(numkernel._BLAS_THREADS())
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate", generate_and_count)
+    sys_path = tmp_path / "s.json"
+    assert run_cli(["gen", "--family", "orthogonal", "--d", "4", "--sigma", "1e-2",
+                    "--shift", "0.3,-0.2,0.1,0.25", "--out", str(sys_path)]) == 0
+    assert run_cli(GEN + ["--sigma", "0.1", "--shift", "a,b"]) == 1
+    assert seen == [1] and numkernel._BLAS_THREADS() == 2
+    # The d = 4 Macaulay SVD rounds differently on two threads unless main pins one.
+    capsys.readouterr()
+    assert run_cli(["solve", "--system", str(sys_path), "--method", "nf"]) == 0
+    on_two = capsys.readouterr().out
+    assert numkernel._BLAS_THREADS() == 2
+    with numkernel._one_blas_thread():
+        assert run_cli(["solve", "--system", str(sys_path), "--method", "nf"]) == 0
+    assert capsys.readouterr().out == on_two
 
 
 def test_sweep_rejects_unknown_figures():

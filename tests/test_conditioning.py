@@ -47,6 +47,7 @@ from polylab.conditioning import (
     _digits_from_kappa,
     basis_values,
     poly_det,
+    root_point,
 )
 from polylab.families import _FAMILY
 from polylab.macaulay import BasisSelection, BasisSingular, linear_poly
@@ -283,6 +284,35 @@ def test_compiled_det_q_and_both_formulas_match_the_multipoly_expansion(data):
         / (detJ * abs(h.eval(xstar)))
     )
     assert kappa_eig_macaulay_bound(s, xstar, pen) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
+def test_both_closed_form_kappas_are_the_old_expressions_bit_for_bit(d, seed):
+    # Each formula computed [det Q]_B and |det J(x*)| itself before they
+    # shared one helper; its value must not move by a bit.
+    rng = np.random.default_rng(seed)
+    xstar = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    s = rooted_system(d=d, xstar=xstar, rng=rng)
+    root = root_point(s, xstar)
+    i = int(np.argmax(np.abs(root.x)))
+    detJ = _abs_det_jacobian(root)
+
+    sel = choose_basis(macaulay_hat(s))
+    c = sel.normal_form(lagrange_interpolant(q_factorization(s, root)))
+    want = (
+        float(np.linalg.norm(c))
+        * float(np.linalg.norm(basis_values(sel.monomials, root.x)))
+        / detJ
+        * (1.0 + abs(root.x[i]))
+    )
+    assert kappa_eig_ms_formula(s, xstar, sel, i).hex() == want.hex()
+
+    pen = macaulay_pencil(s, rng)
+    c = pen.basis.normal_form(lagrange_interpolant(q_factorization(s, root)))
+    hval = abs(linear_poly(s.d, pen.beta).eval(root.x))
+    V = basis_values(pen.basis.index.col_labels, root.x)
+    want = float(np.linalg.norm(c)) * float(np.linalg.norm(V)) / (detJ * hval)
+    assert kappa_eig_macaulay_bound(s, xstar, pen).hex() == want.hex()
 
 
 def test_basis_values_are_numpy_scalar_products_bit_for_bit():

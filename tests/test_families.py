@@ -137,6 +137,18 @@ def test_hypercube_roots_are_sign_patterns():
     assert len(pats) == 2**d
 
 
+@pytest.mark.parametrize("d, c, shift", [(1, 3.0, None), (2, 0.7, None), (3, 4.0, (0.3, -0.2, 0.1)), (6, 1e3, None)])
+def test_hypercube_roots_are_the_old_sign_loop_bit_for_bit(d, c, shift):
+    s = generate(spec_for("hypercube", d, c=c, shift=shift))
+    a = 1.0 / (c * math.sqrt(d))
+    want = []
+    for mask in range(2**d):
+        signs = [1.0 if mask & (1 << j) == 0 else -1.0 for j in range(d)]
+        root = np.array([s * a for s in signs], dtype=complex)
+        want.append(root if shift is None else root + np.asarray(shift, dtype=complex))
+    assert [r.tobytes() for r in s.true_roots] == [w.tobytes() for w in want]
+
+
 def test_hypercube_root_conditioning_matches_closed_form():
     rng = np.random.default_rng(35)
     d, c = 2, 10.0

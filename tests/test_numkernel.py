@@ -571,3 +571,25 @@ def test_random_unit_vector_divides_by_the_numpy_norm():
         for _ in range(20):
             v = ref.standard_normal(d)
             assert random_unit_vector(d, rng).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sign_patterns_are_the_bitwise_loop_bit_for_bit(d):
+    # The loop the hypercube roots, the RUR t-values and the subset sums
+    # each ran: +1 where bit j of k is clear, -1 where it is set.
+    want = np.array([[1.0 if mask & (1 << j) == 0 else -1.0 for j in range(d)] for mask in range(2**d)])
+    P = numkernel._sign_patterns(d)
+    assert P.dtype == want.dtype and P.shape == want.shape and P.tobytes() == want.tobytes()
+    assert not P.flags.writeable and numkernel._sign_patterns(d) is P
+    subsets = np.array([[float(mask >> j & 1) for j in range(d)] for mask in range(1, 2**d)])
+    assert ((1 - P[1:]) / 2).tobytes() == subsets.tobytes()
+
+
+def test_one_blas_thread_pins_the_count_and_restores_it(two_blas_threads):
+    assert numkernel._BLAS_THREADS() == 2
+    with numkernel._one_blas_thread():
+        assert numkernel._BLAS_THREADS() == 1
+    assert numkernel._BLAS_THREADS() == 2
+    with pytest.raises(KeyError), numkernel._one_blas_thread():
+        raise KeyError("a failure inside the block")
+    assert numkernel._BLAS_THREADS() == 2

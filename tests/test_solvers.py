@@ -428,6 +428,23 @@ def test_rur_t_values_follow_the_sign_patterns():
     assert f.degree == 4
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_rur_t_values_are_the_old_sign_loop_bit_for_bit(d):
+    rng = np.random.default_rng(70 + d)
+    for shift in (None, rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        c = 10.0 ** rng.uniform(0.0, 6.0)
+        _, rep = solve_rur_example(d, c, u, shift=shift)
+        a = 1.0 / (c * math.sqrt(d))
+        offset = 0j if shift is None else complex(u @ shift)
+        want = []
+        for mask in range(2**d):
+            signs = np.array([1.0 if not mask & (1 << j) else -1.0 for j in range(d)])
+            want.append(a * float(signs @ u) + offset)
+        assert rep.diagnostics["t_values"].tobytes() == np.array(want, dtype=complex).tobytes()
+
+
 def test_rur_warns_when_the_form_fails_to_separate():
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.warns(RuntimeWarning):
@@ -467,6 +484,32 @@ def test_hausdorff_distance_basics():
     assert hausdorff_distance(a, a) == 0.0
     assert hausdorff_distance(a, b) == pytest.approx(2.0)
     assert hausdorff_distance(a, []) == np.inf
+
+
+def _pairwise_loop_hausdorff(roots_a, roots_b):
+    A = [np.asarray(r, dtype=complex) for r in roots_a]
+    B = [np.asarray(r, dtype=complex) for r in roots_b]
+    if not A or not B:
+        return math.inf
+
+    def one_sided(P, Q):
+        return max(min(float(np.linalg.norm(p - q)) for q in Q) for p in P)
+
+    return max(one_sided(A, B), one_sided(B, A))
+
+
+@pytest.mark.parametrize("na, nb, d", [(1, 1, 1), (4, 7, 2), (9, 3, 3), (16, 16, 4), (0, 3, 2), (3, 0, 2), (0, 0, 2)])
+def test_hausdorff_distance_equals_the_pairwise_loop_bit_for_bit(na, nb, d):
+    rng = np.random.default_rng(100 * na + 10 * nb + d)
+
+    def points(n):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (n, 1))
+        return list(scale * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))))
+
+    A, B = points(na), points(nb)
+    for a, b in ((A, B), (B, A), (A, A + B)):
+        got = hausdorff_distance(a, b)
+        assert type(got) is float and got.hex() == _pairwise_loop_hausdorff(a, b).hex()
 
 
 def test_root_report_serializes_to_json():
