@@ -30,10 +30,21 @@ from .solvers import METHODS, UnsupportedShape, mep_from_system, solve
 
 
 class BadInput(Exception):
-    """Why a command failed: a flag value or input it cannot use, or a solver failure.
+    """Why a command failed: a usage error, a flag value or input it cannot use, or a solver failure.
 
     main prints it as the one line "<command>: <message>" and returns 1.
     """
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise BadInput instead of printing usage and exiting 2.
+
+    The message starts with the name of the parser that failed: the
+    subcommand's when argparse got that far, else "polylab".
+    """
+
+    def error(self, message):
+        raise BadInput(f"{self.prog.split()[-1]}: {message}")
 
 
 def _parse_shift(text: str | None):
@@ -239,11 +250,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="polylab",
         description="Benchmark eigenvalue-based multivariate polynomial rootfinders.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     p = sub.add_parser("gen", help="generate a structured polynomial system as JSON")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -299,7 +310,13 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise BadInput(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 1
     try:
         with numkernel._one_blas_thread():
             return args.func(args)

@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .families import _FAMILY, FamilySpec
 from .macaulay import BasisSelection, MacaulayPencil, linear_poly
@@ -95,9 +96,9 @@ def kappa_roots(jacobians: np.ndarray) -> np.ndarray:
     return out
 
 
-def kappa_uni(p, xstar) -> float:
-    """Univariate specialization: 1 / |p'(x*)|."""
-    dval = p.derivative().eval(xstar)
+def kappa_uni(coeffs, xstar) -> float:
+    """Univariate specialization: 1 / |p'(x*)| for p's ascending coefficients."""
+    dval = complex(npoly.polyval(complex(xstar), npoly.polyder(coeffs)))
     if dval == 0:
         raise MultipleRoot(f"derivative vanishes at {xstar}")
     return 1.0 / abs(dval)

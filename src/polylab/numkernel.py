@@ -41,8 +41,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .polycore import SUPPORT_CACHE_SIZE, UniPoly
+from .polycore import SUPPORT_CACHE_SIZE
 
 # A QZ pair entry within QZ_ZERO_TOL * n * eps of the norm of its matrix
 # (alpha against ||A||_F, beta against ||B||_F) is zero at QZ's backward error.
@@ -691,26 +692,29 @@ def _expand(levels, flat: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def companion_matrix(p: UniPoly) -> np.ndarray:
-    n = p.degree
+def companion_matrix(coeffs) -> np.ndarray:
+    """Companion matrix of the polynomial with ascending coefficients ``coeffs``.
+
+    Trailing exact zeros are trimmed first; ValueError below degree 1.
+    """
+    c = npoly.polytrim(np.asarray(coeffs, dtype=complex))
+    n = c.size - 1
     if n < 1:
         raise ValueError("need degree >= 1")
-    monic = p.coeffs / p.coeffs[-1]
     C = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        C[1:, :-1] = np.eye(n - 1)
-    C[:, -1] = -monic[:-1]
+    C[1:, :-1] = np.eye(n - 1)
+    C[:, -1] = -(c[:-1] / c[-1])
     return C
 
 
-def companion_roots(p: UniPoly) -> np.ndarray:
+def companion_roots(coeffs) -> np.ndarray:
     """Roots via eigenvalues of the monic companion matrix.
 
     LAPACK's balancing is applied. No deflation of zero roots is performed:
     a zero constant coefficient goes through the eigensolver like any other,
     which is the behavior whose accuracy this package measures.
     """
-    return np.linalg.eigvals(companion_matrix(p))
+    return np.linalg.eigvals(companion_matrix(coeffs))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Sparse multivariate and dense univariate polynomial arithmetic.
+"""Sparse multivariate polynomial arithmetic.
 
 Monomials are exponent tuples. A graded lexicographic order fixes the term
 processing sequence everywhere, so evaluation and serialization are
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Exponent vector, one non-negative int per variable.
 Monomial = tuple
@@ -379,40 +378,6 @@ class MultiPoly:
             m = tuple(int(e) for e in t["exps"])
             terms[m] = terms.get(m, 0j) + complex(float(t["re"]), float(t.get("im", 0.0)))
         return MultiPoly(nvars, terms)
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial, coefficients ascending in degree."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        # Trim trailing zeros so the leading coefficient is nonzero.
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def from_roots(roots) -> "UniPoly":
-        return UniPoly(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        if self.coeffs.size == 1 and self.coeffs[0] == 0:
-            return -1
-        return self.coeffs.size - 1
-
-    def eval(self, x) -> complex:
-        return complex(npoly.polyval(complex(x), self.coeffs))
-
-    def derivative(self) -> "UniPoly":
-        if self.coeffs.size == 1:
-            return UniPoly(np.zeros(1))
-        return UniPoly(npoly.polyder(self.coeffs))
 
 
 # Complex arrays below are handled as float64 pairs: axis 0 of length 2

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import conditioning
 from .conditioning import kappa_eig, kappa_uni
@@ -39,13 +40,7 @@ from .numkernel import (
     generalized_eig,
     random_unit_vector,
 )
-from .polycore import (
-    SUPPORT_CACHE_SIZE,
-    MultiPoly,
-    PolySystem,
-    UniPoly,
-)
-from numpy.polynomial import polynomial as npoly
+from .polycore import SUPPORT_CACHE_SIZE, MultiPoly, PolySystem
 
 # Newton steps per root when a solver is asked to polish.
 NEWTON_STEPS = 2
@@ -490,6 +485,25 @@ def solve(
 # closed-form univariate reductions
 
 
+def _univariate_report(
+    coeffs, target: complex, kappa_root: float, k_uni: float, tag: str, diagnostics: dict
+) -> RootReport:
+    """The RootReport of a univariate reduction: the companion root of ``coeffs`` nearest ``target``.
+
+    ``diagnostics`` gains that root's ``error`` |x - target| and ``all_roots``.
+    """
+    roots = companion_roots(coeffs)
+    xhat = complex(roots[int(np.argmin(np.abs(roots - target)))])
+    return RootReport(
+        roots=[np.array([xhat])],
+        residuals=[abs(complex(npoly.polyval(xhat, coeffs)))],
+        kappa_root=[kappa_root],
+        subproblem_kappa=[k_uni],
+        method_tag=tag,
+        diagnostics={**diagnostics, "error": abs(xhat - target), "all_roots": roots},
+    )
+
+
 def solve_gb_elimination_example(d: int, sigma: float, shift: complex = 0.0) -> tuple:
     """Eliminate the cyclic-squares system down to one coordinate and solve.
 
@@ -497,7 +511,8 @@ def solve_gb_elimination_example(d: int, sigma: float, shift: complex = 0.0) -> 
     ideal, generated by
     g(x) = (x - shift)^(2^d) - sigma^(2^d - 1) (x - shift); g is built in
     closed form, solved through the companion matrix, and the estimate
-    nearest the designated coordinate value is reported.
+    nearest the designated coordinate value is reported. Returns g's
+    ascending coefficients and the report.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -507,31 +522,11 @@ def solve_gb_elimination_example(d: int, sigma: float, shift: complex = 0.0) -> 
     if math.isinf(sig_pow):
         raise OverflowError("sigma^(2^d - 1) overflows")
     base = np.array([-complex(shift), 1.0], dtype=complex)  # x - shift
-    coeffs = npoly.polysub(npoly.polypow(base, n), sig_pow * base)
-    g = UniPoly(coeffs)
-    roots = companion_roots(g)
-    target = complex(shift)
-    best = int(np.argmin(np.abs(roots - target)))
-    xhat = complex(roots[best])
-    err = abs(xhat - target)
+    g = npoly.polysub(npoly.polypow(base, n), sig_pow * base)
     if underflow:
         warnings.warn("sigma^(2^d - 1) underflowed to zero", RuntimeWarning, stacklevel=2)
-        k_uni = math.inf
-    else:
-        k_uni = 1.0 / sig_pow  # |g'(shift)| = sigma^(2^d - 1)
-    report = RootReport(
-        roots=[np.array([xhat])],
-        residuals=[abs(g.eval(xhat))],
-        kappa_root=[1.0 / sigma],
-        subproblem_kappa=[k_uni],
-        method_tag="gb",
-        diagnostics={
-            "error": err,
-            "underflow": underflow,
-            "all_roots": roots,
-        },
-    )
-    return g, report
+    k_uni = math.inf if underflow else 1.0 / sig_pow  # |g'(shift)| = sigma^(2^d - 1)
+    return g, _univariate_report(g, complex(shift), 1.0 / sigma, k_uni, "gb", {"underflow": underflow})
 
 
 def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
@@ -540,7 +535,7 @@ def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
     The separating form t(x) = u . x takes the value
     (1/(c sqrt(d))) sum_i (+-u_i) at each sign-pattern root; f is the monic
     polynomial with those 2^d values as roots. Warns when u fails to
-    separate the roots.
+    separate the roots. Returns f's ascending coefficients and the report.
     """
     if d > RUR_MAX_D:
         raise ValueError(f"2^{d} roots exceeds the degree cap (d <= {RUR_MAX_D})")
@@ -569,28 +564,13 @@ def solve_rur_example(d: int, c: float, u, shift=None) -> tuple:
         warnings.warn(
             f"separating form has {collisions} colliding values", RuntimeWarning, stacklevel=2
         )
-    f = UniPoly.from_roots(tvals)
-    roots = companion_roots(f)
-    best = int(np.argmin(np.abs(roots - tstar)))
-    xhat = complex(roots[best])
+    f = npoly.polyfromroots(tvals)
     try:
         k_uni = kappa_uni(f, tstar)
     except conditioning.MultipleRoot:
         k_uni = math.inf
-    report = RootReport(
-        roots=[np.array([xhat])],
-        residuals=[abs(f.eval(xhat))],
-        kappa_root=[c * math.sqrt(d) / 2.0],
-        subproblem_kappa=[k_uni],
-        method_tag="rur",
-        diagnostics={
-            "t_values": tvals,
-            "t_star": tstar,
-            "error": abs(xhat - tstar),
-            "collisions": collisions,
-        },
-    )
-    return f, report
+    diagnostics = {"t_values": tvals, "t_star": tstar, "collisions": collisions}
+    return f, _univariate_report(f, tstar, c * math.sqrt(d) / 2.0, k_uni, "rur", diagnostics)
 
 
 # ---------------------------------------------------------------------------

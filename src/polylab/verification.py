@@ -328,15 +328,14 @@ def crossmethod_suite(seed: int = 1) -> VerificationResult:
     """
     cyclic = FamilySpec(family="cyclic_squares", d=2, sigma=0.5, seed=seed)
     details = {}
-    # seeded: the solver's rng is default_rng(seed), else the solver's own default
-    for label, fspec, tags, seeded in (
-        ("cyclic", cyclic, METHODS, True),
-        ("hypercube", FamilySpec(family="hypercube", d=2, c=2.0, seed=seed), ("nf", "macaulay"), True),
-        ("shifted", replace(cyclic, shift=(0.3, -0.2)), ("nf",), False),
+    for label, fspec, tags in (
+        ("cyclic", cyclic, METHODS),
+        ("hypercube", FamilySpec(family="hypercube", d=2, c=2.0, seed=seed), ("nf", "macaulay")),
+        ("shifted", replace(cyclic, shift=(0.3, -0.2)), ("nf",)),
     ):
         s = generate(fspec)
         for tag in tags:
-            rep = solve(s, tag, rng=np.random.default_rng(seed) if seeded else None)
+            rep = solve(s, tag, rng=np.random.default_rng(seed))
             details[f"{label}_{tag}_vs_truth"] = hausdorff_distance(rep.roots, s.true_roots)
     passed = not any(dist > 1e-6 for dist in details.values())
     return VerificationResult(name="crossmethod", passed=passed, details=details)

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from polylab import (
     FamilySpec,
@@ -68,7 +69,7 @@ def test_univariate_reduction_conditioning_growth():
             g, rep = solve_gb_elimination_example(d, sigma)
             n = 2**d
             want = -(sigma ** (n - 1))
-            got = g.derivative().eval(0.0)
+            got = npoly.polyval(0.0, npoly.polyder(g))
             worst_ulp = max(worst_ulp, abs(got - want) / math.ulp(abs(want)))
             assert rep.diagnostics["underflow"] is False
             ratio = rep.subproblem_kappa[0] / rep.kappa_root[0]

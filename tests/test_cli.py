@@ -262,6 +262,11 @@ def broken_system(kind, path):
                 "--values", "1e-2", "--d", "2", "--trials", "1"], "method gb needs a nonzero --shift"),
         (None, ["sweep", "--custom", "--method", "gb", "--family", "cyclic_squares", "--axis", "sigma",
                 "--values", "1e-2", "--d", "2", "--shift", "0", "--trials", "1"], "method gb needs a nonzero --shift"),
+        (None, ["sweep", "--figure", "99"], "argument --figure: invalid choice: '99'"),
+        (None, ["gen", "--d", "2"], "the following arguments are required: --family"),
+        ("cyclic_squares", ["solve", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+        (None, ["gen", "--family", "orthogonal", "--d", "x"], "argument --d: invalid int value: 'x'"),
+        (None, ["verify", "--bogus", "2"], "unrecognized arguments: --bogus 2"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -381,9 +386,38 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(two_blas_threads, t
     assert capsys.readouterr().out == on_two
 
 
-def test_sweep_rejects_unknown_figures():
-    with pytest.raises(SystemExit):
-        run_cli(["sweep", "--figure", "99"])
+def test_sweep_rejects_unknown_figures(capsys):
+    assert run_cli(["sweep", "--figure", "99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "sweep: argument --figure: invalid choice: '99' (choose from "
+        "'1c', '1d', '1e', '1f', '1g', '2', '3', '4a', '4b', '5', '4', 'all')\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ([], "polylab: the following arguments are required: command"),
+        (["bogus"], "polylab: argument command: invalid choice: 'bogus' "
+                    "(choose from 'gen', 'solve', 'audit', 'sweep', 'verify')"),
+    ],
+)
+def test_usage_errors_before_a_subcommand_are_one_polylab_line(capsys, argv, line):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_prints_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: " + " ".join(["polylab", *argv[:-1]]))
+    assert captured.err == ""
 
 
 def test_verify_single_suite_prints_json_and_passes(capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from polylab import (
     MultiParamEig,
     MultiPoly,
     PolySystem,
-    UniPoly,
     b0_matrix,
     choose_basis,
     generalized_eig,
@@ -90,10 +90,35 @@ def test_det_jacobian_guard_labels_zero_and_overflow():
 
 
 def test_kappa_uni_inverts_derivative():
-    p = UniPoly.from_roots(np.array([2.0, -1.0], dtype=complex))
+    p = npoly.polyfromroots(np.array([2.0, -1.0], dtype=complex))
     assert kappa_uni(p, 2.0) == pytest.approx(1.0 / 3.0)
     with pytest.raises(MultipleRoot):
-        kappa_uni(UniPoly(np.array([0.0, 0.0, 1.0], dtype=complex)), 0.0)
+        kappa_uni(np.array([0.0, 0.0, 1.0], dtype=complex), 0.0)
+    with pytest.raises(MultipleRoot):
+        kappa_uni(npoly.polyfromroots(np.array([0.5, 0.5, -1.0], dtype=complex)), 0.5)
+
+
+def _old_kappa_uni(coeffs, xstar) -> float:
+    """The removed UniPoly's kappa_uni written out: trim trailing zeros, differentiate, evaluate."""
+    c = np.asarray(coeffs, dtype=complex)
+    nz = np.nonzero(c)[0]
+    c = c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+    dc = np.zeros(1, dtype=complex) if c.size == 1 else npoly.polyder(c)
+    nz = np.nonzero(dc)[0]
+    dc = dc[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+    return 1.0 / abs(complex(npoly.polyval(complex(xstar), dc)))
+
+
+def test_kappa_uni_is_the_old_expression_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4, 8, 16, 64):
+        roots = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-4, 4)
+        coeffs = npoly.polyfromroots(roots)
+        for x in (roots[0], complex(rng.standard_normal()), 1 / 3, 0.3 - 0.2j):
+            for c in (coeffs, np.concatenate([coeffs, np.zeros(2, dtype=complex)])):
+                got = kappa_uni(c, x)
+                assert type(got) is float
+                assert got.hex() == _old_kappa_uni(c, x).hex()
 
 
 def test_kappa_eig_on_diagonal_pencil():

@@ -17,7 +17,6 @@ from polylab import (
     GenEigProblem,
     NullSpaceGapWarning,
     SingularPencil,
-    UniPoly,
     companion_matrix,
     companion_roots,
     generalized_eig,
@@ -45,16 +44,28 @@ def kron_determinant(blocks) -> np.ndarray:
 
 def test_companion_matrix_shape_and_last_column():
     # monic x^3 + 2x^2 - x + 5
-    p = UniPoly(np.array([5.0, -1.0, 2.0, 1.0], dtype=complex))
-    C = companion_matrix(p)
+    C = companion_matrix(np.array([5.0, -1.0, 2.0, 1.0], dtype=complex))
     assert C.shape == (3, 3)
     assert np.allclose(C[:, -1], [-5.0, 1.0, -2.0])
     assert np.allclose(np.diag(C, -1), 1.0)
 
 
+def test_companion_matrix_trims_trailing_zeros_and_needs_degree_one():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5):
+        coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        want = companion_matrix(coeffs)
+        for zeros in (1, 3):
+            padded = np.concatenate([coeffs, np.zeros(zeros, dtype=complex)])
+            assert companion_matrix(padded).tobytes() == want.tobytes()
+    assert np.array_equal(companion_matrix([2.0, 4.0]), [[-0.5]])
+    for coeffs in ([3.0], [3.0, 0.0, 0.0], [0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            companion_matrix(np.array(coeffs, dtype=complex))
+
+
 def test_companion_roots_on_quadratic():
-    p = UniPoly(np.array([-1.0, 0.0, 1.0], dtype=complex))
-    r = sorted(companion_roots(p).real)
+    r = sorted(companion_roots(np.array([-1.0, 0.0, 1.0], dtype=complex)).real)
     assert r == pytest.approx([-1.0, 1.0], abs=1e-14)
 
 
@@ -63,8 +74,7 @@ def test_companion_roots_agree_with_numpy():
     for _ in range(10):
         coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         coeffs[-1] = 1.0
-        p = UniPoly(coeffs)
-        ours = np.sort_complex(companion_roots(p))
+        ours = np.sort_complex(companion_roots(coeffs))
         ref = np.sort_complex(np.roots(coeffs[::-1]))
         assert np.max(np.abs(ours - ref)) <= 1e-8
 
@@ -72,8 +82,7 @@ def test_companion_roots_agree_with_numpy():
 def test_companion_zero_constant_term_keeps_origin_exact():
     # A zero constant coefficient isolates the origin eigenvalue under
     # balancing, so the computed root at zero carries no rounding at all.
-    p = UniPoly(np.array([0.0, -1e-3, 0.0, 0.0, 1.0], dtype=complex))
-    roots = companion_roots(p)
+    roots = companion_roots(np.array([0.0, -1e-3, 0.0, 0.0, 1.0], dtype=complex))
     assert min(abs(r) for r in roots) == 0.0
     others = sorted(abs(r) for r in roots)[1:]
     assert all(abs(a - 0.1) <= 1e-12 for a in others)

@@ -13,7 +13,6 @@ from polylab import (
     MonomialOrder,
     MultiPoly,
     PolySystem,
-    UniPoly,
     bezout_count,
     generate,
     jacobian,
@@ -150,24 +149,6 @@ def test_grlex_breaks_degree_ties_by_the_leading_variable():
     assert sorted(plain) == sorted(base)
     # within degree 1 the earlier variable ranks first
     assert plain.index((1, 0)) < plain.index((0, 1))
-
-
-def test_unipoly_eval_and_derivative():
-    # p(x) = x^3 - 2x + 1
-    p = UniPoly(np.array([1.0, -2.0, 0.0, 1.0], dtype=complex))
-    assert p.degree == 3
-    assert p.eval(2.0) == pytest.approx(5.0)
-    dp = p.derivative()
-    assert dp.eval(2.0) == pytest.approx(10.0)
-
-
-def test_unipoly_from_roots_vanishes_there():
-    rng = np.random.default_rng(18)
-    roots = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    p = UniPoly.from_roots(roots)
-    assert p.degree == 5
-    for r in roots:
-        assert abs(p.eval(r)) <= 1e-10 * max(1.0, np.max(np.abs(p.coeffs)))
 
 
 def test_system_residual_is_max_abs_value():

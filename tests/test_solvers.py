@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from polylab import (
     generate,
     hausdorff_distance,
     kappa_eig,
+    kappa_uni,
     macaulay_hat,
     macaulay_pencil,
     mep_from_system,
@@ -388,8 +390,8 @@ def test_multiparam_eig_validates_block_shapes():
 
 def test_gb_elimination_polynomial_is_exact():
     g, rep = solve_gb_elimination_example(2, 0.1)
-    assert np.array_equal(g.coeffs, np.array([0.0, -(0.1**3), 0.0, 0.0, 1.0], dtype=complex))
-    assert g.derivative().eval(0.0) == -(0.1**3)
+    assert np.array_equal(g, np.array([0.0, -(0.1**3), 0.0, 0.0, 1.0], dtype=complex))
+    assert npoly.polyval(0.0, npoly.polyder(g)) == -(0.1**3)
     assert rep.kappa_root == [10.0]
     assert rep.subproblem_kappa[0] == 1.0 / 0.1**3
     assert rep.diagnostics["error"] <= 1e-12
@@ -398,7 +400,7 @@ def test_gb_elimination_polynomial_is_exact():
 
 def test_gb_elimination_with_shifted_root():
     g, rep = solve_gb_elimination_example(3, 0.1, shift=1 / 3)
-    assert abs(g.eval(1 / 3)) <= 1e-14
+    assert abs(npoly.polyval(1 / 3, g)) <= 1e-14
     assert rep.diagnostics["error"] <= 1e-9
     assert abs(rep.roots[0][0] - 1 / 3) == rep.diagnostics["error"]
 
@@ -425,7 +427,7 @@ def test_rur_t_values_follow_the_sign_patterns():
     assert rep.diagnostics["t_star"] == pytest.approx(a * 1.4)
     assert rep.kappa_root == [4.0 * np.sqrt(2) / 2.0]
     assert rep.subproblem_kappa[0] == pytest.approx(33.671751485073706, rel=1e-9)
-    assert f.degree == 4
+    assert f.shape == (5,) and f[-1] == 1.0
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -443,6 +445,78 @@ def test_rur_t_values_are_the_old_sign_loop_bit_for_bit(d):
             signs = np.array([1.0 if not mask & (1 << j) else -1.0 for j in range(d)])
             want.append(a * float(signs @ u) + offset)
         assert rep.diagnostics["t_values"].tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def _old_unipoly_read_out(coeffs, target):
+    """The removed UniPoly read-out written out: trim trailing zeros, companion roots, nearest root.
+
+    Returns the trimmed coefficients, all roots, the nearest root, its residual and its error.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    nz = np.nonzero(c)[0]
+    c = c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
+    n = c.size - 1
+    monic = c / c[-1]
+    C = np.zeros((n, n), dtype=complex)
+    if n > 1:
+        C[1:, :-1] = np.eye(n - 1)
+    C[:, -1] = -monic[:-1]
+    roots = np.linalg.eigvals(C)
+    xhat = complex(roots[int(np.argmin(np.abs(roots - target)))])
+    return c, roots, xhat, abs(complex(npoly.polyval(complex(xhat), c))), abs(xhat - target)
+
+
+def _assert_read_out_is(rep, roots, xhat, residual, error):
+    assert rep.roots[0].tobytes() == np.array([xhat]).tobytes()
+    assert type(rep.residuals[0]) is float and rep.residuals[0].hex() == residual.hex()
+    assert type(rep.diagnostics["error"]) is float and rep.diagnostics["error"].hex() == error.hex()
+    assert rep.diagnostics["all_roots"].tobytes() == roots.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_gb_report_is_the_old_unipoly_read_out_bit_for_bit(d):
+    n = 2**d
+    for sigma in (1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0):
+        for shift in (0.0, 1 / 3, 0.3 - 0.2j, -2.0):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g, rep = solve_gb_elimination_example(d, sigma, shift=shift)
+            sig_pow = sigma ** (n - 1)
+            base = np.array([-complex(shift), 1.0], dtype=complex)
+            c, roots, xhat, residual, error = _old_unipoly_read_out(
+                npoly.polysub(npoly.polypow(base, n), sig_pow * base), complex(shift)
+            )
+            assert g.tobytes() == c.tobytes()
+            _assert_read_out_is(rep, roots, xhat, residual, error)
+            assert rep.kappa_root == [1.0 / sigma]
+            assert rep.subproblem_kappa == [math.inf if sig_pow == 0.0 else 1.0 / sig_pow]
+            assert rep.diagnostics["underflow"] is (sig_pow == 0.0)
+            assert len(caught) == (sig_pow == 0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_rur_report_is_the_old_unipoly_read_out_bit_for_bit(d):
+    rng = np.random.default_rng(290 + d)
+    for c in (0.5, 1.0, 2.0, 4.0, 1e3, 1e8):
+        for shift in (None, np.full(d, 1 / 3), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                f, rep = solve_rur_example(d, c, u, shift=shift)
+            tvals, tstar = rep.diagnostics["t_values"], rep.diagnostics["t_star"]
+            coeffs, roots, xhat, residual, error = _old_unipoly_read_out(
+                npoly.polyfromroots(np.asarray(tvals, dtype=complex)), tstar
+            )
+            assert f.tobytes() == coeffs.tobytes()
+            _assert_read_out_is(rep, roots, xhat, residual, error)
+            assert rep.kappa_root == [c * math.sqrt(d) / 2.0]
+            # kappa_uni itself is checked against the old expression in test_conditioning.
+            try:
+                k_uni = kappa_uni(coeffs, tstar)
+            except conditioning.MultipleRoot:
+                k_uni = math.inf
+            assert rep.subproblem_kappa[0].hex() == k_uni.hex()
 
 
 def test_rur_warns_when_the_form_fails_to_separate():
