@@ -59,7 +59,8 @@ class MacaulayIndex:
     m * p_i for ``row_labels[k] = (i, m)``. ``columns``, the one column map,
     is ``monomial_positions(degree, d)`` itself (monomial -> column), and
     ``col_labels`` its keys in order. The matrix's nonzeros sit at the
-    flat ``positions`` and take the compiled coefficients at the flat
+    Fortran-flat ``positions`` (column * rows + row, the layout LAPACK
+    factors in place) and take the compiled coefficients at the flat
     (row, term) slots ``gather``. ``up[i, k]`` is the column of x_i times
     column k's monomial (-1 past the degree), and ``candidates`` are the
     columns below the top degree, from which choose_basis picks. Column 0
@@ -101,7 +102,7 @@ def _macaulay_index(layout: CompiledLayout, degree: int) -> MacaulayIndex:
         col_labels=cols,
         columns=col_index,
         shape=(len(labels), len(cols)),
-        positions=rows * len(cols) + where[live],
+        positions=where[live] * len(labels) + rows,
         gather=poly[rows] * layout.exps.shape[1] + terms,
         up=np.array(up, dtype=np.intp),
         candidates=np.array([k for k, m in enumerate(cols) if sum(m) <= degree - 1], dtype=np.intp),
@@ -115,8 +116,11 @@ def _macaulay_index(layout: CompiledLayout, degree: int) -> MacaulayIndex:
 class MacaulayMatrix:
     """Coefficient matrix of monomial multiples of the system polynomials.
 
-    ``index`` labels its rows and columns and holds its degree. ``bezout``
-    is the system's Bezout count, the nullity choose_basis requires.
+    ``mat`` is Fortran-ordered, and ``factor`` factors a copy of it, so it
+    reads the same before and after. ``index`` labels its rows and columns
+    and holds its degree. ``bezout`` is the system's Bezout count, the
+    nullity choose_basis requires. quotient_basis builds no MacaulayMatrix:
+    it factors the matrix it scatters in that matrix's own memory.
     """
 
     mat: np.ndarray
@@ -128,7 +132,8 @@ class MacaulayMatrix:
         """The matrix's one SVD: nullity, null spaces and sigma_min all read it.
 
         U is never formed, and a row of V^H is back-transformed only when a
-        null space reads it (see SvdFactor); the values are np.linalg.svd's.
+        null space reads it (see SvdFactor); the values are np.linalg.svd's,
+        and ``mat`` is left as it was.
         """
         return SvdFactor.of(self.mat)
 
@@ -222,14 +227,23 @@ def macaulay_hat(s: PolySystem) -> MacaulayMatrix:
     zero or constant polynomial has Bezout count 0 and no quotient to read
     (NullityMismatch).
     """
+    index, r = _index_and_bezout(s)
+    return MacaulayMatrix(mat=_scatter(s, index), index=index, bezout=r)
+
+
+def _index_and_bezout(s: PolySystem) -> tuple:
+    """The MacaulayIndex of s at rho(s) and its Bezout count; NullityMismatch at count 0."""
     r = bezout_count(s)
     if r == 0:
         raise NullityMismatch("Bezout count 0: the system has a zero or constant polynomial")
-    comp = s.compiled
-    index = _macaulay_index(comp.layout, rho(s))
-    mat = np.zeros(index.shape, dtype=complex)
-    mat.reshape(-1)[index.positions] = comp.coeffs.reshape(-1)[index.gather]
-    return MacaulayMatrix(mat=mat, index=index, bezout=r)
+    return _macaulay_index(s.compiled.layout, rho(s)), r
+
+
+def _scatter(s: PolySystem, index: MacaulayIndex) -> np.ndarray:
+    """A new Fortran-ordered Macaulay matrix of s over ``index``: one scatter of the compiled coefficients."""
+    mat = np.zeros(index.shape, dtype=complex, order="F")
+    mat.reshape(-1, order="F")[index.positions] = s.compiled.coeffs.reshape(-1)[index.gather]
+    return mat
 
 
 def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
@@ -246,12 +260,16 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
     reported alongside, and N travels with the selection for the caller to
     reuse, read-only, as do the basis positions.
     """
-    r = mhat.bezout
-    nullity = mhat.factor.nullity
+    return _choose_basis(mhat.factor, mhat.index, mhat.bezout)
+
+
+def _choose_basis(factor: SvdFactor, index: MacaulayIndex, r: int) -> BasisSelection:
+    """choose_basis over the SVD ``factor`` of the Macaulay matrix that ``index`` labels."""
+    nullity = factor.nullity
     if nullity != r:
         raise NullityMismatch(f"numerical nullity {nullity} != expected root count {r}")
-    N = mhat.factor.null_space(r)
-    cand = mhat.index.candidates
+    N = factor.null_space(r)
+    cand = index.candidates
     # zgeqp3 of C^T, as scipy.linalg.qr(C.T, mode="r", pivoting=True) runs
     # it, minus its finiteness check: N comes from the SVD of a finite matrix
     # (MultiPoly rejects non-finite coefficients).
@@ -268,12 +286,12 @@ def choose_basis(mhat: MacaulayMatrix) -> BasisSelection:
     for a in (N, indices):
         a.setflags(write=False)
     return BasisSelection(
-        monomials=[mhat.index.col_labels[k] for k in chosen],
+        monomials=[index.col_labels[k] for k in chosen],
         cond=float(s[0] / s[-1]) if s[-1] > 0 else math.inf,
         nullspace=N,
         indices=indices,
-        index=mhat.index,
-        sigma_min=mhat.factor.sigma_min,
+        index=index,
+        sigma_min=factor.sigma_min,
     )
 
 
@@ -296,19 +314,33 @@ def quotient_basis(s: PolySystem) -> BasisSelection:
 
     The selection is kept on the frozen system, as ``s.compiled`` is, so nf,
     the Macaulay pencil and the audit of one system object share one
-    Macaulay build and one factorization; the Macaulay matrix itself is not
-    kept. A failure (NullityMismatch, RankDeficientBasis) is not kept:
-    every call raises its own. Every call issues again the warnings the
-    computation issued (a NullSpaceGapWarning on a weak gap), so what a
-    caller sees does not depend on whether the basis was cached.
+    Macaulay build and one factorization, bit for bit those of
+    choose_basis(macaulay_hat(s)). No MacaulayMatrix holds the matrix: the
+    factor overwrites it in place and drops it, keeping only the n x n
+    reflector block of a tall one (see SvdFactor), so a tall Macaulay
+    matrix exists once while it is factored. A failure (NullityMismatch,
+    RankDeficientBasis) is not kept: every call raises its own. Every call
+    issues again the warnings the computation issued (a
+    NullSpaceGapWarning on a weak gap), so what a caller sees does not
+    depend on whether the basis was cached.
     """
     entry = vars(s).get("_quotient_basis")
     if entry is None:
-        entry = vars(s)["_quotient_basis"] = _recorded(lambda: choose_basis(macaulay_hat(s)))
+        entry = vars(s)["_quotient_basis"] = _recorded(_factored_basis, s)
     sel, issued = entry
     for message in issued:
         warnings.warn(message, stacklevel=2)
     return sel
+
+
+def _factored_basis(s: PolySystem) -> BasisSelection:
+    """choose_basis(macaulay_hat(s)), the matrix factored in its own memory.
+
+    The scattered matrix goes straight into the factorization, so no name
+    here keeps it alive while zgebrd overwrites it.
+    """
+    index, r = _index_and_bezout(s)
+    return _choose_basis(SvdFactor._in_place(_scatter(s, index)), index, r)
 
 
 def _h_rows(columns: np.ndarray, coeffs: np.ndarray, up: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ call returns the bits of a two-sided one. The private stacked kernels
 eigenpairs at once with results byte-equal to a loop over the pairs.
 
 SvdFactor never forms U. On the tall matrices of zgesdd's path 6 it runs
-zgesdd's own steps (zgebrd, dbdsdc, zunmbr) and back-transforms only the
+zgesdd's own steps (zgebrd, dbdsdc, zunmbr), keeps only the n x n block of
+zgebrd's output that holds P's reflectors, and back-transforms only the
 rows of V^H that a null space reads; its singular values and null spaces
 are byte-equal to np.linalg.svd's. Every other matrix goes to
 np.linalg.svd.
@@ -465,6 +466,11 @@ _SVD_SMALL = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 _SVD_BIG = 1.0 / _SVD_SMALL
 
 
+def _takes_path_6(m: int, n: int) -> bool:
+    """Whether zgesdd factors an m x n matrix by its path 6 and numpy's build exports its steps."""
+    return _LAPACK is not None and n <= m < int(n * 5.0 / 3.0)
+
+
 def _max_modulus(A: np.ndarray) -> float:
     """zlange('M'): the largest |a_ij| of a Fortran-ordered matrix, nan if one is nan."""
     m, n = _int_args(*A.shape)
@@ -512,15 +518,18 @@ class SvdFactor:
     ``singular_values`` is padded with zeros to length n.
 
     Where zgesdd takes its path 6, n <= m < floor(5n/3) (the tall Macaulay
-    matrices of quadratic systems, d = 4..6), ``of`` runs zgesdd's own steps from
-    numpy's LAPACK, minus U: zgebrd reduces the matrix to a real bidiagonal
-    B = Q^H M P, keeping its reflectors and taup as ``reflectors``, and
-    dbdsdc('U', 'I') yields B's singular values and V_B^H, kept as ``vh``.
-    null_space then forms V^H = V_B^H P^H by zgesdd's zunmbr('P', 'R', 'C')
-    with zgesdd's block size, for the rows it returns, from the multiple of
-    _ROW_GROUP below them (all n rows with more than one BLAS thread). The
-    zunmbr('Q') product that forms U is never run. So the singular values
-    and every null space are byte-equal to np.linalg.svd's.
+    matrices of quadratic systems, d = 4..6), the factor runs zgesdd's own
+    steps from numpy's LAPACK, minus U: zgebrd reduces the matrix in place
+    to a real bidiagonal B = Q^H M P, and dbdsdc('U', 'I') yields B's
+    singular values and V_B^H, kept as ``vh``. P's reflectors lie in the
+    first n rows of zgebrd's output: that n x n block, copied out before
+    dbdsdc allocates its workspace, and taup are kept as ``reflectors``,
+    and the m x n matrix is dropped. null_space then forms V^H = V_B^H P^H
+    by zgesdd's zunmbr('P', 'R', 'C') (leading dimension n, zgesdd's block
+    size) for the rows it returns, from the multiple of _ROW_GROUP below
+    them (all n rows with more than one BLAS thread). The zunmbr('Q')
+    product that forms U is never run. So the singular values and every
+    null space are byte-equal to np.linalg.svd's.
 
     Every other shape (the wide d <= 3 Macaulay matrices take zgesdd's
     paths 5t/6t), a matrix zgesdd would rescale or that is not finite, and
@@ -535,31 +544,38 @@ class SvdFactor:
 
     @staticmethod
     def of(M) -> "SvdFactor":
+        """The SVD of M, which is never written: zgebrd gets a Fortran-ordered copy."""
         M = np.asarray(M, dtype=complex)
-        m, n = M.shape
-        if _LAPACK is not None and n <= m < int(n * 5.0 / 3.0):
-            A = np.array(M, order="F")
+        return SvdFactor._in_place(np.array(M, order="F") if _takes_path_6(*M.shape) else M)
+
+    @staticmethod
+    def _in_place(A: np.ndarray) -> "SvdFactor":
+        """The SVD of A, which zgebrd overwrites where zgesdd takes path 6.
+
+        On that path A must be Fortran-ordered and the caller's to give
+        away: with no other reference to it, the m x n matrix is freed once
+        the n x n reflector block is copied out, so the factorization never
+        holds two m x n arrays.
+        """
+        m, n = A.shape
+        if _takes_path_6(m, n):
             anrm = _max_modulus(A)
             if anrm == 0 or _SVD_SMALL <= anrm <= _SVD_BIG:
-                return SvdFactor._bidiagonal(A)
-        _, s, Vh = np.linalg.svd(M, full_matrices=m < n)
+                lwork = _zgesdd_lwork(m, n) - 2 * n
+                s, e = np.empty(n), np.zeros(n)
+                tauq, taup = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+                _lapack("zgebrd", m, n, A, m, s, e, tauq, taup, np.empty(lwork, dtype=complex), lwork)
+                reflectors = np.array(A[:n], order="F")
+                del A
+                u, vh = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+                rwork, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.int64)
+                if _lapack("dbdsdc", b"U", b"I", n, s, e, u, n, vh, n, None, None, rwork, iwork) > 0:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                return SvdFactor(shape=(m, n), singular_values=s, vh=vh, reflectors=(reflectors, taup))
+        _, s, Vh = np.linalg.svd(A, full_matrices=m < n)
         padded = np.zeros(n)
         padded[: s.size] = s
         return SvdFactor(shape=(m, n), singular_values=padded, vh=Vh)
-
-    @staticmethod
-    def _bidiagonal(A: np.ndarray) -> "SvdFactor":
-        """zgesdd's path 6 up to dbdsdc, on a Fortran-ordered copy that zgebrd overwrites."""
-        m, n = A.shape
-        lwork = _zgesdd_lwork(m, n) - 2 * n
-        s, e = np.empty(n), np.zeros(n)
-        tauq, taup = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        _lapack("zgebrd", m, n, A, m, s, e, tauq, taup, np.empty(lwork, dtype=complex), lwork)
-        u, vh = np.empty((n, n), order="F"), np.empty((n, n), order="F")
-        rwork, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.int64)
-        if _lapack("dbdsdc", b"U", b"I", n, s, e, u, n, vh, n, None, None, rwork, iwork) > 0:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return SvdFactor(shape=(m, n), singular_values=s, vh=vh, reflectors=(A, taup))
 
     @property
     def nullity(self) -> int:
@@ -579,13 +595,13 @@ class SvdFactor:
         """Rows start..n-1 of V^H."""
         if self.reflectors is None:
             return self.vh[start:]
-        (m, n), (A, taup) = self.shape, self.reflectors
+        (m, n), (P, taup) = self.shape, self.reflectors
         one_thread = _BLAS_THREADS is not None and _BLAS_THREADS() == 1
         first = start - start % _ROW_GROUP if one_thread else 0
         rows = np.array(self.vh[first:], dtype=complex, order="F")
         lwork = _zunmbr_lwork(m, n, n - first)
         work = np.empty(lwork, dtype=complex)
-        _lapack("zunmbr", b"P", b"R", b"C", n - first, n, n, A, m, taup, rows, n - first, work, lwork)
+        _lapack("zunmbr", b"P", b"R", b"C", n - first, n, n, P, n, taup, rows, n - first, work, lwork)
         return rows[start - first :]
 
     def null_space(self, nullity: int) -> np.ndarray:

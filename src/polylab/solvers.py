@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 from . import conditioning
 from .conditioning import kappa_eig, kappa_uni
 from .macaulay import MacaulayIndex, NullityMismatch, macaulay_pencil, quotient_basis
-# Bound here though unused: perfbench's tracer and the build-count tests patch solvers.macaulay_hat.
+# Bound here though unused: perfbench's tracer patches solvers.macaulay_hat.
 from .macaulay import macaulay_hat  # noqa: F401
 from .numkernel import (
     GenEigProblem,

@@ -5,9 +5,9 @@ import pytest
 from polylab import numkernel
 
 
-@pytest.fixture(params=["one-blas-thread", "blas-threads-as-set"])
+@pytest.fixture(params=["one-blas-thread", "two-blas-threads", "blas-threads-as-set"])
 def blas_threads(request):
-    """Run a test with numpy's OpenBLAS on one thread, then on the threads it was given.
+    """Run a test with numpy's OpenBLAS on one thread, on two, then on the threads it was given.
 
     SvdFactor back-transforms only the rows of V^H it needs on one BLAS
     thread and all of them on more, so its byte-equality tests take both
@@ -18,8 +18,12 @@ def blas_threads(request):
         return
     if numkernel._SET_BLAS_THREADS is None:
         pytest.skip("numpy's BLAS is not scipy-openblas")
-    with numkernel._one_blas_thread():
+    before = numkernel._BLAS_THREADS()
+    numkernel._SET_BLAS_THREADS(1 if request.param == "one-blas-thread" else 2)
+    try:
         yield
+    finally:
+        numkernel._SET_BLAS_THREADS(before)
 
 
 @pytest.fixture

@@ -274,8 +274,8 @@ def test_paired_trials_share_the_system_and_return_the_unpaired_errors(monkeypat
     # its system object and reuses its factorization, and both errors are
     # those of lone trials.
     factored = []
-    original = SvdFactor.of
-    monkeypatch.setattr(SvdFactor, "of", staticmethod(lambda M: factored.append(1) or original(M)))
+    original = SvdFactor._in_place
+    monkeypatch.setattr(SvdFactor, "_in_place", staticmethod(lambda A: factored.append(1) or original(A)))
     built = _counting_generate(monkeypatch)
     a, b = FIGURES["4a"], FIGURES["4b"]
     paired, unpaired = [], []

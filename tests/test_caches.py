@@ -72,8 +72,7 @@ def assert_matches_reference(s, degree=None) -> None:
         degree, index, mat = rho(s), mhat.index, mhat.mat
     else:
         index = macaulay._macaulay_index(c.layout, degree)
-        mat = np.zeros(index.shape, dtype=complex)
-        mat.reshape(-1)[index.positions] = c.coeffs.reshape(-1)[index.gather]
+        mat = macaulay._scatter(s, index)
     want, labels, cols = reference_macaulay(s, degree)
     assert bits_equal(mat, want)
     assert index.row_labels == tuple(labels)

@@ -1,5 +1,6 @@
 """Macaulay matrices, quotient-basis selection, and the h-pencil."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from polylab import (
     macaulay_pencil,
     monomials_up_to,
     null_space,
+    quotient_basis,
     rho,
     sigma_min,
     solve_macaulay_resultant,
@@ -304,7 +306,9 @@ def test_shared_factor_matches_fresh_factorizations(d):
 def test_tall_factor_is_numpys_svd_bit_for_bit(blas_threads, d):
     # The factor runs zgesdd's path 6 without U (see SvdFactor): its
     # singular values and every null space are np.linalg.svd's bits, laid
-    # out as a column slice of Vh.conj().T.
+    # out as a column slice of Vh.conj().T. So is the null space that
+    # quotient_basis reads, whose factor overwrote its own matrix and
+    # back-transforms from the n x n reflector block.
     spec = FamilySpec(family="orthogonal", d=d, sigma=1e-2, shift=(1.0 / 3.0,) * d)
     s = generate(spec, rng=np.random.default_rng(1))
     mhat = macaulay_hat(s)
@@ -319,6 +323,45 @@ def test_tall_factor_is_numpys_svd_bit_for_bit(blas_threads, d):
         for k in nullities:
             N = mhat.factor.null_space(k)
             assert np.array_equal(N, V[:, n - k :]) and N.strides == V[:, n - k :].strides
+    N = quotient_basis(s).nullspace
+    assert N.tobytes() == V[:, n - mhat.bezout :].tobytes() and N.strides == V[:, n - mhat.bezout :].strides
+
+
+def test_quotient_basis_holds_one_macaulay_matrix_while_it_factors(monkeypatch):
+    # The d = 5 Macaulay matrix is 630 x 462, on zgesdd's path 6. zgebrd
+    # overwrites quotient_basis's own scatter of it, and the factor keeps
+    # only the n x n block of reflectors that the null space reads, so the
+    # peak is one m x n complex matrix or, after it is dropped, that block
+    # with dbdsdc's workspace, U_B and V_B. Two m x n matrices do not fit.
+    if polylab.numkernel._LAPACK is None:
+        pytest.skip("numpy's LAPACK does not export zgesdd's steps; np.linalg.svd factors every shape")
+    spec = FamilySpec(family="orthogonal", d=5, sigma=1e-2, shift=(1.0 / 3.0,) * 5)
+    quotient_basis(generate(spec, rng=np.random.default_rng(1)))  # fills the index and workspace caches
+    s = generate(spec, rng=np.random.default_rng(1))
+    s.compiled
+    factors = []
+    choose = polylab.macaulay._choose_basis
+    monkeypatch.setattr(polylab.macaulay, "_choose_basis", lambda f, *rest: factors.append(f) or choose(f, *rest))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sel = quotient_basis(s)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    ((m, n),) = [f.shape for f in factors]
+    assert (m, n) == (630, 462)
+    assert peak < 16 * m * n + 8 * (3 * n * n + 4 * n) + 2 * 8 * n * n + 2**20
+    reflectors, _ = factors[0].reflectors
+    assert reflectors.shape == (n, n) and reflectors.flags.f_contiguous
+    # The public paths still factor a copy: the matrix reads the same after.
+    mhat = macaulay_hat(s)
+    mat = mhat.mat.tobytes()
+    assert mhat.factor.null_space(mhat.bezout).tobytes() == sel.nullspace.tobytes()
+    assert mhat.mat.tobytes() == mat
+    M = np.array(mhat.mat, order="C")
+    assert SvdFactor.of(M).null_space(mhat.bezout).tobytes() == sel.nullspace.tobytes()
+    assert M.tobytes() == mat
 
 
 def test_normal_form_annihilates_ideal_members():

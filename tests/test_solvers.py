@@ -686,19 +686,18 @@ def test_a_jacobian_with_a_nan_raises_at_solve_time(monkeypatch, method):
 @pytest.mark.parametrize("solve", [solve_normal_form, solve_macaulay_resultant])
 def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
     import polylab.macaulay
-    import polylab.solvers
 
     s = generate(FamilySpec(family="orthogonal", d=3, sigma=1e-2, shift=(0.3, -0.2, 0.1)))
+    # Every Macaulay matrix, macaulay_hat's or quotient_basis's, is one scatter.
     built = []
-    original_hat = polylab.macaulay.macaulay_hat
+    original_scatter = polylab.macaulay._scatter
 
-    def counting_hat(*args, **kwargs):
-        mhat = original_hat(*args, **kwargs)
-        built.append(mhat.mat.shape)
-        return mhat
+    def counting_scatter(*args):
+        mat = original_scatter(*args)
+        built.append(mat.shape)
+        return mat
 
-    for module in (polylab.macaulay, polylab.solvers):
-        monkeypatch.setattr(module, "macaulay_hat", counting_hat)
+    monkeypatch.setattr(polylab.macaulay, "_scatter", counting_scatter)
     factored = []
     original_svd = np.linalg.svd
 
@@ -714,15 +713,18 @@ def test_one_build_and_one_factorization_per_macaulay_solve(monkeypatch, solve):
 
 
 def _counting_factorizations(monkeypatch):
-    """The shapes of the matrices SvdFactor.of factors from now on."""
+    """The shapes of the matrices SvdFactor factors from now on.
+
+    SvdFactor.of and quotient_basis both factor through SvdFactor._in_place.
+    """
     factored = []
-    original = SvdFactor.of
+    original = SvdFactor._in_place
 
-    def counting(M):
-        factored.append(np.shape(M))
-        return original(M)
+    def counting(A):
+        factored.append(np.shape(A))
+        return original(A)
 
-    monkeypatch.setattr(SvdFactor, "of", staticmethod(counting))
+    monkeypatch.setattr(SvdFactor, "_in_place", staticmethod(counting))
     return factored
 
 
